@@ -4,12 +4,15 @@ File formats are TSV throughout. Edge lists start with a "#directed" or
 "#undirected" header line followed by "u<TAB>v<TAB>len" rows; string vertex
 ids are mapped to dense integers in first-appearance order. Label files hold
 "vertex-id<TAB>value" rows. Exit codes: 0 ok, 2 instance not well-posed
-(or wrong graph kind for the command), 3 parse error.
+(or wrong graph kind for the command), 3 bad input (a file that does not
+parse, or a usage error such as a bad option value), always with one
+"error:" line on stderr.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import sys
 import time
@@ -63,6 +66,22 @@ def _parse_seed(raw: str, source: str) -> int:
 def _resolve_seed(ctx: click.Context, param: click.Parameter, value: str | None) -> int:
     """--seed if given, else $LEXGRAPH_SEED, else 0."""
     return _default_seed() if value is None else _parse_seed(value, "--seed")
+
+
+def _check_tol(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    if not 0.0 <= value < math.inf:  # also rejects nan
+        raise click.BadParameter(f"must be a finite non-negative number, got {value!r}")
+    return value
+
+
+def _parse_sizes(ctx: click.Context, param: click.Parameter, value: str) -> list[int]:
+    try:
+        sizes = [int(raw) for raw in value.split(",")]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) <= 0:
+        raise click.BadParameter(f"must be comma-separated positive integers, got {value!r}")
+    return sizes
 
 
 def read_edge_file(path: str) -> tuple[Graph, list[str]]:
@@ -125,9 +144,12 @@ def read_label_file(path: str, names: list[str]) -> PartialAssignment:
         if ids[name] in labels:
             raise ParseError(f"{path}:{ln}: duplicate label for vertex {name!r}")
         try:
-            labels[ids[name]] = float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ParseError(f"{path}:{ln}: bad value {raw!r}") from exc
+        if not math.isfinite(value):
+            raise ParseError(f"{path}:{ln}: label value must be finite, got {raw!r}")
+        labels[ids[name]] = value
     return PartialAssignment.from_dict(len(names), labels)
 
 
@@ -215,11 +237,29 @@ seed_option = click.option(
     callback=_resolve_seed,
     help="RNG seed, a non-negative integer (default: $LEXGRAPH_SEED or 0)",
 )
-tol_option = click.option("--tol", type=float, default=1e-9, show_default=True, help="relative comparison tolerance")
+tol_option = click.option(
+    "--tol", type=float, default=1e-9, show_default=True, callback=_check_tol, help="relative comparison tolerance"
+)
 out_option = click.option("--out", type=click.Path(dir_okay=False), default=None, help="output TSV (default: stdout)")
 
 
-@click.group()
+class _Main(click.Group):
+    """Usage errors (a bad option value, a missing option or command) exit 3
+    with one ``error:`` line instead of click's usage block and exit 2, which
+    the exit codes reserve for ill-posed instances."""
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except click.ClickException as exc:
+            click.echo(f"error: {exc.format_message()}", err=True)
+            sys.exit(EXIT_PARSE)
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main, no_args_is_help=False)
 def main() -> None:
     """Lipschitz-extension solvers on weighted graphs."""
 
@@ -244,7 +284,7 @@ _register_solver("dirlexmin", "Directed lex-minimal extension with ambiguity rep
 @main.command(name="l0")
 @click.argument("graph_file", type=click.Path(exists=False))
 @click.argument("labels_file", type=click.Path(exists=False))
-@click.option("--k", type=int, required=True, help="outlier budget")
+@click.option("--k", type=click.IntRange(min=0), required=True, help="outlier budget")
 @click.option("--mode", type=click.Choice(["exact", "approx"]), default="exact", show_default=True)
 @seed_option
 @tol_option
@@ -285,7 +325,7 @@ def cmd_l0(graph_file, labels_file, k, mode, seed, tol, out):
 @click.argument("graph_file", type=click.Path(exists=False))
 @click.argument("labels_file", type=click.Path(exists=False))
 @click.argument("assignment_file", type=click.Path(exists=False))
-@click.option("--tol", type=float, default=1e-7, show_default=True)
+@click.option("--tol", type=float, default=1e-7, show_default=True, callback=_check_tol)
 def cmd_verify(graph_file, labels_file, assignment_file, tol):
     """Check the max-min gradient averaging characterization of the lex-minimizer."""
     try:
@@ -295,6 +335,9 @@ def cmd_verify(graph_file, labels_file, assignment_file, tol):
     except ParseError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PARSE)
+    if graph.directed:
+        click.echo("error: verify needs an undirected graph; got a '#directed' edge file", err=True)
+        sys.exit(EXIT_ILL_POSED)
     mismatch = [
         names[t]
         for t in v0.terminals()
@@ -351,7 +394,9 @@ def cmd_synth(kind, n, n_labels, dim, knn, degree, per_cluster, cluster_std, see
 
 @main.command(name="bench")
 @click.option("--kind", type=click.Choice(["random-regular", "cube-knn"]), default="random-regular", show_default=True)
-@click.option("--sizes", default="10000,30000,100000", show_default=True, help="comma separated vertex counts")
+@click.option(
+    "--sizes", default="10000,30000,100000", show_default=True, callback=_parse_sizes, help="comma separated vertex counts"
+)
 @click.option("--labels", "n_labels", type=int, default=100, show_default=True)
 @click.option("--degree", type=int, default=4, show_default=True)
 @click.option("--repeats", type=int, default=1, show_default=True)
@@ -360,8 +405,7 @@ def cmd_synth(kind, n, n_labels, dim, knn, degree, per_cluster, cluster_std, see
 def cmd_bench(kind, sizes, n_labels, degree, repeats, seed, out):
     """Wall-time benchmark of infmin and fastlexmin across instance sizes."""
     rows = [("algorithm", "n", "m", "seconds")]
-    for raw in sizes.split(","):
-        n = int(raw)
+    for n in sizes:
         if kind == "random-regular":
             inst = synth.random_regular(n, degree=degree, n_labels=n_labels, seed=seed)
         else:

@@ -9,6 +9,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -63,34 +64,16 @@ def definitely_greater(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
 class Graph:
     """Weighted graph with positive finite edge lengths.
 
-    Parameters are validated eagerly; adjacency indexes are built lazily and
-    cached. ``edge_u``/``edge_v``/``edge_len`` define the fixed edge order
-    used by gradient vectors.
+    Parameters are validated eagerly; the CSR index and adjacency lists are
+    built lazily and cached. ``edge_u``/``edge_v``/``edge_len`` define the
+    fixed edge order used by gradient vectors; it is sorted by (u, v).
     """
 
-    __slots__ = (
-        "n",
-        "directed",
-        "edge_u",
-        "edge_v",
-        "edge_len",
-        "_out_indptr",
-        "_out_head",
-        "_out_eid",
-        "_in_indptr",
-        "_in_head",
-        "_in_eid",
-        "_adj_lists",
-        "_in_adj_lists",
-        "_edge_lookup",
-    )
+    __slots__ = ("n", "directed", "edge_u", "edge_v", "edge_len", "_csr_cache", "_adj_cache", "_edge_lookup")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]], directed: bool = False):
         if n < 0:
             raise GraphFormatError("vertex count must be nonnegative")
-        self.n = int(n)
-        self.directed = bool(directed)
-
         dedup: dict[tuple[int, int], float] = {}
         for u, v, length in edges:
             u = int(u)
@@ -108,67 +91,64 @@ class Graph:
                 dedup[key] = length
 
         keys = sorted(dedup)
-        self.edge_u = np.array([k[0] for k in keys], dtype=np.int64)
-        self.edge_v = np.array([k[1] for k in keys], dtype=np.int64)
-        self.edge_len = np.array([dedup[k] for k in keys], dtype=np.float64)
-        for arr in (self.edge_u, self.edge_v, self.edge_len):
+        self._set_edges(
+            n,
+            np.array([k[0] for k in keys], dtype=np.int64),
+            np.array([k[1] for k in keys], dtype=np.int64),
+            np.array([dedup[k] for k in keys], dtype=np.float64),
+            directed,
+        )
+
+    @classmethod
+    def _from_arrays(cls, n: int, u: np.ndarray, v: np.ndarray, lengths: np.ndarray, directed: bool) -> "Graph":
+        """Graph on edge arrays that are already valid, deduplicated and sorted by (u, v)."""
+        g = cls.__new__(cls)
+        g._set_edges(n, u, v, lengths, directed)
+        return g
+
+    def _set_edges(self, n, u, v, lengths, directed) -> None:
+        self.n = int(n)
+        self.directed = bool(directed)
+        self.edge_u, self.edge_v, self.edge_len = u, v, lengths
+        for arr in (u, v, lengths):
             arr.setflags(write=False)
-        self._out_indptr = None
-        self._in_indptr = None
-        self._adj_lists = None
-        self._in_adj_lists = None
+        # [out, in]; an undirected graph uses slot 0 only
+        self._csr_cache = [None, None]
+        self._adj_cache = [None, None]
         self._edge_lookup = None
 
     @property
     def m(self) -> int:
         return int(self.edge_u.shape[0])
 
-    def _build_csr(self, reverse: bool):
-        if self.directed:
-            src = self.edge_v if reverse else self.edge_u
-            dst = self.edge_u if reverse else self.edge_v
-            eid = np.arange(self.m, dtype=np.int64)
-        else:
-            src = np.concatenate([self.edge_u, self.edge_v])
-            dst = np.concatenate([self.edge_v, self.edge_u])
-            eid = np.concatenate([np.arange(self.m, dtype=np.int64)] * 2)
-        order = np.argsort(src, kind="stable")
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return indptr, dst[order], eid[order]
-
-    def _out_csr(self):
-        if self._out_indptr is None:
-            self._out_indptr, self._out_head, self._out_eid = self._build_csr(False)
-        return self._out_indptr, self._out_head, self._out_eid
-
-    def _in_csr(self):
-        if not self.directed:
-            return self._out_csr()
-        if self._in_indptr is None:
-            self._in_indptr, self._in_head, self._in_eid = self._build_csr(True)
-        return self._in_indptr, self._in_head, self._in_eid
+    def _csr(self, reverse: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, lengths) of the out-edges, or of the in-edges with
+        ``reverse`` on a directed graph; cached. Undirected edges appear in both
+        rows. Index arrays are int32, so scipy takes them without a copy."""
+        side = int(reverse and self.directed)
+        if self._csr_cache[side] is None:
+            u, v, w = self.edge_u, self.edge_v, self.edge_len
+            if not self.directed:
+                src, dst, w = np.concatenate([v, u]), np.concatenate([u, v]), np.concatenate([w, w])
+            else:
+                src, dst = (v, u) if side else (u, v)
+            # A stable sort on src. Edges are sorted by (u, v), so every row
+            # comes out sorted by dst, as scipy's coo->csr conversion leaves it.
+            shift = src.shape[0].bit_length()
+            order = np.sort((src << shift) | np.arange(src.shape[0])) & ((1 << shift) - 1)
+            indptr = np.zeros(self.n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+            self._csr_cache[side] = (indptr, dst[order].astype(np.int32), w[order])
+        return self._csr_cache[side]
 
     def adjacency_lists(self, reverse: bool = False) -> list[list[tuple[int, float]]]:
         """Plain-list adjacency (neighbor, length), cached; heap Dijkstra uses this."""
-        if reverse and self.directed:
-            if self._in_adj_lists is None:
-                self._in_adj_lists = self._to_lists(*self._in_csr())
-            return self._in_adj_lists
-        if self._adj_lists is None:
-            self._adj_lists = self._to_lists(*self._out_csr())
-        return self._adj_lists
-
-    def _to_lists(self, indptr, head, eid):
-        lens = self.edge_len[eid]
-        out: list[list[tuple[int, float]]] = []
-        head_l = head.tolist()
-        lens_l = lens.tolist()
-        ptr = indptr.tolist()
-        for x in range(self.n):
-            out.append(list(zip(head_l[ptr[x]:ptr[x + 1]], lens_l[ptr[x]:ptr[x + 1]])))
-        return out
+        side = int(reverse and self.directed)
+        if self._adj_cache[side] is None:
+            indptr, indices, lengths = self._csr(reverse)
+            ptr, head, lens = indptr.tolist(), indices.tolist(), lengths.tolist()
+            self._adj_cache[side] = [list(zip(head[a:b], lens[a:b])) for a, b in zip(ptr, ptr[1:])]
+        return self._adj_cache[side]
 
     def edge_between(self, u: int, v: int) -> Optional[tuple[int, float]]:
         """(edge id, length) of edge u->v (any orientation if undirected)."""
@@ -182,25 +162,9 @@ class Graph:
             self._edge_lookup = lookup
         return self._edge_lookup.get((int(u), int(v)))
 
-    def reversed(self) -> "Graph":
-        if not self.directed:
-            return self
-        return Graph(self.n, zip(self.edge_v.tolist(), self.edge_u.tolist(), self.edge_len.tolist()), directed=True)
-
     def with_edge_mask(self, mask: np.ndarray) -> "Graph":
-        """Same vertex set, subset of edges."""
-        g = Graph.__new__(Graph)
-        g.n = self.n
-        g.directed = self.directed
-        g.edge_u = self.edge_u[mask]
-        g.edge_v = self.edge_v[mask]
-        g.edge_len = self.edge_len[mask]
-        g._out_indptr = None
-        g._in_indptr = None
-        g._adj_lists = None
-        g._in_adj_lists = None
-        g._edge_lookup = None
-        return g
+        """Same vertex set, the edges where the boolean ``mask`` holds."""
+        return Graph._from_arrays(self.n, self.edge_u[mask], self.edge_v[mask], self.edge_len[mask], self.directed)
 
     def induced_subgraph(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Subgraph on the given (sorted unique) vertex ids.
@@ -211,18 +175,10 @@ class Graph:
         local = np.full(self.n, -1, dtype=np.int64)
         local[vertices] = np.arange(vertices.shape[0], dtype=np.int64)
         keep = (local[self.edge_u] >= 0) & (local[self.edge_v] >= 0)
-        g = Graph.__new__(Graph)
-        g.n = int(vertices.shape[0])
-        g.directed = self.directed
-        g.edge_u = local[self.edge_u[keep]]
-        g.edge_v = local[self.edge_v[keep]]
-        g.edge_len = self.edge_len[keep]
-        g._out_indptr = None
-        g._in_indptr = None
-        g._adj_lists = None
-        g._in_adj_lists = None
-        g._edge_lookup = None
-        return g, vertices
+        sub = Graph._from_arrays(
+            vertices.shape[0], local[self.edge_u[keep]], local[self.edge_v[keep]], self.edge_len[keep], self.directed
+        )
+        return sub, vertices
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
@@ -403,7 +359,7 @@ class WellPosednessReport:
 
 def _reachable_from(g: Graph, seeds: np.ndarray, reverse: bool) -> np.ndarray:
     """Boolean mask of vertices reachable from any seed along edge orientation."""
-    indptr, head, _ = g._in_csr() if reverse else g._out_csr()
+    indptr, head, _ = g._csr(reverse)
     seen = np.zeros(g.n, dtype=bool)
     stack = [int(s) for s in seeds]
     seen[seeds] = True
@@ -414,6 +370,18 @@ def _reachable_from(g: Graph, seeds: np.ndarray, reverse: bool) -> np.ndarray:
                 seen[y] = True
                 stack.append(int(y))
     return seen
+
+
+def _component_labels(g: Graph, strong: bool = False) -> tuple[int, np.ndarray]:
+    """(count, per-vertex component label) of the weakly connected components,
+    or of the strongly connected ones with ``strong``. Labels on undirected
+    graphs number the components by their smallest vertex."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    indptr, indices, lengths = g._csr()
+    mat = csr_matrix((lengths, indices, indptr), shape=(g.n, g.n))
+    return connected_components(mat, directed=strong, connection="strong")
 
 
 def check_well_posed(g: Graph, v0: PartialAssignment) -> WellPosednessReport:
@@ -434,14 +402,7 @@ def check_well_posed(g: Graph, v0: PartialAssignment) -> WellPosednessReport:
             return WellPosednessReport(False, stranded_vertices=tuple(int(x) for x in bad))
         return WellPosednessReport(True)
 
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    if g.m:
-        mat = csr_matrix((np.ones(g.m), (g.edge_u, g.edge_v)), shape=(g.n, g.n))
-    else:
-        mat = csr_matrix((g.n, g.n))
-    _, labels = connected_components(mat, directed=False)
+    _, labels = _component_labels(g)
     tmask = v0.terminal_mask()
     bad_components = []
     for comp in np.unique(labels):
@@ -459,31 +420,81 @@ def require_well_posed(g: Graph, v0: PartialAssignment) -> None:
         raise NotWellPosedError(report)
 
 
-def single_source_distances(
-    g: Graph, source: int, reverse: bool = False, with_parents: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Plain Dijkstra from one vertex (along orientation; reversed if asked).
+#: Graphs with more vertices run Dijkstra in scipy; smaller ones on a Python
+#: heap, whose per-call cost is lower on the tiny pressure components.
+SCIPY_CUTOFF = 2048
 
-    Unreachable vertices get +inf. Heap ties break on vertex id so parent
-    trees are deterministic.
+
+def _dijkstra(
+    g: Graph, sources: Sequence[int], start: Sequence[float], scale: float, reverse: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(value, parent) with value(x) = min over sources s of start[s] + scale * dist(s -> x).
+
+    The one shortest-path kernel. Distances follow edge orientation
+    (``reverse`` flips it on directed graphs). parent[x] is the predecessor
+    on a minimizing path; it is -1 where the value is a source's own start
+    and at unreached vertices, which get +inf. Heap ties break on vertex id,
+    so parent trees are deterministic.
     """
-    adj = g.adjacency_lists(reverse=reverse)
-    dist = np.full(g.n, np.inf, dtype=np.float64)
-    parent = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, int(source))]
-    done = np.zeros(g.n, dtype=bool)
+    scale = float(scale)
+    if g.n > SCIPY_CUTOFF:
+        # one super-source row n whose edges carry the start offsets
+        sources = np.asarray(sources, dtype=np.int32)
+        start = np.asarray(start, dtype=np.float64)
+        base = float(start.min())
+        indptr, indices, lengths = g._csr(reverse)
+        dist, pred = _scipy_dijkstra(
+            np.concatenate([indptr, [indptr[-1] + sources.shape[0]]], dtype=np.int32),
+            np.concatenate([indices, sources]),
+            np.concatenate([scale * lengths, start - base]),
+            g.n,
+            predecessors=True,
+        )
+        parent = pred[: g.n].astype(np.int64)
+        parent[(parent == g.n) | (parent < 0)] = -1
+        return dist[: g.n] + base, parent
+
+    adj = g.adjacency_lists(reverse)
+    dist = [math.inf] * g.n
+    parent = [-1] * g.n
+    done = [False] * g.n
+    heap = []
+    for s, d in zip(np.asarray(sources).tolist(), np.asarray(start, dtype=np.float64).tolist()):
+        dist[s] = d
+        heap.append((d, s))
+    heapq.heapify(heap)
     while heap:
         d, x = heapq.heappop(heap)
         if done[x]:
             continue
         done[x] = True
         for y, w in adj[x]:
-            nd = d + w
+            nd = d + scale * w
             if nd < dist[y]:
                 dist[y] = nd
                 parent[y] = x
                 heapq.heappush(heap, (nd, y))
+    return np.array(dist, dtype=np.float64), np.array(parent, dtype=np.int64)
+
+
+def _scipy_dijkstra(indptr, indices, data, sources, predecessors: bool = False):
+    """scipy's Dijkstra on raw CSR arrays of a square graph."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    n = indptr.shape[0] - 1
+    mat = csr_matrix((data, indices, indptr), shape=(n, n))
+    return dijkstra(mat, directed=True, indices=sources, return_predecessors=predecessors)
+
+
+def single_source_distances(
+    g: Graph, source: int, reverse: bool = False, with_parents: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Plain Dijkstra from one vertex (along orientation; reversed if asked).
+
+    Unreachable vertices get +inf; parents are -1 at the source and there.
+    """
+    dist, parent = _dijkstra(g, [int(source)], [0.0], 1.0, reverse)
     if with_parents:
         return dist, parent
     return dist
@@ -492,30 +503,13 @@ def single_source_distances(
 def terminal_pair_distances(g: Graph, v0: PartialAssignment) -> tuple[np.ndarray, np.ndarray]:
     """(terminals, dist) with dist[i, j] = shortest distance terminal i -> terminal j.
 
-    Paths may run through other terminals. Uses scipy above desk scale.
+    Paths may run through other terminals.
     """
     terminals = v0.terminals()
-    k = terminals.shape[0]
-    if k == 0:
+    if terminals.shape[0] == 0:
         return terminals, np.zeros((0, 0))
-    if g.n > 2048:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
-        if g.directed:
-            mat = csr_matrix((g.edge_len, (g.edge_u, g.edge_v)), shape=(g.n, g.n))
-        else:
-            mat = csr_matrix(
-                (np.concatenate([g.edge_len] * 2),
-                 (np.concatenate([g.edge_u, g.edge_v]), np.concatenate([g.edge_v, g.edge_u]))),
-                shape=(g.n, g.n),
-            )
-        dist = sp_dijkstra(mat, directed=True, indices=terminals)
-        return terminals, dist[:, terminals]
-    out = np.empty((k, k), dtype=np.float64)
-    for i, t in enumerate(terminals):
-        out[i] = single_source_distances(g, int(t))[terminals]
-    return terminals, out
+    dist = _scipy_dijkstra(*g._csr(), terminals)
+    return terminals, dist[:, terminals]
 
 
 def enumerate_terminal_gradients(

@@ -1,15 +1,15 @@
 """Sloped distance envelopes and the pressure test.
 
-``mod_dijkstra`` computes value(x) = min_t {v0(t) + alpha * dist(t -> x)} by a
-multi-source Dijkstra whose sources start at their label values. The low and
-high envelopes sandwich every extension with gradient norm <= alpha, and
-their strict separation certifies that a steeper terminal path runs through
-the vertex.
+``mod_dijkstra`` computes value(x) = min_t {v0(t) + alpha * dist(t -> x)} with
+the shared shortest-path kernel of ``core``: a multi-source Dijkstra whose
+sources start at their label values, with edge lengths scaled by alpha. The
+low and high envelopes sandwich every extension with gradient norm <= alpha,
+and their strict separation certifies that a steeper terminal path runs
+through the vertex.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +20,8 @@ from .core import (
     NotWellPosedError,
     PartialAssignment,
     WellPosednessReport,
+    _dijkstra,
 )
-
-# above this size the scipy backend takes over ("auto")
-SCIPY_CUTOFF = 2048
 
 
 @dataclass(frozen=True)
@@ -48,85 +46,27 @@ class PressureSubgraph:
     alpha: float
 
 
-def _heap_mod_dijkstra(g: Graph, v0: PartialAssignment, alpha: float, reverse: bool):
-    adj = g.adjacency_lists(reverse=reverse)
-    n = g.n
-    dist = np.full(n, np.inf, dtype=np.float64)
-    parent = np.full(n, -1, dtype=np.int64)
-    heap: list[tuple[float, int]] = []
-    for t in v0.terminals():
-        t = int(t)
-        dist[t] = v0.values[t]
-        heap.append((dist[t], t))
-    heapq.heapify(heap)
-    done = np.zeros(n, dtype=bool)
-    while heap:
-        d, x = heapq.heappop(heap)
-        if done[x]:
-            continue
-        done[x] = True
-        for y, w in adj[x]:
-            nd = d + alpha * w
-            if nd < dist[y]:
-                dist[y] = nd
-                parent[y] = x
-                heapq.heappush(heap, (nd, y))
-    return dist, parent
-
-
-def _scipy_mod_dijkstra(g: Graph, v0: PartialAssignment, alpha: float, reverse: bool):
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
-    terminals = v0.terminals()
-    base = float(v0.values[terminals].min())
-    if g.directed:
-        src = g.edge_v if reverse else g.edge_u
-        dst = g.edge_u if reverse else g.edge_v
-        rows = [src, np.full(terminals.shape[0], g.n, dtype=np.int64)]
-        cols = [dst, terminals]
-        data = [alpha * g.edge_len, v0.values[terminals] - base]
-    else:
-        rows = [g.edge_u, g.edge_v, np.full(terminals.shape[0], g.n, dtype=np.int64)]
-        cols = [g.edge_v, g.edge_u, terminals]
-        data = [alpha * g.edge_len, alpha * g.edge_len, v0.values[terminals] - base]
-    mat = csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(g.n + 1, g.n + 1),
-    )
-    dist, pred = sp_dijkstra(mat, directed=True, indices=g.n, return_predecessors=True)
-    values = dist[: g.n] + base
-    parent = pred[: g.n].astype(np.int64)
-    parent[(parent == g.n) | (parent < 0)] = -1
-    return values, parent
-
-
 def mod_dijkstra(
     g: Graph,
     v0: PartialAssignment,
     alpha: float,
     reverse: bool = False,
-    backend: str = "auto",
     require_complete: bool = True,
 ) -> Envelope:
     """Envelope value(x) = min over terminals t of v0(t) + alpha * dist(t -> x).
 
-    Distances follow edge orientation toward x (``reverse`` flips it). With
-    ``require_complete`` a vertex unreachable from every terminal raises
-    NotWellPosedError; otherwise it carries +inf and parent -1.
+    Distances follow edge orientation toward x (``reverse`` flips it). This
+    is the kernel ``core._dijkstra`` with the terminals as sources, starting
+    at their labels, and lengths scaled by alpha. With ``require_complete`` a
+    vertex unreachable from every terminal raises NotWellPosedError;
+    otherwise it carries +inf and parent -1.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    if v0.terminals().size == 0:
+    terminals = v0.terminals()
+    if terminals.size == 0:
         raise NotWellPosedError(WellPosednessReport(False, stranded_vertices=tuple(range(g.n))))
-    if backend == "auto":
-        backend = "scipy" if g.n > SCIPY_CUTOFF else "heap"
-    if backend == "heap":
-        values, parent = _heap_mod_dijkstra(g, v0, alpha, reverse)
-    elif backend == "scipy":
-        values, parent = _scipy_mod_dijkstra(g, v0, alpha, reverse)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    values, parent = _dijkstra(g, terminals, v0.values[terminals], alpha, reverse)
     if require_complete and not np.isfinite(values).all():
         bad = tuple(int(x) for x in np.flatnonzero(~np.isfinite(values)))
         raise NotWellPosedError(WellPosednessReport(False, stranded_vertices=bad))
@@ -146,10 +86,10 @@ def comp_vhigh(g: Graph, v0: PartialAssignment, alpha: float, **kw) -> Envelope:
 
 
 def envelope_pair(
-    g: Graph, v0: PartialAssignment, alpha: float, backend: str = "auto", require_complete: bool = True
+    g: Graph, v0: PartialAssignment, alpha: float, require_complete: bool = True
 ) -> tuple[Envelope, Envelope]:
-    vlow = comp_vlow(g, v0, alpha, backend=backend, require_complete=require_complete)
-    vhigh = comp_vhigh(g, v0, alpha, backend=backend, require_complete=require_complete)
+    vlow = comp_vlow(g, v0, alpha, require_complete=require_complete)
+    vhigh = comp_vhigh(g, v0, alpha, require_complete=require_complete)
     return vlow, vhigh
 
 
@@ -161,24 +101,20 @@ def _strictly_separated(vhigh: np.ndarray, vlow: np.ndarray, tol: float) -> np.n
     return out
 
 
-def pressure_exceeds(
-    g: Graph, v0: PartialAssignment, alpha: float, tol: float = DEFAULT_TOL, backend: str = "auto"
-) -> np.ndarray:
+def pressure_exceeds(g: Graph, v0: PartialAssignment, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Per-vertex test: does a terminal path with gradient > alpha run through x?
 
     Equivalent to vHigh[alpha](x) > vLow[alpha](x) beyond tolerance. Vertices
     with no terminal path through them (possible on directed graphs) report
     False for every alpha >= 0.
     """
-    vlow, vhigh = envelope_pair(g, v0, alpha, backend=backend, require_complete=False)
+    vlow, vhigh = envelope_pair(g, v0, alpha, require_complete=False)
     return _strictly_separated(vhigh.values, vlow.values, tol)
 
 
-def high_pressure_subgraph(
-    g: Graph, v0: PartialAssignment, alpha: float, tol: float = DEFAULT_TOL, backend: str = "auto"
-) -> PressureSubgraph:
+def high_pressure_subgraph(g: Graph, v0: PartialAssignment, alpha: float, tol: float = DEFAULT_TOL) -> PressureSubgraph:
     """Induced subgraph on {x : pressure(x) > alpha}; may be empty."""
-    mask = pressure_exceeds(g, v0, alpha, tol=tol, backend=backend)
+    mask = pressure_exceeds(g, v0, alpha, tol=tol)
     vertices = np.flatnonzero(mask)
     sub, orig = g.induced_subgraph(vertices)
     return PressureSubgraph(sub, orig, float(alpha))

@@ -21,6 +21,7 @@ from .core import (
     NoTerminalPathError,
     PartialAssignment,
     TerminalPath,
+    _component_labels,
     definitely_greater,
     gradient_vector,
     inf_norm_of,
@@ -112,9 +113,7 @@ def _terminal_edge_mask(g: Graph, values: np.ndarray) -> np.ndarray:
     return fixed[g.edge_u] & fixed[g.edge_v]
 
 
-def comp_inf_min(
-    g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL, backend: str = "auto"
-) -> SolverResult:
+def comp_inf_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL) -> SolverResult:
     """Inf-minimizer: the midpoint of the two extremal extensions at the
     critical gradient (max terminal-terminal edge gradient vs steepest free
     terminal path)."""
@@ -131,7 +130,7 @@ def comp_inf_min(
         path = steepest_path(pruned, v0, seed=seed, tol=tol)
         alpha = max(alpha, path.gradient if not g.directed else max(path.gradient, 0.0))
         fixed_order = ((path, path.gradient),)
-    vlow, vhigh = envelope_pair(pruned, v0, alpha, backend=backend)
+    vlow, vhigh = envelope_pair(pruned, v0, alpha)
     values = np.where(v0.terminal_mask(), v0.values, 0.5 * (vlow.values + vhigh.values))
     return SolverResult(values, inf_norm_of(g, values), 1, fixed_order)
 
@@ -166,15 +165,14 @@ def comp_lex_min(
 
 
 class _FastState:
-    __slots__ = ("root", "values", "rng", "fixed", "tol", "backend", "depth")
+    __slots__ = ("root", "values", "rng", "fixed", "tol", "depth")
 
-    def __init__(self, root, values, rng, tol, backend):
+    def __init__(self, root, values, rng, tol):
         self.root = root
         self.values = values
         self.rng = rng
         self.fixed: list[tuple[TerminalPath, float]] = []
         self.tol = tol
-        self.backend = backend
         self.depth = 0
 
 
@@ -206,15 +204,15 @@ def _fix_paths_above(g: Graph, orig: np.ndarray, alpha: float, state: _FastState
                     best = path
             if best is None:
                 raise LexgraphError("no terminal path found in a well-posed instance")
-            hp = high_pressure_subgraph(work, cur, best.gradient, tol=state.tol, backend=state.backend)
+            hp = high_pressure_subgraph(work, cur, best.gradient, tol=state.tol)
             if hp.graph.m == 0:
                 mapped = TerminalPath(tuple(int(orig[v]) for v in best.vertices), best.length, best.gradient)
                 grad = _fix_path_inplace(state.root, state.values, mapped, state.tol)
                 state.fixed.append((mapped, grad))
             else:
-                comp_labels = _components(hp.graph)
+                n_comp, comp_labels = _component_labels(hp.graph)
                 hp_orig = orig[hp.vertices]
-                for c in range(comp_labels.max() + 1):
+                for c in range(n_comp):
                     members = np.flatnonzero(comp_labels == c)
                     sub, local_ids = hp.graph.induced_subgraph(members)
                     _fix_paths_above(sub, hp_orig[local_ids], best.gradient, state)
@@ -223,9 +221,7 @@ def _fix_paths_above(g: Graph, orig: np.ndarray, alpha: float, state: _FastState
                 if not np.isnan(local_vals).any():
                     return
                 work = g.with_edge_mask(~_terminal_edge_mask(g, local_vals))
-                shrink = high_pressure_subgraph(
-                    work, PartialAssignment(local_vals), alpha, tol=state.tol, backend=state.backend
-                )
+                shrink = high_pressure_subgraph(work, PartialAssignment(local_vals), alpha, tol=state.tol)
                 if shrink.graph.n == 0:
                     return
                 g = shrink.graph
@@ -234,20 +230,7 @@ def _fix_paths_above(g: Graph, orig: np.ndarray, alpha: float, state: _FastState
         state.depth -= 1
 
 
-def _components(g: Graph) -> np.ndarray:
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    if g.m == 0:
-        return np.arange(g.n, dtype=np.int64)
-    mat = csr_matrix((np.ones(g.m), (g.edge_u, g.edge_v)), shape=(g.n, g.n))
-    _, labels = connected_components(mat, directed=False)
-    return labels
-
-
-def comp_fast_lex_min(
-    g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL, backend: str = "auto"
-) -> SolverResult:
+def comp_fast_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL) -> SolverResult:
     """Lex-minimizer via per-component pressure descent; same output as
     comp_lex_min, much faster on large graphs."""
     if g.directed:
@@ -255,7 +238,7 @@ def comp_fast_lex_min(
     require_well_posed(g, v0)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 20000))
-    state = _FastState(g, v0.values.copy(), np.random.default_rng(seed), tol, backend)
+    state = _FastState(g, v0.values.copy(), np.random.default_rng(seed), tol)
     try:
         while np.isnan(state.values).any():
             _fix_paths_above(g, np.arange(g.n, dtype=np.int64), 0.0, state)
@@ -313,21 +296,11 @@ def _resolve_intervals(g: Graph, values: np.ndarray, median: float):
     (x, y) the completion must satisfy v(x) <= v(y), so each strongly
     connected free component gets one interval [max upstream fixed value,
     min downstream fixed value]."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     free = np.flatnonzero(np.isnan(values))
     local = np.full(g.n, -1, dtype=np.int64)
     local[free] = np.arange(free.size)
     eu, ev = g.edge_u, g.edge_v
-    ff = (local[eu] >= 0) & (local[ev] >= 0)
-    if ff.any():
-        mat = csr_matrix(
-            (np.ones(int(ff.sum())), (local[eu[ff]], local[ev[ff]])), shape=(free.size, free.size)
-        )
-        n_comp, comp = connected_components(mat, directed=True, connection="strong")
-    else:
-        n_comp, comp = free.size, np.arange(free.size)
+    n_comp, comp = _component_labels(g.induced_subgraph(free)[0], strong=True)
 
     lower = np.full(n_comp, -np.inf)
     upper = np.full(n_comp, np.inf)

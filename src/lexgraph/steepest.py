@@ -24,7 +24,7 @@ from .core import (
     definitely_greater,
     single_source_distances,
 )
-from .envelopes import SCIPY_CUTOFF, high_pressure_subgraph
+from .envelopes import high_pressure_subgraph
 
 _BRUTE_PAIRS = 1024
 
@@ -158,28 +158,6 @@ def star_gradient(inst: StarInstance, pair: tuple[int, int]) -> float:
     return float((inst.values[i] - inst.values[j]) / (inst.dists[i] + inst.dists[j]))
 
 
-def _sssp(g: Graph, source: int, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
-    if g.n <= SCIPY_CUTOFF:
-        return single_source_distances(g, source, reverse=reverse, with_parents=True)
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
-    if g.directed:
-        src = g.edge_v if reverse else g.edge_u
-        dst = g.edge_u if reverse else g.edge_v
-        mat = csr_matrix((g.edge_len, (src, dst)), shape=(g.n, g.n))
-    else:
-        mat = csr_matrix(
-            (np.concatenate([g.edge_len] * 2),
-             (np.concatenate([g.edge_u, g.edge_v]), np.concatenate([g.edge_v, g.edge_u]))),
-            shape=(g.n, g.n),
-        )
-    dist, pred = sp_dijkstra(mat, directed=True, indices=source, return_predecessors=True)
-    parent = pred.astype(np.int64)
-    parent[parent < 0] = -1
-    return dist, parent
-
-
 def _chain(parent: np.ndarray, v: int) -> list[int]:
     """Walk parent pointers from v to the Dijkstra root (inclusive)."""
     out = [int(v)]
@@ -196,9 +174,9 @@ def _vertex_steepest(
     if terminals.size == 0:
         return None
     vals = v0.values
-    dist_out, par_out = _sssp(g, x, reverse=False)
+    dist_out, par_out = single_source_distances(g, x, with_parents=True)
     if g.directed:
-        dist_in, par_in = _sssp(g, x, reverse=True)
+        dist_in, par_in = single_source_distances(g, x, reverse=True, with_parents=True)
     else:
         dist_in, par_in = dist_out, par_out
 
@@ -285,8 +263,8 @@ def steepest_path(
     paths, and recurse on the subgraph whose pressure exceeds that gradient
     until it is empty. On directed graphs with no positive-gradient path the
     returned path may not be the maximizer, but its gradient is <= 0, which
-    is all the callers need. Depth is capped; on breach a deterministic
-    exhaustive scan (the brute-force oracle at desk scale) takes over.
+    is all the callers need. Depth is capped; on breach an exhaustive scan
+    of every vertex-steepest path takes over.
     """
     tmask = v0.terminal_mask()
     if tmask.all():
@@ -302,15 +280,7 @@ def steepest_path(
     depth = 0
     result = None
     while True:
-        if depth > cap:
-            if cur_g.n <= 200:
-                from .oracles import brute_steepest_path
-
-                result = brute_steepest_path(cur_g, cur_v0)
-            else:
-                result = _exhaustive_steepest(cur_g, cur_v0, rng, tol)
-            break
-        if cur_g.m == 0:
+        if depth > cap or cur_g.m == 0:
             result = _exhaustive_steepest(cur_g, cur_v0, rng, tol)
             break
         eid = int(rng.integers(cur_g.m))

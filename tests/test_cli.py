@@ -163,6 +163,60 @@ class TestExitCodes:
         assert "not well-posed" in res.stderr
 
 
+def _assert_one_line_error(res, code):
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+    return lines[0]
+
+
+class TestBadInput:
+    def test_verify_directed_exits_2(self, tmp_path):
+        edges = tmp_path / "d.edges.tsv"
+        edges.write_text("#directed\ns\tx\t1\nx\tt\t1\n")
+        labels = tmp_path / "d.labels.tsv"
+        labels.write_text("s\t1\nt\t0\n")
+        out = tmp_path / "d.out.tsv"
+        out.write_text("s\t1\nx\t0.5\nt\t0\n")
+        _assert_one_line_error(run_cli("verify", str(edges), str(labels), str(out)), 2)
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_label_exits_3(self, value, path_fixture, tmp_path):
+        edges, _ = path_fixture
+        labels = tmp_path / "bad.labels.tsv"
+        labels.write_text(f"a\t{value}\nc\t1\n")
+        line = _assert_one_line_error(run_cli("lexmin", str(edges), str(labels)), 3)
+        assert f"{labels}:1:" in line
+
+    def test_negative_tol_exits_3(self, path_fixture):
+        edges, labels = path_fixture
+        line = _assert_one_line_error(run_cli("lexmin", str(edges), str(labels), "--tol", "-1"), 3)
+        assert "--tol" in line
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("l0", "{edges}", "{labels}", "--k", "abc"),
+            ("l0", "{edges}", "{labels}", "--k", "-1"),
+            ("infmin", "{edges}", "{labels}", "--tol", "abc"),
+            ("bench", "--sizes", "x"),
+        ],
+        ids=lambda a: " ".join(a[-2:]),
+    )
+    def test_usage_error_exits_3(self, args, path_fixture):
+        edges, labels = path_fixture
+        res = run_cli(*(arg.format(edges=edges, labels=labels) for arg in args))
+        line = _assert_one_line_error(res, 3)
+        assert args[-2] in line
+
+    def test_help_exits_0(self):
+        res = run_cli("infmin", "--help")
+        assert res.returncode == 0 and "Usage:" in res.stdout
+
+
 class TestVerify:
     def test_round_trip(self, random_fixture, tmp_path):
         edges, labels = random_fixture

@@ -12,9 +12,10 @@ from lexgraph import (
     mod_dijkstra,
     pressure_exceeds,
 )
+from lexgraph import core
 from lexgraph.oracles import apsp_floyd_warshall
 
-from conftest import random_instance
+from conftest import random_directed_instance, random_instance
 
 
 def brute_vlow(g, v0, alpha):
@@ -45,6 +46,18 @@ def brute_pressure_mask(g, v0, alpha):
     return out
 
 
+def _check_parents(g, values, parent, start, scale, reverse):
+    """parent[x] = -1 at sources (value = start) and unreached vertices (+inf);
+    elsewhere value(x) = value(parent) + scale * len(parent -> x)."""
+    for x in range(g.n):
+        p = int(parent[x])
+        if p < 0:
+            assert values[x] == pytest.approx(start[x], abs=1e-12) if x in start else np.isinf(values[x])
+            continue
+        _, length = g.edge_between(x, p) if reverse else g.edge_between(p, x)
+        assert values[x] == pytest.approx(values[p] + scale * length, abs=1e-12)
+
+
 class TestModDijkstra:
     def test_alpha_zero_is_min_terminal(self):
         g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
@@ -62,13 +75,24 @@ class TestModDijkstra:
         env = comp_vlow(g, v0, 0.7)
         assert np.allclose(env.values, brute_vlow(g, v0, 0.7))
 
-    def test_backends_agree(self):
-        for seed in range(5):
-            g, v0 = random_instance(seed, n_range=(12, 25))
-            for alpha in (0.0, 0.3, 1.7):
-                a = mod_dijkstra(g, v0, alpha, backend="heap")
-                b = mod_dijkstra(g, v0, alpha, backend="scipy")
-                assert np.allclose(a.values, b.values, atol=1e-12)
+    def test_backends_agree(self, monkeypatch):
+        """The kernel's heap branch (small graphs) and scipy branch (large
+        graphs) agree on the same small graphs, both orientations."""
+        instances = [random_instance(seed, n_range=(12, 25)) for seed in range(5)]
+        instances += [random_directed_instance(seed, n_range=(12, 25)) for seed in range(5)]
+        for g, v0 in instances:
+            terms = v0.terminals()
+            calls = [(terms, v0.values[terms], alpha) for alpha in (0.0, 0.3, 1.7)]
+            calls.append(([int(np.flatnonzero(~v0.terminal_mask())[0])], [0.0], 1.0))
+            for sources, start, scale in calls:
+                for reverse in (False, True):
+                    monkeypatch.setattr(core, "SCIPY_CUTOFF", g.n)
+                    heap = core._dijkstra(g, sources, start, scale, reverse)
+                    monkeypatch.setattr(core, "SCIPY_CUTOFF", g.n - 1)
+                    scipy = core._dijkstra(g, sources, start, scale, reverse)
+                    assert np.allclose(heap[0], scipy[0], atol=1e-12)
+                    for values, parent in (heap, scipy):
+                        _check_parents(g, values, parent, dict(zip(sources, start)), scale, reverse)
 
     def test_parent_recurrence(self):
         g, v0 = random_instance(4, n_range=(15, 15))

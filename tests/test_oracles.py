@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lexgraph
 from lexgraph import Graph, PartialAssignment, SizeGuardError, verify_max_min
 from lexgraph.oracles import (
     apsp_floyd_warshall,
@@ -141,3 +145,26 @@ class TestPLaplacian:
         g, v0 = path3
         with pytest.raises(ValueError):
             p_laplacian_min(g, v0, p=3)
+
+
+def _imported_modules(tree: ast.AST):
+    """Every module an import statement names, at any depth, as written
+    (``from . import oracles`` yields ``.oracles``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            yield base
+            yield from (f"{base}.{alias.name}" if node.module else base + alias.name for alias in node.names)
+
+
+def test_no_production_module_imports_oracles():
+    """The oracles are the independent reference; production code that used
+    them would make the oracle-equality tests circular."""
+    src = Path(lexgraph.__file__).parent
+    modules = sorted(path for path in src.glob("*.py") if path.name != "oracles.py")
+    assert len(modules) >= 8
+    for path in modules:
+        names = set(_imported_modules(ast.parse(path.read_text(), filename=str(path))))
+        assert not {name for name in names if name.split(".")[-1] == "oracles"}, path.name

@@ -7,12 +7,15 @@ from lexgraph import (
     Graph,
     NoTerminalPathError,
     PartialAssignment,
+    PressureSubgraph,
     StarInstance,
     star_gradient,
     star_steepest_path,
     steepest_path,
     vertex_steepest_path,
 )
+import lexgraph.oracles
+import lexgraph.steepest
 from lexgraph.oracles import apsp_floyd_warshall, brute_steepest_path
 
 from conftest import random_instance
@@ -161,3 +164,21 @@ class TestSteepestPath:
             _, depth = steepest_path(work, v0, seed=seed, with_stats=True)
             depths.append(depth)
         assert float(np.mean(depths)) <= 4 * math.log2(max(work.m, 2))
+
+    def test_depth_cap_fallback_uses_no_oracle(self, monkeypatch):
+        g, v0 = random_instance(7, n_range=(20, 20), max_extra_edges=40)
+        work = prune_tt(g, v0)
+        ref = brute_steepest_path(work, v0)
+
+        def keep_everything(g, v0, alpha, tol):
+            return PressureSubgraph(g, np.arange(g.n), alpha)
+
+        def oracle_called(*args, **kwargs):
+            raise AssertionError("production code called the oracle")
+
+        # the pressure split never shrinks the graph, so the depth passes the cap
+        monkeypatch.setattr(lexgraph.steepest, "high_pressure_subgraph", keep_everything)
+        monkeypatch.setattr(lexgraph.oracles, "brute_steepest_path", oracle_called)
+        got, depth = steepest_path(work, v0, seed=0, with_stats=True)
+        assert depth > 8 * math.log2(work.m) + 16
+        assert got.gradient == pytest.approx(ref.gradient, abs=1e-9)
