@@ -46,6 +46,10 @@ class ParseError(LexgraphError):
 EXIT_ILL_POSED = 2
 EXIT_PARSE = 3
 
+#: verify prints a count and the worst violation, then only this many
+#: ``violation`` lines, so a bad assignment on a large graph stays readable.
+VERIFY_SHOWN = 20
+
 
 def _default_seed() -> int:
     return _parse_seed(os.environ.get("LEXGRAPH_SEED", "0"), "LEXGRAPH_SEED")
@@ -167,9 +171,12 @@ def read_assignment_file(path: str, names: list[str]) -> np.ndarray:
         if len(parts) != 2 or parts[0] not in ids:
             raise ParseError(f"{path}:{ln}: bad assignment row {line!r}")
         try:
-            values[ids[parts[0]]] = float(parts[1])
+            value = float(parts[1])
         except ValueError as exc:
             raise ParseError(f"{path}:{ln}: bad value {parts[1]!r}") from exc
+        if not math.isfinite(value):
+            raise ParseError(f"{path}:{ln}: assignment value must be finite, got {parts[1]!r}")
+        values[ids[parts[0]]] = value
     if np.isnan(values).any():
         missing = [names[i] for i in np.flatnonzero(np.isnan(values))][:5]
         raise ParseError(f"{path}: assignment misses vertices (e.g. {missing})")
@@ -346,7 +353,13 @@ def cmd_verify(graph_file, labels_file, assignment_file, tol):
     report = verify_max_min(graph, v0, values, tol=tol)
     if mismatch:
         click.echo(f"assignment does not extend the labels at: {mismatch}", err=True)
-    for x, hi, lo in report.violations:
+    if report.violations:
+        x, hi, lo = max(report.violations, key=lambda row: abs(row[1] + row[2]))
+        click.echo(
+            f"violations\t{len(report.violations)}\tworst\t{names[x]}\tmax_grad={hi:.12g}\tmin_grad={lo:.12g}",
+            err=True,
+        )
+    for x, hi, lo in report.violations[:VERIFY_SHOWN]:
         click.echo(f"violation\t{names[x]}\tmax_grad={hi:.12g}\tmin_grad={lo:.12g}", err=True)
     if report.ok and not mismatch:
         click.echo("ok", err=True)
@@ -406,10 +419,14 @@ def cmd_bench(kind, sizes, n_labels, degree, repeats, seed, out):
     """Wall-time benchmark of infmin and fastlexmin across instance sizes."""
     rows = [("algorithm", "n", "m", "seconds")]
     for n in sizes:
-        if kind == "random-regular":
-            inst = synth.random_regular(n, degree=degree, n_labels=n_labels, seed=seed)
-        else:
-            inst = synth.cube_knn(n, n_labels=n_labels, seed=seed)
+        try:
+            if kind == "random-regular":
+                inst = synth.random_regular(n, degree=degree, n_labels=n_labels, seed=seed)
+            else:
+                inst = synth.cube_knn(n, n_labels=n_labels, seed=seed)
+        except (ValueError, RuntimeError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_PARSE)
         v0 = inst.assignment()
         for rep in range(repeats):
             for name, solver in (("infmin", comp_inf_min), ("fastlexmin", comp_fast_lex_min)):

@@ -3,13 +3,20 @@
 The reference lex solver repeatedly fixes a steepest free terminal path; the
 fast solver fixes whole pressure plateaus per connected component before
 descending. Both produce the same (unique) extension on undirected graphs.
+
+The fast solver descends on an explicit work stack, not by recursion. A
+component of a pressure split with at most ``DENSE_MAX`` vertices skips the
+sampling, star search and further splits: a dense kernel takes all-pairs
+distances on its k x k length matrix (Floyd-Warshall), fixes the path of the
+steepest terminal pair, and repeats until no pair is steeper than the split's
+gradient. Larger components, and the whole graph at the top level, take the
+general loop.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,8 +171,18 @@ def comp_lex_min(
     return SolverResult(values, inf_norm_of(g, values), len(fixed), tuple(fixed))
 
 
+#: Components of a pressure split with at most this many vertices are solved
+#: by the dense kernel ``_fix_dense``; larger ones, and the whole graph at the
+#: top level, take the sample / star search / pressure split loop. Measured on
+#: 3000-vertex cube-kNN instances, where 1,072 of 1,095 split components have
+#: at most 48 vertices and take 1,691 of 1,766 fixes: every cutoff from 16 to
+#: 96 cuts the solve by 37-47%, 48 by the most; at 128 the kernel's O(k^3)
+#: work per fix gives back much of the gain.
+DENSE_MAX = 48
+
+
 class _FastState:
-    __slots__ = ("root", "values", "rng", "fixed", "tol", "depth")
+    __slots__ = ("root", "values", "rng", "fixed", "tol")
 
     def __init__(self, root, values, rng, tol):
         self.root = root
@@ -173,77 +190,170 @@ class _FastState:
         self.rng = rng
         self.fixed: list[tuple[TerminalPath, float]] = []
         self.tol = tol
-        self.depth = 0
+
+
+class _Frame:
+    """One component on the descent's work stack: fix every free terminal
+    path steeper than ``alpha`` inside ``g`` (vertex ids ``orig`` in the root
+    graph). ``children`` holds the pending components of its last pressure
+    split, the next one last, and ``child_alpha`` that split's gradient."""
+
+    __slots__ = ("g", "orig", "alpha", "children", "child_alpha", "started")
+
+    def __init__(self, g: Graph, orig: np.ndarray, alpha: float):
+        self.g = g
+        self.orig = orig
+        self.alpha = alpha
+        self.children: list[tuple[Graph, np.ndarray]] = []
+        self.child_alpha = 0.0
+        self.started = False
 
 
 def _fix_paths_above(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> None:
     """Fix every free terminal path with gradient above alpha inside g,
-    recursing per connected high-pressure component."""
-    state.depth += 1
-    if state.depth > 4096:
-        raise LexgraphError("pressure recursion too deep; instance is pathological")
-    try:
-        while True:
-            local_vals = state.values[orig]
-            if not np.isnan(local_vals).any():
-                return
-            cur = PartialAssignment(local_vals)
-            work = g.with_edge_mask(~_terminal_edge_mask(g, local_vals))
-            if work.m == 0:
-                raise LexgraphError("free vertices left with no usable edges")
-            eid = int(state.rng.integers(work.m))
-            x3 = int(state.rng.integers(work.n))
-            samples = []
-            for x in (int(work.edge_u[eid]), int(work.edge_v[eid]), x3):
-                if x not in samples:
-                    samples.append(x)
-            best = None
-            for x in samples:
-                path = _vertex_steepest(work, cur, x, state.rng, state.tol)
-                if path is not None and (best is None or path.gradient > best.gradient):
-                    best = path
-            if best is None:
-                raise LexgraphError("no terminal path found in a well-posed instance")
-            hp = high_pressure_subgraph(work, cur, best.gradient, tol=state.tol)
-            if hp.graph.m == 0:
-                mapped = TerminalPath(tuple(int(orig[v]) for v in best.vertices), best.length, best.gradient)
-                grad = _fix_path_inplace(state.root, state.values, mapped, state.tol)
-                state.fixed.append((mapped, grad))
+    descending into each connected high-pressure component.
+
+    The descent runs on an explicit work stack in depth-first order: a
+    component is finished before its next sibling starts. A component below
+    the top level with at most DENSE_MAX vertices goes to ``_fix_dense``."""
+    stack = [_Frame(g, orig, alpha)]
+    while stack:
+        if len(stack) > 4096:
+            raise LexgraphError("pressure descent too deep; instance is pathological")
+        frame = stack[-1]
+        if frame.children:
+            sub, sub_orig = frame.children.pop()
+            # below a split at gradient 0 the flat walks that finish dangling
+            # free vertices are left, and only the general loop makes those
+            if frame.child_alpha > 0.0 and sub.n <= DENSE_MAX:
+                _fix_dense(sub, sub_orig, frame.child_alpha, state)
             else:
-                n_comp, comp_labels = _component_labels(hp.graph)
-                hp_orig = orig[hp.vertices]
-                for c in range(n_comp):
-                    members = np.flatnonzero(comp_labels == c)
-                    sub, local_ids = hp.graph.induced_subgraph(members)
-                    _fix_paths_above(sub, hp_orig[local_ids], best.gradient, state)
-            if alpha > 0.0:
-                local_vals = state.values[orig]
-                if not np.isnan(local_vals).any():
-                    return
-                work = g.with_edge_mask(~_terminal_edge_mask(g, local_vals))
-                shrink = high_pressure_subgraph(work, PartialAssignment(local_vals), alpha, tol=state.tol)
-                if shrink.graph.n == 0:
-                    return
-                g = shrink.graph
-                orig = orig[shrink.vertices]
-    finally:
-        state.depth -= 1
+                stack.append(_Frame(sub, sub_orig, frame.child_alpha))
+        elif not _split_round(frame, state):
+            stack.pop()
+
+
+def _split_round(frame: _Frame, state: _FastState) -> bool:
+    """One round of the general loop on a frame: after the first round, shrink
+    to the vertices still steeper than a positive alpha; then sample a
+    steepest path, and fix it if nothing is steeper, else queue the
+    components of the pressure split above it. False once the frame is done."""
+    if frame.started and frame.alpha > 0.0:
+        local_vals = state.values[frame.orig]
+        if not np.isnan(local_vals).any():
+            return False
+        work = frame.g.with_edge_mask(~_terminal_edge_mask(frame.g, local_vals))
+        shrink = high_pressure_subgraph(work, PartialAssignment(local_vals), frame.alpha, tol=state.tol)
+        if shrink.graph.n == 0:
+            return False
+        frame.g = shrink.graph
+        frame.orig = frame.orig[shrink.vertices]
+    frame.started = True
+    g, orig = frame.g, frame.orig
+    local_vals = state.values[orig]
+    if not np.isnan(local_vals).any():
+        return False
+    cur = PartialAssignment(local_vals)
+    work = g.with_edge_mask(~_terminal_edge_mask(g, local_vals))
+    if work.m == 0:
+        raise LexgraphError("free vertices left with no usable edges")
+    eid = int(state.rng.integers(work.m))
+    x3 = int(state.rng.integers(work.n))
+    samples = []
+    for x in (int(work.edge_u[eid]), int(work.edge_v[eid]), x3):
+        if x not in samples:
+            samples.append(x)
+    best = None
+    for x in samples:
+        path = _vertex_steepest(work, cur, x, state.rng, state.tol)
+        if path is not None and (best is None or path.gradient > best.gradient):
+            best = path
+    if best is None:
+        raise LexgraphError("no terminal path found in a well-posed instance")
+    hp = high_pressure_subgraph(work, cur, best.gradient, tol=state.tol)
+    if hp.graph.m == 0:
+        mapped = TerminalPath(tuple(int(orig[v]) for v in best.vertices), best.length, best.gradient)
+        grad = _fix_path_inplace(state.root, state.values, mapped, state.tol)
+        state.fixed.append((mapped, grad))
+    else:
+        n_comp, comp_labels = _component_labels(hp.graph)
+        hp_orig = orig[hp.vertices]
+        frame.child_alpha = best.gradient
+        for c in reversed(range(n_comp)):
+            sub, local_ids = hp.graph.induced_subgraph(np.flatnonzero(comp_labels == c))
+            frame.children.append((sub, hp_orig[local_ids]))
+    return True
+
+
+def _fix_dense(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> None:
+    """The dense kernel: fix the free terminal paths of the small component g
+    steeper than alpha, steepest first, from all-pairs distances on its
+    k x k length matrix, recomputed after every fix.
+
+    Paths steeper than alpha stay inside the high-pressure component g, so
+    stopping at alpha hands the rest back to the caller. If the steepest
+    pair's shortest path runs through another terminal r, both halves have
+    the pair's gradient (the mediant inequality is tight at the maximum), so
+    ``_fix_path_inplace``'s consistency check holds. As in the general loop,
+    the first path is fixed without the alpha test, so every call progresses.
+    """
+    k = g.n
+    lengths = np.full((k, k), np.inf)
+    lengths[g.edge_u, g.edge_v] = g.edge_len
+    lengths[g.edge_v, g.edge_u] = g.edge_len
+    first = True
+    while True:
+        vals = state.values[orig]
+        fixed = ~np.isnan(vals)
+        if fixed.all():
+            return
+        # an edge between two fixed vertices carries no free path
+        usable = np.where(fixed[:, None] & fixed[None, :], np.inf, lengths)
+        dist = usable.copy()
+        np.fill_diagonal(dist, 0.0)
+        for m in range(k):  # Floyd-Warshall
+            np.minimum(dist, dist[:, m, None] + dist[m], out=dist)
+        terms = np.flatnonzero(fixed)
+        tdist = dist[np.ix_(terms, terms)]
+        np.fill_diagonal(tdist, np.inf)
+        grads = (vals[terms, None] - vals[None, terms]) / tdist
+        grads[np.isinf(tdist)] = -np.inf
+        i, j = divmod(int(np.argmax(grads)), terms.shape[0])
+        grad = float(grads[i, j])
+        if grad == -np.inf:
+            if first:
+                raise LexgraphError("no terminal path found in a well-posed instance")
+            return
+        if not first and not definitely_greater(grad, alpha, state.tol):
+            return
+        # walk back from t; the vertex before x minimizes dist(s, u) + len(u, x)
+        s, walk = int(terms[i]), [int(terms[j])]
+        while walk[-1] != s:
+            if len(walk) > k:
+                raise LexgraphError("shortest-path walk does not reach its source")
+            walk.append(int(np.argmin(dist[s] + usable[walk[-1]])))
+        path = TerminalPath(tuple(int(orig[x]) for x in reversed(walk)), float(tdist[i, j]), grad)
+        state.fixed.append((path, _fix_path_inplace(state.root, state.values, path, state.tol)))
+        first = False
 
 
 def comp_fast_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL) -> SolverResult:
     """Lex-minimizer via per-component pressure descent; same output as
-    comp_lex_min, much faster on large graphs."""
+    comp_lex_min, much faster on large graphs.
+
+    Each round samples a steepest path, splits off the connected components
+    whose pressure exceeds its gradient and descends into each. Components of
+    a split with at most DENSE_MAX vertices are finished by a dense kernel:
+    all-pairs distances on the component's length matrix, then the steepest
+    terminal pair's path is fixed, until no pair is steeper than the split's
+    gradient. The descent keeps its own work stack, so deep splits need no
+    interpreter recursion."""
     if g.directed:
         raise ValueError("comp_fast_lex_min handles undirected graphs; use directed_lex_min")
     require_well_posed(g, v0)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 20000))
     state = _FastState(g, v0.values.copy(), np.random.default_rng(seed), tol)
-    try:
-        while np.isnan(state.values).any():
-            _fix_paths_above(g, np.arange(g.n, dtype=np.int64), 0.0, state)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    # at alpha 0 the descent returns only once every vertex is fixed
+    _fix_paths_above(g, np.arange(g.n, dtype=np.int64), 0.0, state)
     values = state.values
     return SolverResult(values, inf_norm_of(g, values), len(state.fixed), tuple(state.fixed))
 

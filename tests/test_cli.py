@@ -189,6 +189,18 @@ class TestBadInput:
         line = _assert_one_line_error(run_cli("lexmin", str(edges), str(labels)), 3)
         assert f"{labels}:1:" in line
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_assignment_exits_3(self, value, path_fixture, tmp_path):
+        edges, labels = path_fixture
+        out = tmp_path / "bad.out.tsv"
+        out.write_text(f"a\t0\nb\t{value}\nc\t1\n")
+        line = _assert_one_line_error(run_cli("verify", str(edges), str(labels), str(out)), 3)
+        assert f"{out}:2:" in line and "must be finite" in line
+
+    def test_bench_generator_error_exits_3(self):
+        line = _assert_one_line_error(run_cli("bench", "--sizes", "3", "--labels", "10"), 3)
+        assert "more labels than vertices" in line
+
     def test_negative_tol_exits_3(self, path_fixture):
         edges, labels = path_fixture
         line = _assert_one_line_error(run_cli("lexmin", str(edges), str(labels), "--tol", "-1"), 3)
@@ -241,6 +253,23 @@ class TestVerify:
         res = run_cli("verify", str(edges), str(labels), str(out))
         assert res.returncode == 1
         assert "violation" in res.stderr
+
+    def test_many_violations_are_summarized(self, tmp_path):
+        # path of 50 vertices labeled 0 and 1 at its ends; the zigzag
+        # assignment 0, 1, 0, ... keeps the labels and fails at all 48 free
+        # vertices, the worst (|max_grad + min_grad| = 2) at v1
+        edges = tmp_path / "p.edges.tsv"
+        edges.write_text("#undirected\n" + "".join(f"v{i}\tv{i + 1}\t1\n" for i in range(49)))
+        labels = tmp_path / "p.labels.tsv"
+        labels.write_text("v0\t0\nv49\t1\n")
+        out = tmp_path / "p.out.tsv"
+        out.write_text("".join(f"v{i}\t{i % 2}\n" for i in range(50)))
+        res = run_cli("verify", str(edges), str(labels), str(out))
+        assert res.returncode == 1
+        lines = res.stderr.splitlines()
+        assert len(lines) <= 22, res.stderr
+        assert lines[0].startswith("violations\t48\tworst\tv1\t")
+        assert sum(line.startswith("violation\t") for line in lines) == 20
 
 
 class TestL0Command:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from lexgraph import (
     stability_check,
     verify_max_min,
 )
+from lexgraph import solvers, synth
 from lexgraph.oracles import apsp_floyd_warshall, brute_lex_min
 
 from conftest import random_instance, random_directed_instance
@@ -184,6 +187,39 @@ class TestCompFastLexMin:
         fast = comp_fast_lex_min(g, v0, seed=2).assignment
         slow = comp_lex_min(g, v0, seed=2).assignment
         assert np.abs(fast - slow).max() < 1e-10
+
+    def test_dense_and_general_paths_agree(self, monkeypatch):
+        """DENSE_MAX 0 sends every component through the general loop, 10**6
+        every component below the top level through the dense kernel."""
+        instances = [random_instance(seed * 17 + 3) for seed in range(12)]
+        refs = [comp_lex_min(g, v0, seed=0).assignment for g, v0 in instances]
+        calls = []
+        dense = solvers._fix_dense
+
+        def counting(*args):
+            calls.append(args[0].n)
+            return dense(*args)
+
+        monkeypatch.setattr(solvers, "_fix_dense", counting)
+        for cutoff in (0, 10**6):
+            monkeypatch.setattr(solvers, "DENSE_MAX", cutoff)
+            calls.clear()
+            for seed, ((g, v0), ref) in enumerate(zip(instances, refs)):
+                out = comp_fast_lex_min(g, v0, seed=seed).assignment
+                assert np.abs(out - ref).max() < 1e-8
+                assert verify_max_min(g, v0, out).ok
+            assert (len(calls) > 0) == (cutoff > 0)
+
+    def test_leaves_recursion_limit_alone(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("comp_fast_lex_min changed the recursion limit")
+
+        inst = synth.cube_knn(500, n_labels=20, seed=3)
+        instances = [random_instance(11, n_range=(30, 30)), (inst.graph, inst.assignment())]
+        refs = [comp_lex_min(g, v0, seed=0).assignment for g, v0 in instances]
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        for (g, v0), ref in zip(instances, refs):
+            assert np.abs(comp_fast_lex_min(g, v0, seed=1).assignment - ref).max() < 1e-8
 
 
 class TestGridLexOptimality:
