@@ -500,39 +500,49 @@ def single_source_distances(
     return dist
 
 
+#: Bytes of scipy distance rows that ``terminal_pair_distances`` holds at once.
+PAIR_DISTANCE_BYTES = 32 << 20
+
+
 def terminal_pair_distances(g: Graph, v0: PartialAssignment) -> tuple[np.ndarray, np.ndarray]:
     """(terminals, dist) with dist[i, j] = shortest distance terminal i -> terminal j.
 
-    Paths may run through other terminals.
+    Paths may run through other terminals. scipy runs over chunks of
+    terminals sized to ``PAIR_DISTANCE_BYTES``, so no |T| x n matrix is kept.
     """
     terminals = v0.terminals()
-    if terminals.shape[0] == 0:
-        return terminals, np.zeros((0, 0))
-    dist = _scipy_dijkstra(*g._csr(), terminals)
-    return terminals, dist[:, terminals]
+    dist = np.empty((terminals.shape[0], terminals.shape[0]))
+    rows = max(1, PAIR_DISTANCE_BYTES // (8 * max(g.n, 1)))
+    csr = g._csr()
+    for a in range(0, terminals.shape[0], rows):
+        dist[a : a + rows] = _scipy_dijkstra(*csr, terminals[a : a + rows])[:, terminals]
+    return terminals, dist
+
+
+def terminal_gradient_matrix(g: Graph, v0: PartialAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """(terminals, grad) with grad[i, j] = (v0(t_i) - v0(t_j)) / dist(t_i -> t_j),
+    and -inf on the diagonal and where that distance is infinite or zero."""
+    terminals, dist = terminal_pair_distances(g, v0)
+    vals = v0.values[terminals]
+    usable = np.isfinite(dist) & (dist > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = np.where(usable, (vals[:, None] - vals[None, :]) / dist, -np.inf)
+    return terminals, grad
+
+
+def sorted_distinct(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Sorted values, dropping each one within the relative ``tol`` of the last kept one."""
+    keep: list[float] = []
+    for x in np.unique(values).tolist():
+        if not keep or x - keep[-1] > tol * rel_scale(x, keep[-1]):
+            keep.append(x)
+    return np.asarray(keep, dtype=np.float64)
 
 
 def enumerate_terminal_gradients(
     g: Graph, v0: PartialAssignment, dedup_tol: float = 1e-12
 ) -> np.ndarray:
     """Sorted deduplicated gradients (v0(s)-v0(t))/dist(s,t) over ordered terminal
-    pairs with finite distance. The exact-solver binary search runs over these."""
-    terminals, dist = terminal_pair_distances(g, v0)
-    k = terminals.shape[0]
-    if k < 2:
-        return np.zeros(0)
-    vals = v0.values[terminals]
-    grads = []
-    for i in range(k):
-        for j in range(k):
-            if i == j or not np.isfinite(dist[i, j]) or dist[i, j] <= 0:
-                continue
-            grads.append((vals[i] - vals[j]) / dist[i, j])
-    if not grads:
-        return np.zeros(0)
-    out = np.sort(np.asarray(grads, dtype=np.float64))
-    keep = [out[0]]
-    for x in out[1:]:
-        if abs(x - keep[-1]) > dedup_tol * rel_scale(x, keep[-1]):
-            keep.append(x)
-    return np.asarray(keep)
+    pairs with finite distance."""
+    _, grad = terminal_gradient_matrix(g, v0)
+    return sorted_distinct(grad[np.isfinite(grad)], dedup_tol)

@@ -2,15 +2,17 @@
 
 Dropping up to k labels to minimize the max gradient reduces to minimum
 vertex cover on the pressure graph over terminals, which is always a
-transitively closed DAG; its cover comes from a maximum matching on the
-bipartite double graph (or a min cut that encodes the transitive closure
-implicitly).
+transitively closed DAG. Both the pressure graph and the candidate
+thresholds come from one terminal-pair gradient matrix. The cover comes from
+scipy csgraph: a maximum matching on the bipartite double graph plus König's
+construction, or a Dinic min cut on a network that encodes the transitive
+closure implicitly.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+
 import numpy as np
 
 from .core import (
@@ -18,15 +20,16 @@ from .core import (
     Graph,
     LexgraphError,
     PartialAssignment,
+    check_well_posed,
     definitely_greater,
     inf_norm_of,
     require_well_posed,
-    terminal_pair_distances,
+    sorted_distinct,
+    terminal_gradient_matrix,
 )
 from .envelopes import envelope_pair
 from .solvers import SolverResult, _terminal_edge_mask
 from .steepest import steepest_path
-from .core import check_well_posed
 
 
 class NotADagError(LexgraphError):
@@ -42,36 +45,33 @@ class PressureGraph:
     arcs: frozenset[tuple[int, int]]
     alpha: float | None = None
 
-    def out_adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in self.nodes}
-        for s, t in sorted(self.arcs):
-            adj[s].append(t)
+    def adjacency_matrix(self) -> np.ndarray:
+        """Boolean k x k matrix of the arcs, rows and columns in ``nodes`` order."""
+        index = {v: i for i, v in enumerate(self.nodes)}
+        adj = np.zeros((len(self.nodes), len(self.nodes)), dtype=bool)
+        for s, t in self.arcs:
+            adj[index[s], index[t]] = True
         return adj
 
     def is_dag(self) -> bool:
-        adj = self.out_adjacency()
-        indeg = {v: 0 for v in self.nodes}
-        for s, t in self.arcs:
-            indeg[t] += 1
-        queue = deque(v for v in self.nodes if indeg[v] == 0)
-        seen = 0
-        while queue:
-            v = queue.popleft()
-            seen += 1
-            for w in adj[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        return seen == len(self.nodes)
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        adj = self.adjacency_matrix()
+        n_strong, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
+        return n_strong == len(self.nodes) and not adj.diagonal().any()
 
     def is_transitively_closed(self) -> bool:
-        arcset = self.arcs
-        adj = self.out_adjacency()
-        for s, t in arcset:
-            for r in adj[t]:
-                if r != s and (s, r) not in arcset:
-                    return False
-        return True
+        adj = self.adjacency_matrix()
+        two_step = (adj.astype(np.float32) @ adj.astype(np.float32)) > 0
+        np.fill_diagonal(two_step, False)
+        return not (two_step & ~adj).any()
+
+
+def _pressure_adjacency(grad: np.ndarray, alpha: float, tol: float) -> np.ndarray:
+    """``definitely_greater(grad, alpha, tol)`` entrywise."""
+    with np.errstate(invalid="ignore"):
+        return grad - alpha > tol * np.maximum(np.maximum(np.abs(grad), abs(alpha)), 1.0)
 
 
 def term_pressure_graph(
@@ -79,90 +79,42 @@ def term_pressure_graph(
 ) -> PressureGraph:
     """Arc (s, t) iff the shortest-path gradient from s to t exceeds alpha.
 
-    One Dijkstra per terminal; shortest paths may run through other terminals.
+    Shortest paths may run through other terminals.
     """
-    terminals, dist = terminal_pair_distances(g, v0)
-    return _pressure_graph_from_matrix(terminals, v0.values[terminals], dist, alpha, tol)
+    terminals, grad = terminal_gradient_matrix(g, v0)
+    rows, cols = np.nonzero(_pressure_adjacency(grad, alpha, tol))
+    arcs = frozenset(zip(terminals[rows].tolist(), terminals[cols].tolist()))
+    return PressureGraph(tuple(terminals.tolist()), arcs, float(alpha))
 
 
-def _pressure_graph_from_matrix(terminals, tvals, dist, alpha, tol) -> PressureGraph:
-    arcs = set()
-    k = terminals.shape[0]
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            d = dist[i, j]
-            if np.isfinite(d) and d > 0 and definitely_greater((tvals[i] - tvals[j]) / d, alpha, tol):
-                arcs.add((int(terminals[i]), int(terminals[j])))
-    return PressureGraph(tuple(int(t) for t in terminals), frozenset(arcs), float(alpha))
+def _min_cover(adj: np.ndarray) -> np.ndarray:
+    """Boolean mask of a minimum vertex cover of the transitively closed DAG
+    with boolean k x k adjacency ``adj``, by König's theorem on its bipartite
+    double graph (row i is the left copy of i, column j the right copy of j).
 
+    The cover is (L minus Z) plus (R in Z), Z the vertices reachable by
+    alternating paths from unmatched left copies. Z does not depend on which
+    maximum matching scipy returns, so neither does the cover.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
 
-def hopcroft_karp(n_left: int, n_right: int, adj: list[list[int]]):
-    """Maximum bipartite matching. Returns (size, match_left, match_right)
-    with -1 for unmatched vertices."""
-    INF = float("inf")
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    dist = [INF] * n_left
-    size = 0
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in range(n_left):
-            if match_l[u] < 0:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = match_r[v]
-                if w < 0:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w < 0 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
-
-    while bfs():
-        for u in range(n_left):
-            if match_l[u] < 0 and dfs(u):
-                size += 1
-    return size, match_l, match_r
-
-
-def _konig_cover(n_left: int, n_right: int, adj: list[list[int]], match_l, match_r):
-    """Cover = (L \\ Z) + (R & Z), Z = alternating reachability from unmatched L."""
-    seen_l = [False] * n_left
-    seen_r = [False] * n_right
-    queue = deque(u for u in range(n_left) if match_l[u] < 0)
-    for u in queue:
-        seen_l[u] = True
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen_r[v]:
-                seen_r[v] = True
-                w = match_r[v]
-                if w >= 0 and not seen_l[w]:
-                    seen_l[w] = True
-                    queue.append(w)
-    cover_l = [u for u in range(n_left) if not seen_l[u]]
-    cover_r = [v for v in range(n_right) if seen_r[v]]
-    return cover_l, cover_r
+    k = adj.shape[0]
+    match_l = maximum_bipartite_matching(csr_matrix(adj), perm_type="column")
+    match_r = np.full(k, -1)
+    matched = np.flatnonzero(match_l >= 0)
+    match_r[match_l[matched]] = matched
+    seen_l = match_l < 0
+    seen_r = np.zeros(k, dtype=bool)
+    frontier = seen_l.copy()
+    while frontier.any():
+        reached = adj[frontier].any(axis=0) & ~seen_r
+        seen_r |= reached
+        frontier = np.zeros(k, dtype=bool)
+        frontier[match_r[reached]] = True  # every reached right copy is matched
+        frontier &= ~seen_l
+        seen_l |= frontier
+    return ~seen_l | seen_r
 
 
 def min_vc_tcdag(dag: PressureGraph, validate: bool = True) -> frozenset[int]:
@@ -174,121 +126,35 @@ def min_vc_tcdag(dag: PressureGraph, validate: bool = True) -> frozenset[int]:
             raise NotADagError("input has a directed cycle")
         if not dag.is_transitively_closed():
             raise NotADagError("input is not transitively closed")
-    nodes = list(dag.nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    k = len(nodes)
-    adj: list[list[int]] = [[] for _ in range(k)]
-    for s, t in sorted(dag.arcs):
-        adj[index[s]].append(index[t])
-    _, match_l, match_r = hopcroft_karp(k, k, adj)
-    cover_l, cover_r = _konig_cover(k, k, adj, match_l, match_r)
-    return frozenset(nodes[i] for i in cover_l) | frozenset(nodes[j] for j in cover_r)
-
-
-@dataclass(frozen=True)
-class FlowNetwork:
-    """Capacitated digraph with distinguished source and sink."""
-
-    n_nodes: int
-    source: int
-    sink: int
-    arcs: tuple[tuple[int, int, float], ...]
-
-
-def max_flow_min_cut(net: FlowNetwork) -> tuple[float, frozenset[int]]:
-    """Dinic's algorithm. Returns (flow value, source side of a min cut)."""
-    n = net.n_nodes
-    to: list[int] = []
-    cap: list[float] = []
-    head: list[list[int]] = [[] for _ in range(n)]
-    for u, v, c in net.arcs:
-        head[u].append(len(to))
-        to.append(v)
-        cap.append(float(c))
-        head[v].append(len(to))
-        to.append(u)
-        cap.append(0.0)
-
-    def bfs() -> list[int]:
-        level = [-1] * n
-        level[net.source] = 0
-        queue = deque([net.source])
-        while queue:
-            u = queue.popleft()
-            for e in head[u]:
-                if cap[e] > 0 and level[to[e]] < 0:
-                    level[to[e]] = level[u] + 1
-                    queue.append(to[e])
-        return level
-
-    def dfs(level, iters, u, pushed) -> float:
-        if u == net.sink:
-            return pushed
-        while iters[u] < len(head[u]):
-            e = head[u][iters[u]]
-            v = to[e]
-            if cap[e] > 0 and level[v] == level[u] + 1:
-                got = dfs(level, iters, v, min(pushed, cap[e]))
-                if got > 0:
-                    cap[e] -= got
-                    cap[e ^ 1] += got
-                    return got
-            iters[u] += 1
-        return 0.0
-
-    flow = 0.0
-    while True:
-        level = bfs()
-        if level[net.sink] < 0:
-            break
-        iters = [0] * n
-        while True:
-            pushed = dfs(level, iters, net.source, float("inf"))
-            if pushed <= 0:
-                break
-            flow += pushed
-    side = {net.source}
-    queue = deque([net.source])
-    seen = [False] * n
-    seen[net.source] = True
-    while queue:
-        u = queue.popleft()
-        for e in head[u]:
-            if cap[e] > 0 and not seen[to[e]]:
-                seen[to[e]] = True
-                side.add(to[e])
-                queue.append(to[e])
-    return flow, frozenset(side)
+    cover = _min_cover(dag.adjacency_matrix())
+    return frozenset(np.asarray(dag.nodes, dtype=np.int64)[cover].tolist())
 
 
 def min_vc_implicit(dag: PressureGraph, validate: bool = True) -> frozenset[int]:
     """Minimum vertex cover of the transitive closure of a DAG without
     materializing the closure: min cut on the split network with back arcs
     (v, right) -> (v, left) standing in for closure edges."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
     if validate and not dag.is_dag():
         raise NotADagError("input has a directed cycle")
-    nodes = list(dag.nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    k = len(nodes)
+    k = len(dag.nodes)
     if k == 0:
         return frozenset()
-    source, sink = 0, 1
-    left = lambda i: 2 + i
-    right = lambda i: 2 + k + i
-    inf_cap = float(2 * k + 1)  # one above every unit arc; never in a min cut
-    arcs: list[tuple[int, int, float]] = []
-    for i in range(k):
-        arcs.append((source, left(i), 1.0))
-        arcs.append((right(i), sink, 1.0))
-        arcs.append((right(i), left(i), inf_cap))
-    for s, t in sorted(dag.arcs):
-        arcs.append((left(index[s]), right(index[t]), inf_cap))
-    _, side = max_flow_min_cut(FlowNetwork(2 + 2 * k, source, sink, tuple(arcs)))
-    cover = set()
-    for i in range(k):
-        if left(i) not in side or right(i) in side:
-            cover.add(nodes[i])
-    return frozenset(cover)
+    # node 0 is the source, 1 the sink, 2 + i the left and 2 + k + i the right copy of i
+    left, right = 2 + np.arange(k), 2 + k + np.arange(k)
+    inf_cap = 2 * k + 1  # one above every unit arc; never in a min cut
+    arc_s, arc_t = np.nonzero(dag.adjacency_matrix())
+    tails = np.concatenate([np.zeros(k, dtype=np.int64), right, right, left[arc_s]])
+    heads = np.concatenate([left, np.ones(k, dtype=np.int64), left, right[arc_t]])
+    caps = np.concatenate([np.ones(2 * k), np.full(k + arc_s.shape[0], inf_cap)]).astype(np.int32)
+    capacity = csr_matrix((caps, (tails, heads)), shape=(2 + 2 * k, 2 + 2 * k))
+    residual = capacity - maximum_flow(capacity, 0, 1, method="dinic").flow
+    source_side = np.zeros(2 + 2 * k, dtype=bool)
+    source_side[breadth_first_order(residual > 0, 0, directed=True, return_predecessors=False)] = True
+    cover = ~source_side[left] | source_side[right]
+    return frozenset(np.asarray(dag.nodes, dtype=np.int64)[cover].tolist())
 
 
 @dataclass(frozen=True)
@@ -343,17 +209,9 @@ def _sweep_extend(g: Graph, v0: PartialAssignment, alpha: float) -> np.ndarray:
     return values
 
 
-def _max_kept_gradient(terminals, tvals, dist, keep_mask) -> float:
-    best = 0.0
-    idx = np.flatnonzero(keep_mask)
-    for i in idx:
-        for j in idx:
-            if i == j:
-                continue
-            d = dist[i, j]
-            if np.isfinite(d) and d > 0:
-                best = max(best, float((tvals[i] - tvals[j]) / d))
-    return best
+def _max_kept_gradient(grad: np.ndarray, keep: np.ndarray) -> float:
+    """Largest gradient between kept terminals, at least 0."""
+    return float(grad[np.ix_(keep, keep)].max(initial=0.0))
 
 
 def outlier_exact(g: Graph, v0: PartialAssignment, k: int, tol: float = DEFAULT_TOL) -> OutlierResult:
@@ -363,51 +221,32 @@ def outlier_exact(g: Graph, v0: PartialAssignment, k: int, tol: float = DEFAULT_
     if k < 0:
         raise ValueError("k must be nonnegative")
     require_well_posed(g, v0)
-    terminals, dist = terminal_pair_distances(g, v0)
-    tvals = v0.values[terminals]
-    candidates = [0.0]
-    kk = terminals.shape[0]
-    for i in range(kk):
-        for j in range(kk):
-            if i != j and np.isfinite(dist[i, j]) and dist[i, j] > 0:
-                grd = float((tvals[i] - tvals[j]) / dist[i, j])
-                if grd > 0:
-                    candidates.append(grd)
-    candidates = sorted(set(candidates))
-    dedup = [candidates[0]]
-    for c in candidates[1:]:
-        if c - dedup[-1] > 1e-12 * max(1.0, abs(c), abs(dedup[-1])):
-            dedup.append(c)
+    terminals, grad = terminal_gradient_matrix(g, v0)
+    candidates = sorted_distinct(np.concatenate([[0.0], grad[grad > 0]]))
 
-    def cover_at(alpha: float) -> frozenset[int]:
-        pg = _pressure_graph_from_matrix(terminals, tvals, dist, alpha, tol)
-        return min_vc_tcdag(pg, validate=False)
+    def cover_at(alpha: float) -> np.ndarray:
+        return _min_cover(_pressure_adjacency(grad, alpha, tol))
 
-    lo, hi = 0, len(dedup) - 1
-    best_cover = cover_at(dedup[hi])
+    lo, hi = 0, len(candidates) - 1
+    best_cover = cover_at(candidates[hi])
     evaluations = 1
-    if len(best_cover) > k:
+    if best_cover.sum() > k:
         raise LexgraphError("no candidate threshold is feasible; inconsistent instance")
     while lo < hi:
         mid = (lo + hi) // 2
-        cover = cover_at(dedup[mid])
+        cover = cover_at(candidates[mid])
         evaluations += 1
-        if len(cover) <= k:
+        if cover.sum() <= k:
             hi = mid
             best_cover = cover
         else:
             lo = mid + 1
-    alpha_star = dedup[hi]
 
-    keep_mask = np.array([int(t) not in best_cover for t in terminals])
     freed = v0.values.copy()
-    if best_cover:
-        freed[np.asarray(sorted(best_cover), dtype=np.int64)] = np.nan
-    v_kept = PartialAssignment(freed)
-    residual = _max_kept_gradient(terminals, tvals, dist, keep_mask)
-    values = _sweep_extend(g, v_kept, residual)
+    freed[terminals[best_cover]] = np.nan
+    values = _sweep_extend(g, PartialAssignment(freed), _max_kept_gradient(grad, ~best_cover))
     result = SolverResult(values, inf_norm_of(g, values), evaluations, ())
-    return OutlierResult(result, frozenset(best_cover), float(alpha_star))
+    return OutlierResult(result, frozenset(terminals[best_cover].tolist()), float(candidates[hi]))
 
 
 def outlier_approx(
@@ -420,9 +259,7 @@ def outlier_approx(
         raise ValueError("k must be nonnegative")
     require_well_posed(g, v0)
     rng = np.random.default_rng(seed)
-    terminals, dist = terminal_pair_distances(g, v0)
-    tvals = v0.values[terminals]
-    tindex = {int(t): i for i, t in enumerate(terminals)}
+    terminals, grad = terminal_gradient_matrix(g, v0)
     removed: set[int] = set()
     values = v0.values.copy()
     rounds = 0
@@ -430,7 +267,7 @@ def outlier_approx(
         cur = PartialAssignment(values)
         if cur.terminals().size < 2:
             break
-        endpoints = _steepest_terminal_pair(g, cur, rng, tol, terminals, tvals, dist, removed)
+        endpoints = _steepest_terminal_pair(g, cur, rng, tol, terminals, grad)
         if endpoints is None:
             break
         s, t = endpoints
@@ -438,16 +275,16 @@ def outlier_approx(
         values[s] = np.nan
         values[t] = np.nan
         rounds += 1
-    keep_mask = np.array([int(t) not in removed for t in terminals])
-    residual = _max_kept_gradient(terminals, tvals, dist, keep_mask)
+    residual = _max_kept_gradient(grad, ~np.isnan(values[terminals]))
     out = _sweep_extend(g, PartialAssignment(values), residual)
     result = SolverResult(out, inf_norm_of(g, out), rounds, ())
     return OutlierResult(result, frozenset(removed), float(residual))
 
 
-def _steepest_terminal_pair(g, cur, rng, tol, terminals, tvals, dist, removed):
+def _steepest_terminal_pair(g, cur, rng, tol, terminals, grad):
     """Endpoints of the steepest terminal path w.r.t. the current labels, or
-    None when no path has positive gradient. Terminal-terminal edges count."""
+    None when no path has positive gradient. Terminal-terminal edges count.
+    ``grad`` is the gradient matrix of the original labels on ``terminals``."""
     best = None  # (gradient, s, t)
     tt = _terminal_edge_mask(g, cur.values)
     if tt.any():
@@ -465,15 +302,14 @@ def _steepest_terminal_pair(g, cur, rng, tol, terminals, tvals, dist, removed):
         if best is None or path.gradient > best[0]:
             best = (path.gradient, path.first, path.last)
     elif not cur.is_complete:
-        # removals broke well-posedness; deterministic pair scan instead
-        keep = [i for i, t in enumerate(terminals) if int(t) not in removed]
-        for i in keep:
-            for j in keep:
-                if i == j or not np.isfinite(dist[i, j]) or dist[i, j] <= 0:
-                    continue
-                grd = float((tvals[i] - tvals[j]) / dist[i, j])
-                if best is None or grd > best[0]:
-                    best = (grd, int(terminals[i]), int(terminals[j]))
+        # removals broke well-posedness; take the steepest pair of kept
+        # terminals instead, the row-major first one on ties
+        keep = cur.terminal_mask()[terminals]
+        sub = grad[np.ix_(keep, keep)]
+        if sub.size:
+            i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
+            if sub[i, j] > (-np.inf if best is None else best[0]):
+                best = (float(sub[i, j]), int(terminals[keep][i]), int(terminals[keep][j]))
     if best is None or not definitely_greater(best[0], 0.0, tol):
         return None
     return best[1], best[2]

@@ -35,7 +35,7 @@ from .core import (
     require_well_posed,
 )
 from .envelopes import envelope_pair, high_pressure_subgraph
-from .steepest import _vertex_steepest, steepest_path
+from .steepest import _sampled_steepest, steepest_path
 
 
 @dataclass(frozen=True)
@@ -257,17 +257,7 @@ def _split_round(frame: _Frame, state: _FastState) -> bool:
     work = g.with_edge_mask(~_terminal_edge_mask(g, local_vals))
     if work.m == 0:
         raise LexgraphError("free vertices left with no usable edges")
-    eid = int(state.rng.integers(work.m))
-    x3 = int(state.rng.integers(work.n))
-    samples = []
-    for x in (int(work.edge_u[eid]), int(work.edge_v[eid]), x3):
-        if x not in samples:
-            samples.append(x)
-    best = None
-    for x in samples:
-        path = _vertex_steepest(work, cur, x, state.rng, state.tol)
-        if path is not None and (best is None or path.gradient > best.gradient):
-            best = path
+    best = _sampled_steepest(work, cur, state.rng, state.tol)
     if best is None:
         raise LexgraphError("no terminal path found in a well-posed instance")
     hp = high_pressure_subgraph(work, cur, best.gradient, tol=state.tol)

@@ -240,13 +240,23 @@ def vertex_steepest_path(
     return path
 
 
-def _exhaustive_steepest(g: Graph, v0: PartialAssignment, rng, tol: float) -> Optional[TerminalPath]:
+def _steepest_through(g: Graph, v0: PartialAssignment, xs, rng, tol: float) -> Optional[TerminalPath]:
+    """The steepest of the vertex-steepest paths through the vertices xs, the
+    first on ties; None if no terminal path passes through any of them."""
     best = None
-    for x in range(g.n):
+    for x in xs:
         path = _vertex_steepest(g, v0, x, rng, tol)
         if path is not None and (best is None or path.gradient > best.gradient):
             best = path
     return best
+
+
+def _sampled_steepest(g: Graph, v0: PartialAssignment, rng, tol: float) -> Optional[TerminalPath]:
+    """``_steepest_through`` the endpoints of a random edge and a random
+    vertex; g must have an edge."""
+    eid = int(rng.integers(g.m))
+    x3 = int(rng.integers(g.n))
+    return _steepest_through(g, v0, dict.fromkeys((int(g.edge_u[eid]), int(g.edge_v[eid]), x3)), rng, tol)
 
 
 def steepest_path(
@@ -280,22 +290,9 @@ def steepest_path(
     depth = 0
     result = None
     while True:
-        if depth > cap or cur_g.m == 0:
-            result = _exhaustive_steepest(cur_g, cur_v0, rng, tol)
-            break
-        eid = int(rng.integers(cur_g.m))
-        x3 = int(rng.integers(cur_g.n))
-        samples = []
-        for x in (int(cur_g.edge_u[eid]), int(cur_g.edge_v[eid]), x3):
-            if x not in samples:
-                samples.append(x)
-        best = None
-        for x in samples:
-            path = _vertex_steepest(cur_g, cur_v0, x, rng, tol)
-            if path is not None and (best is None or path.gradient > best.gradient):
-                best = path
+        best = None if depth > cap or cur_g.m == 0 else _sampled_steepest(cur_g, cur_v0, rng, tol)
         if best is None:
-            result = _exhaustive_steepest(cur_g, cur_v0, rng, tol)
+            result = _steepest_through(cur_g, cur_v0, range(cur_g.n), rng, tol)
             break
         threshold = max(best.gradient, 0.0) if g.directed else best.gradient
         hp = high_pressure_subgraph(cur_g, cur_v0, threshold, tol=tol)

@@ -14,9 +14,10 @@ from lexgraph import (
     gradient,
     lex_compare,
 )
+from lexgraph import core
 from lexgraph.oracles import apsp_floyd_warshall
 
-from conftest import random_instance
+from conftest import random_directed_instance, random_instance
 
 
 class TestGraph:
@@ -127,6 +128,29 @@ class TestWellPosed:
             g, _ = random_instance(seed)
             full = PartialAssignment(np.linspace(0, 1, g.n))
             assert check_well_posed(g, full).ok
+
+
+class TestTerminalPairDistances:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_row_chunks_match_one_call(self, seed, monkeypatch):
+        calls = []
+        scipy_dijkstra = core._scipy_dijkstra
+
+        def counted(indptr, indices, data, sources, **kw):
+            calls.append(len(sources))
+            return scipy_dijkstra(indptr, indices, data, sources, **kw)
+
+        monkeypatch.setattr(core, "_scipy_dijkstra", counted)
+        for g, v0 in (random_instance(seed, terminal_range=(3, 8)), random_directed_instance(seed + 700)):
+            monkeypatch.setattr(core, "PAIR_DISTANCE_BYTES", 1 << 40)
+            terminals, whole = core.terminal_pair_distances(g, v0)
+            assert len(calls) == 1
+            monkeypatch.setattr(core, "PAIR_DISTANCE_BYTES", 1)
+            chunk_terminals, chunked = core.terminal_pair_distances(g, v0)
+            assert calls[1:] == [1] * terminals.shape[0]
+            assert np.array_equal(chunk_terminals, terminals)
+            assert np.array_equal(chunked, whole)
+            calls.clear()
 
 
 class TestEnumerateTerminalGradients:

@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from lexgraph import (
-    FlowNetwork,
     Graph,
     PartialAssignment,
     PressureGraph,
     comp_inf_min,
     inf_norm_of,
-    max_flow_min_cut,
     min_vc_implicit,
     min_vc_tcdag,
     outlier_approx,
     outlier_exact,
     term_pressure_graph,
 )
-from lexgraph.l0reg import NotADagError, hopcroft_karp
+from lexgraph.l0reg import NotADagError
 from lexgraph.oracles import apsp_floyd_warshall, brute_min_vc, brute_outlier
 
 from conftest import random_dag, random_directed_instance, random_instance, transitive_closure
@@ -89,10 +89,10 @@ class TestMinVertexCover:
         n, arcs = random_dag(seed + 100)
         tc = transitive_closure(n, arcs)
         cover = min_vc_tcdag(PressureGraph(tuple(range(n)), frozenset(tc)))
-        adj = [[] for _ in range(n)]
-        for u, v in sorted(tc):
-            adj[u].append(v)
-        matching, _, _ = hopcroft_karp(n, n, adj)
+        adj = np.zeros((n, n), dtype=bool)
+        for u, v in tc:
+            adj[u, v] = True
+        matching = int((maximum_bipartite_matching(csr_matrix(adj), perm_type="column") >= 0).sum())
         assert len(cover) == matching
 
     def test_implicit_single_arc(self):
@@ -113,18 +113,6 @@ class TestMinVertexCover:
         explicit = min_vc_tcdag(PressureGraph(tuple(range(n)), frozenset(tc)))
         assert len(implicit) == len(explicit)
         assert all(u in implicit or v in implicit for u, v in tc)
-
-
-class TestFlowPrimitives:
-    def test_hopcroft_karp_small(self):
-        size, ml, mr = hopcroft_karp(3, 3, [[0, 1], [0], [1, 2]])
-        assert size == 3
-
-    def test_dinic_bottleneck(self):
-        net = FlowNetwork(4, 0, 3, ((0, 1, 2.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 2.0), (1, 2, 1.0)))
-        flow, side = max_flow_min_cut(net)
-        assert flow == pytest.approx(3.0)
-        assert 0 in side and 3 not in side
 
 
 class TestOutlierExact:
@@ -208,3 +196,12 @@ class TestOutlierApprox:
             approx = outlier_approx(g, v0, k, seed=seed)
             assert len(approx.removed) <= 2 * k
             assert approx.result.inf_norm <= exact.alpha + 1e-9
+
+    def test_pair_scan_after_removals_break_well_posedness(self):
+        # round 1 drops both labels of the component {0, 1, 2}, so round 2
+        # takes its pair from the scan over the kept terminals
+        g = Graph(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
+        v0 = PartialAssignment([0.0, 10.0, None, 0.0, None, 1.0])
+        res = outlier_approx(g, v0, 2)
+        assert res.removed == frozenset({0, 1, 3, 5})
+        assert np.array_equal(res.result.assignment, np.zeros(6))
