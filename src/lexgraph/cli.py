@@ -368,8 +368,8 @@ def cmd_verify(graph_file, labels_file, assignment_file, tol):
 
 
 @main.command(name="synth")
-@click.option("--kind", type=click.Choice(["gauss1d", "cube-knn", "random-regular"]), required=True)
-@click.option("--n", type=int, default=1000, show_default=True, help="vertex count (cube-knn / random-regular)")
+@click.option("--kind", type=click.Choice(["gauss1d", "cube-knn", "random-regular", "random-digraph"]), required=True)
+@click.option("--n", type=int, default=1000, show_default=True, help="vertex count (all kinds but gauss1d)")
 @click.option("--labels", "n_labels", type=int, default=100, show_default=True)
 @click.option("--dim", type=int, default=4, show_default=True)
 @click.option("--knn", type=int, default=8, show_default=True)
@@ -385,6 +385,8 @@ def cmd_synth(kind, n, n_labels, dim, knn, degree, per_cluster, cluster_std, see
             inst = synth.gauss1d(per_cluster=per_cluster, cluster_std=cluster_std, seed=seed)
         elif kind == "cube-knn":
             inst = synth.cube_knn(n, dim=dim, knn=knn, n_labels=n_labels, seed=seed)
+        elif kind == "random-digraph":
+            inst = synth.random_digraph(n, n_labels=n_labels, seed=seed)
         else:
             inst = synth.random_regular(n, degree=degree, n_labels=n_labels, seed=seed)
     except (ValueError, RuntimeError) as exc:

@@ -235,12 +235,6 @@ class PartialAssignment:
     def restrict(self, vertices: np.ndarray) -> "PartialAssignment":
         return PartialAssignment(self.values[vertices])
 
-    def extended(self, updates: dict[int, float]) -> "PartialAssignment":
-        arr = self.values.copy()
-        for x, val in updates.items():
-            arr[x] = val
-        return PartialAssignment(arr)
-
     def __repr__(self) -> str:
         return f"PartialAssignment(n={self.n}, terminals={int(self.terminal_mask().sum())})"
 
@@ -397,21 +391,14 @@ def check_well_posed(g: Graph, v0: PartialAssignment) -> WellPosednessReport:
         from_t = _reachable_from(g, terminals, reverse=False)
         to_t = _reachable_from(g, terminals, reverse=True)
         free = ~v0.terminal_mask()
-        bad = np.flatnonzero(free & ~(from_t & to_t))
-        if bad.size:
-            return WellPosednessReport(False, stranded_vertices=tuple(int(x) for x in bad))
-        return WellPosednessReport(True)
+        bad = tuple(np.flatnonzero(free & ~(from_t & to_t)).tolist())
+        return WellPosednessReport(not bad, stranded_vertices=bad)
 
     _, labels = _component_labels(g)
-    tmask = v0.terminal_mask()
-    bad_components = []
-    for comp in np.unique(labels):
-        members = np.flatnonzero(labels == comp)
-        if not tmask[members].any():
-            bad_components.append(tuple(int(x) for x in members))
-    if bad_components:
-        return WellPosednessReport(False, unlabeled_components=tuple(bad_components))
-    return WellPosednessReport(True)
+    labeled = np.zeros(labels.max(initial=-1) + 1, dtype=bool)
+    labeled[labels[v0.terminal_mask()]] = True
+    bad = tuple(tuple(np.flatnonzero(labels == c).tolist()) for c in np.flatnonzero(~labeled))
+    return WellPosednessReport(not bad, unlabeled_components=bad)
 
 
 def require_well_posed(g: Graph, v0: PartialAssignment) -> None:
@@ -531,12 +518,19 @@ def terminal_gradient_matrix(g: Graph, v0: PartialAssignment) -> tuple[np.ndarra
 
 
 def sorted_distinct(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Sorted values, dropping each one within the relative ``tol`` of the last kept one."""
-    keep: list[float] = []
-    for x in np.unique(values).tolist():
-        if not keep or x - keep[-1] > tol * rel_scale(x, keep[-1]):
-            keep.append(x)
-    return np.asarray(keep, dtype=np.float64)
+    """Sorted values, dropping each one within the relative ``tol`` of the last kept one.
+
+    A value farther than that from the next smaller distinct value is farther
+    still from the last kept one, so it is kept; the sequential test runs
+    only inside runs of near-ties."""
+    u = np.unique(values).astype(np.float64)
+    keep = np.ones(u.shape[0], dtype=bool)
+    near = np.diff(u) <= tol * np.maximum(1.0, np.maximum(np.abs(u[1:]), np.abs(u[:-1])))
+    last = 0.0
+    for i in (np.flatnonzero(near) + 1).tolist():
+        last = float(u[i - 1]) if keep[i - 1] else last
+        keep[i] = u[i] - last > tol * rel_scale(float(u[i]), last)
+    return u[keep]
 
 
 def enumerate_terminal_gradients(

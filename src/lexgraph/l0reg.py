@@ -188,24 +188,16 @@ def _sweep_extend(g: Graph, v0: PartialAssignment, alpha: float) -> np.ndarray:
     arcs = list(zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_len.tolist()))
     if not g.directed:
         arcs += [(v, u, w) for u, v, w in arcs]
-    for _ in range(g.n + 1):
-        changed = False
-        for u, v, w in arcs:
-            need = values[u] - alpha * w
-            if raise_set[v] and not tmask[v] and values[v] < need - 1e-15:
-                values[v] = need
-                changed = True
-        if not changed:
-            break
-    for _ in range(g.n + 1):
-        changed = False
-        for u, v, w in arcs:
-            cap = values[v] + alpha * w
-            if lower_set[u] and not tmask[u] and values[u] > cap + 1e-15:
-                values[u] = cap
-                changed = True
-        if not changed:
-            break
+    for up in (True, False):  # push the raise set up to its bounds, then the lower set down
+        for _ in range(g.n + 1):
+            changed = False
+            for u, v, w in arcs:
+                if up and raise_set[v] and not tmask[v] and values[v] < values[u] - alpha * w - 1e-15:
+                    values[v], changed = values[u] - alpha * w, True
+                elif not up and lower_set[u] and not tmask[u] and values[u] > values[v] + alpha * w + 1e-15:
+                    values[u], changed = values[v] + alpha * w, True
+            if not changed:
+                break
     return values
 
 
@@ -272,8 +264,7 @@ def outlier_approx(
             break
         s, t = endpoints
         removed.update((s, t))
-        values[s] = np.nan
-        values[t] = np.nan
+        values[[s, t]] = np.nan
         rounds += 1
     residual = _max_kept_gradient(grad, ~np.isnan(values[terminals]))
     out = _sweep_extend(g, PartialAssignment(values), residual)

@@ -11,13 +11,16 @@ distances on its k x k length matrix (Floyd-Warshall), fixes the path of the
 steepest terminal pair, and repeats until no pair is steeper than the split's
 gradient. Larger components, and the whole graph at the top level, take the
 general loop.
+
+The directed solver runs the same descent on weakly connected components,
+fixing only paths of positive gradient, then resolves the free leftovers.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,16 +129,12 @@ def comp_inf_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DE
     terminal path)."""
     require_well_posed(g, v0)
     tt = _terminal_edge_mask(g, v0.values)
-    alpha = 0.0
-    if tt.any():
-        grads = (v0.values[g.edge_u[tt]] - v0.values[g.edge_v[tt]]) / g.edge_len[tt]
-        alpha = float(grads.max() if g.directed else np.abs(grads).max())
-        alpha = max(alpha, 0.0)
+    alpha = inf_norm_of(g.with_edge_mask(tt), v0.values)  # over terminal-terminal edges
     pruned = g.with_edge_mask(~tt)
     fixed_order: tuple[tuple[TerminalPath, float], ...] = ()
     if not v0.is_complete:
         path = steepest_path(pruned, v0, seed=seed, tol=tol)
-        alpha = max(alpha, path.gradient if not g.directed else max(path.gradient, 0.0))
+        alpha = max(alpha, path.gradient)
         fixed_order = ((path, path.gradient),)
     vlow, vhigh = envelope_pair(pruned, v0, alpha)
     values = np.where(v0.terminal_mask(), v0.values, 0.5 * (vlow.values + vhigh.values))
@@ -181,64 +180,65 @@ def comp_lex_min(
 DENSE_MAX = 48
 
 
+@dataclass(slots=True)
 class _FastState:
-    __slots__ = ("root", "values", "rng", "fixed", "tol")
-
-    def __init__(self, root, values, rng, tol):
-        self.root = root
-        self.values = values
-        self.rng = rng
-        self.fixed: list[tuple[TerminalPath, float]] = []
-        self.tol = tol
+    root: Graph
+    values: np.ndarray
+    rng: np.random.Generator
+    tol: float
+    fixed: list[tuple[TerminalPath, float]] = field(default_factory=list)
 
 
+@dataclass(slots=True)
 class _Frame:
     """One component on the descent's work stack: fix every free terminal
     path steeper than ``alpha`` inside ``g`` (vertex ids ``orig`` in the root
     graph). ``children`` holds the pending components of its last pressure
     split, the next one last, and ``child_alpha`` that split's gradient."""
 
-    __slots__ = ("g", "orig", "alpha", "children", "child_alpha", "started")
-
-    def __init__(self, g: Graph, orig: np.ndarray, alpha: float):
-        self.g = g
-        self.orig = orig
-        self.alpha = alpha
-        self.children: list[tuple[Graph, np.ndarray]] = []
-        self.child_alpha = 0.0
-        self.started = False
+    g: Graph
+    orig: np.ndarray
+    alpha: float
+    children: list[tuple[Graph, np.ndarray]] = field(default_factory=list)
+    child_alpha: float = 0.0
+    started: bool = False
 
 
-def _fix_paths_above(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> None:
-    """Fix every free terminal path with gradient above alpha inside g,
-    descending into each connected high-pressure component.
+def _fix_paths_above(g: Graph, v0: PartialAssignment, seed: int, tol: float) -> _FastState:
+    """The pressure descent at alpha 0: fix every free terminal path of g (on
+    a directed graph, of positive gradient), descending into each (weakly)
+    connected high-pressure component.
 
     The descent runs on an explicit work stack in depth-first order: a
     component is finished before its next sibling starts. A component below
     the top level with at most DENSE_MAX vertices goes to ``_fix_dense``."""
-    stack = [_Frame(g, orig, alpha)]
+    require_well_posed(g, v0)
+    state = _FastState(g, v0.values.copy(), np.random.default_rng(seed), tol)
+    stack = [_Frame(g, np.arange(g.n, dtype=np.int64), 0.0)]
     while stack:
         if len(stack) > 4096:
             raise LexgraphError("pressure descent too deep; instance is pathological")
         frame = stack[-1]
         if frame.children:
             sub, sub_orig = frame.children.pop()
-            # below a split at gradient 0 the flat walks that finish dangling
-            # free vertices are left, and only the general loop makes those
-            if frame.child_alpha > 0.0 and sub.n <= DENSE_MAX:
+            # below an undirected split at gradient 0 the flat walks that
+            # finish dangling free vertices are left; only the general loop makes those
+            if (frame.child_alpha > 0.0 or sub.directed) and sub.n <= DENSE_MAX:
                 _fix_dense(sub, sub_orig, frame.child_alpha, state)
             else:
                 stack.append(_Frame(sub, sub_orig, frame.child_alpha))
         elif not _split_round(frame, state):
             stack.pop()
+    return state
 
 
 def _split_round(frame: _Frame, state: _FastState) -> bool:
     """One round of the general loop on a frame: after the first round, shrink
-    to the vertices still steeper than a positive alpha; then sample a
-    steepest path, and fix it if nothing is steeper, else queue the
-    components of the pressure split above it. False once the frame is done."""
-    if frame.started and frame.alpha > 0.0:
+    to the vertices still steeper than alpha (a positive alpha, or any alpha
+    on a directed graph); then sample a steepest path, and fix it if nothing
+    is steeper, else queue the components of the pressure split above it.
+    False once the frame is done."""
+    if frame.started and (frame.alpha > 0.0 or frame.g.directed):
         local_vals = state.values[frame.orig]
         if not np.isnan(local_vals).any():
             return False
@@ -260,15 +260,19 @@ def _split_round(frame: _Frame, state: _FastState) -> bool:
     best = _sampled_steepest(work, cur, state.rng, state.tol)
     if best is None:
         raise LexgraphError("no terminal path found in a well-posed instance")
-    hp = high_pressure_subgraph(work, cur, best.gradient, tol=state.tol)
+    threshold = max(best.gradient, 0.0) if g.directed else best.gradient
+    hp = high_pressure_subgraph(work, cur, threshold, tol=state.tol)
     if hp.graph.m == 0:
+        # a directed path is fixed only if it slopes down; else nothing does
+        if g.directed and not definitely_greater(best.gradient, 0.0, state.tol):
+            return False
         mapped = TerminalPath(tuple(int(orig[v]) for v in best.vertices), best.length, best.gradient)
         grad = _fix_path_inplace(state.root, state.values, mapped, state.tol)
         state.fixed.append((mapped, grad))
     else:
         n_comp, comp_labels = _component_labels(hp.graph)
         hp_orig = orig[hp.vertices]
-        frame.child_alpha = best.gradient
+        frame.child_alpha = threshold
         for c in reversed(range(n_comp)):
             sub, local_ids = hp.graph.induced_subgraph(np.flatnonzero(comp_labels == c))
             frame.children.append((sub, hp_orig[local_ids]))
@@ -278,19 +282,22 @@ def _split_round(frame: _Frame, state: _FastState) -> bool:
 def _fix_dense(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> None:
     """The dense kernel: fix the free terminal paths of the small component g
     steeper than alpha, steepest first, from all-pairs distances on its
-    k x k length matrix, recomputed after every fix.
+    k x k length matrix (asymmetric on a directed graph), recomputed after
+    every fix.
 
     Paths steeper than alpha stay inside the high-pressure component g, so
     stopping at alpha hands the rest back to the caller. If the steepest
     pair's shortest path runs through another terminal r, both halves have
     the pair's gradient (the mediant inequality is tight at the maximum), so
     ``_fix_path_inplace``'s consistency check holds. As in the general loop,
-    the first path is fixed without the alpha test, so every call progresses.
+    the first path is fixed without the alpha test (a directed one only if
+    it slopes down), so every undirected call progresses.
     """
     k = g.n
     lengths = np.full((k, k), np.inf)
     lengths[g.edge_u, g.edge_v] = g.edge_len
-    lengths[g.edge_v, g.edge_u] = g.edge_len
+    if not g.directed:
+        lengths[g.edge_v, g.edge_u] = g.edge_len
     first = True
     while True:
         vals = state.values[orig]
@@ -310,18 +317,17 @@ def _fix_dense(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> N
         grads[np.isinf(tdist)] = -np.inf
         i, j = divmod(int(np.argmax(grads)), terms.shape[0])
         grad = float(grads[i, j])
-        if grad == -np.inf:
-            if first:
+        if first and not g.directed:
+            if grad == -np.inf:
                 raise LexgraphError("no terminal path found in a well-posed instance")
-            return
-        if not first and not definitely_greater(grad, alpha, state.tol):
-            return
+        elif not definitely_greater(grad, 0.0 if first else alpha, state.tol):
+            return  # also when no terminal pair is joined (-inf)
         # walk back from t; the vertex before x minimizes dist(s, u) + len(u, x)
         s, walk = int(terms[i]), [int(terms[j])]
         while walk[-1] != s:
             if len(walk) > k:
                 raise LexgraphError("shortest-path walk does not reach its source")
-            walk.append(int(np.argmin(dist[s] + usable[walk[-1]])))
+            walk.append(int(np.argmin(dist[s] + usable[:, walk[-1]])))
         path = TerminalPath(tuple(int(orig[x]) for x in reversed(walk)), float(tdist[i, j]), grad)
         state.fixed.append((path, _fix_path_inplace(state.root, state.values, path, state.tol)))
         first = False
@@ -332,27 +338,27 @@ def comp_fast_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float
     comp_lex_min, much faster on large graphs.
 
     Each round samples a steepest path, splits off the connected components
-    whose pressure exceeds its gradient and descends into each. Components of
-    a split with at most DENSE_MAX vertices are finished by a dense kernel:
-    all-pairs distances on the component's length matrix, then the steepest
-    terminal pair's path is fixed, until no pair is steeper than the split's
-    gradient. The descent keeps its own work stack, so deep splits need no
-    interpreter recursion."""
+    whose pressure exceeds its gradient and descends into each, on an explicit
+    work stack. Components of a split with at most DENSE_MAX vertices are
+    finished by the dense kernel on their all-pairs distances."""
     if g.directed:
         raise ValueError("comp_fast_lex_min handles undirected graphs; use directed_lex_min")
-    require_well_posed(g, v0)
-    state = _FastState(g, v0.values.copy(), np.random.default_rng(seed), tol)
-    # at alpha 0 the descent returns only once every vertex is fixed
-    _fix_paths_above(g, np.arange(g.n, dtype=np.int64), 0.0, state)
-    values = state.values
-    return SolverResult(values, inf_norm_of(g, values), len(state.fixed), tuple(state.fixed))
+    # at alpha 0 the undirected descent returns only once every vertex is fixed
+    state = _fix_paths_above(g, v0, seed, tol)
+    return SolverResult(state.values, inf_norm_of(g, state.values), len(state.fixed), tuple(state.fixed))
 
 
 def directed_lex_min(
     g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> DirectedLexResult:
-    """Directed lex-minimization: fix steepest positive-gradient directed
-    paths, then resolve the leftover interval-constrained vertices.
+    """Directed lex-minimization: fix every free terminal path of positive
+    gradient by the pressure descent of ``comp_fast_lex_min``, then resolve
+    the leftover interval-constrained vertices.
+
+    The descent splits on weakly connected high-pressure components at the
+    threshold max(gradient, 0), and components of at most DENSE_MAX vertices,
+    at any alpha, go to the dense kernel on their asymmetric length matrix.
+    ``fixed_order`` is in depth-first descent order, not non-increasing.
 
     Every edge outside the fixed set must end with directed gradient ~0; the
     chosen completion (interval endpoint, or the value closest to the median
@@ -361,18 +367,8 @@ def directed_lex_min(
     """
     if not g.directed:
         raise ValueError("directed_lex_min needs a directed graph")
-    require_well_posed(g, v0)
-    rng = np.random.default_rng(seed)
-    values = v0.values.copy()
-    fixed: list[tuple[TerminalPath, float]] = []
-    while np.isnan(values).any():
-        cur = PartialAssignment(values)
-        work = g.with_edge_mask(~_terminal_edge_mask(g, values))
-        path = steepest_path(work, cur, seed=int(rng.integers(2**63)), tol=tol)
-        if not definitely_greater(path.gradient, 0.0, tol):
-            break
-        grad = _fix_path_inplace(g, values, path, tol)
-        fixed.append((path, grad))
+    state = _fix_paths_above(g, v0, seed, tol)
+    values, fixed = state.values, state.fixed
 
     fixed_mask = ~np.isnan(values)
     ambiguous: list[AmbiguousVertex] = []

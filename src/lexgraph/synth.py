@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Graph, PartialAssignment
+from .core import Graph, PartialAssignment, check_well_posed
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,8 @@ def cube_knn(
     pts = rng.uniform(0.0, 1.0, size=(n, dim))
     tree = cKDTree(pts)
     dists, idx = tree.query(pts, k=knn + 1)
-    edges = []
-    for i in range(n):
-        for d, j in zip(dists[i, 1:], idx[i, 1:]):
-            if d <= 0.0:
-                d = 1e-12  # coincident samples; keep the edge usable
-            edges.append((i, int(j), float(d)))
-    graph = Graph(n, edges)
+    lengths = np.where(dists[:, 1:] <= 0.0, 1e-12, dists[:, 1:])  # coincident samples; keep the edge usable
+    graph = Graph(n, zip(np.repeat(np.arange(n), knn).tolist(), idx[:, 1:].ravel().tolist(), lengths.ravel().tolist()))
     chosen = rng.choice(n, size=n_labels, replace=False)
     labels = {int(i): float(pts[i, 0]) for i in sorted(chosen)}
     return SyntheticInstance(graph, labels, truth=pts[:, 0].copy(), positions=pts)
@@ -97,6 +92,28 @@ def random_regular(
     chosen = rng.choice(n, size=n_labels, replace=False)
     labels = {int(i): float(rng.uniform(0.0, 1.0)) for i in sorted(chosen)}
     return SyntheticInstance(graph, labels)
+
+
+def random_digraph(n: int, n_labels: int = 100, seed: int = 0) -> SyntheticInstance:
+    """Random digraph, drawn as the benchmark's: 3n candidate arcs between
+    uniform random vertices (self-loops and repeats skipped) with lengths from
+    U(0.2, 2), labels from U(0, 1) on a random vertex subset and on every free
+    vertex on no terminal-to-terminal path; vertices without arcs are dropped."""
+    if n_labels > n:
+        raise ValueError("more labels than vertices")
+    rng = np.random.default_rng(seed)
+    arcs: dict[tuple[int, int], float] = {}
+    for _ in range(3 * n):
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        if u != v and (u, v) not in arcs:
+            arcs[(u, v)] = float(rng.uniform(0.2, 2.0))
+    graph = Graph(n, [(u, v, w) for (u, v), w in arcs.items()], directed=True)
+    labels = {int(t): float(rng.uniform(0.0, 1.0)) for t in rng.choice(n, size=n_labels, replace=False)}
+    for x in check_well_posed(graph, PartialAssignment.from_dict(n, labels)).stranded_vertices:
+        labels[x] = float(rng.uniform(0.0, 1.0))
+    graph, kept = graph.induced_subgraph(np.union1d(graph.edge_u, graph.edge_v))
+    local = {int(x): i for i, x in enumerate(kept)}
+    return SyntheticInstance(graph, {local[x]: val for x, val in sorted(labels.items()) if x in local})
 
 
 def _repair_pairs(pairs: np.ndarray, rng) -> bool:

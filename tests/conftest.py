@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from lexgraph import Graph, PartialAssignment, check_well_posed
+from lexgraph.core import definitely_greater
+from lexgraph.solvers import _fix_path_inplace, _terminal_edge_mask
+from lexgraph.steepest import steepest_path
 
 
 def random_instance(
@@ -61,6 +64,23 @@ def random_directed_instance(
             vals[x] = float(rng.uniform(0.0, 1.0))
         v0 = PartialAssignment(vals)
     return g, v0
+
+
+def reference_directed_fixing(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = 1e-9):
+    """(values, fixed paths) of the whole-graph directed fixing loop that
+    ``directed_lex_min`` ran before its pressure descent: one steepest path
+    of the whole graph per round, fixed while its gradient is positive
+    beyond tolerance. A test reference only; the library never calls it."""
+    rng = np.random.default_rng(seed)
+    values = v0.values.copy()
+    fixed = []
+    while np.isnan(values).any():
+        work = g.with_edge_mask(~_terminal_edge_mask(g, values))
+        path = steepest_path(work, PartialAssignment(values), seed=int(rng.integers(2**63)), tol=tol)
+        if not definitely_greater(path.gradient, 0.0, tol):
+            break
+        fixed.append((path, _fix_path_inplace(g, values, path, tol)))
+    return values, fixed
 
 
 def random_dag(seed: int, n_range: tuple[int, int] = (2, 14), density: float = 0.3):

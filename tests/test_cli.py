@@ -315,6 +315,19 @@ class TestSynthAndBench:
         assert min(deg.values()) >= 8
         assert (tmp_path / "c.truth.tsv").exists()
 
+    def test_random_digraph_solves(self, tmp_path):
+        prefix = tmp_path / "d"
+        res = run_cli("synth", "--kind", "random-digraph", "--n", "2000", "--seed", "0", "--out-prefix", str(prefix))
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "d.edges.tsv").read_text().startswith("#directed\n")
+        out = tmp_path / "d.out.tsv"
+        res = run_cli("dirlexmin", str(tmp_path / "d.edges.tsv"), str(tmp_path / "d.labels.tsv"), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert not [line for line in res.stderr.splitlines() if line.startswith("warning:")], res.stderr
+        assert len(out.read_text().splitlines()) == len(
+            {name for row in (tmp_path / "d.edges.tsv").read_text().splitlines()[1:] for name in row.split("\t")[:2]}
+        )
+
     def test_env_seed_fallback(self, tmp_path):
         synth = ("synth", "--kind", "gauss1d", "--per-cluster", "10")
         res = run_cli(*synth, "--out-prefix", str(tmp_path / "e"), env={"LEXGRAPH_SEED": "7"})

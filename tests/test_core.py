@@ -175,3 +175,39 @@ class TestEnumerateTerminalGradients:
         got = enumerate_terminal_gradients(g, v0)
         assert {round(float(x), 9) for x in got} == expected
         assert np.all(np.diff(got) > 0)
+
+
+def _sequential_distinct(values, tol=1e-12):
+    """The one-value-at-a-time dedup that ``core.sorted_distinct`` replaces."""
+    keep = []
+    for x in np.unique(values).tolist():
+        if not keep or x - keep[-1] > tol * core.rel_scale(x, keep[-1]):
+            keep.append(x)
+    return np.asarray(keep, dtype=np.float64)
+
+
+class TestSortedDistinct:
+    def test_chain_of_near_ties_keeps_every_other(self):
+        # each step is below tol, two steps are not: the sequential test keeps
+        # the values whose gap to the last kept one exceeds tol
+        tol = 1e-12
+        vals = np.array([1.0, 1.0 + 0.6e-12, 1.0 + 1.2e-12, 1.0 + 1.8e-12, 5.0])
+        assert np.array_equal(core.sorted_distinct(vals, tol), _sequential_distinct(vals, tol))
+        assert core.sorted_distinct(vals, tol).shape[0] == 3
+
+    def test_empty_and_single(self):
+        assert core.sorted_distinct(np.array([])).shape == (0,)
+        assert np.array_equal(core.sorted_distinct(np.array([2.0, 2.0])), [2.0])
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=0, max_size=30),
+        st.lists(st.tuples(st.integers(0, 29), st.floats(-3.0, 3.0)), max_size=40),
+    )
+    def test_matches_sequential_loop_on_planted_near_ties(self, base, ties):
+        """Each planted value sits within a few tol of a base value, relative
+        to its scale, so runs of near-ties of every length appear."""
+        tol = 1e-12
+        planted = [base[i] + step * tol * max(1.0, abs(base[i])) for i, step in ties if i < len(base)]
+        vals = np.array(base + planted, dtype=np.float64)
+        assert np.array_equal(core.sorted_distinct(vals, tol), _sequential_distinct(vals, tol))

@@ -1,3 +1,4 @@
+import statistics
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ from lexgraph import (
 from lexgraph import solvers, synth
 from lexgraph.oracles import apsp_floyd_warshall, brute_lex_min
 
-from conftest import random_instance, random_directed_instance
+from conftest import random_directed_instance, random_instance, reference_directed_fixing
 
 
 class TestFixPath:
@@ -310,6 +311,83 @@ class TestDirectedLexMin:
         g, v0 = path3
         with pytest.raises(ValueError):
             directed_lex_min(g, v0)
+
+    @pytest.mark.parametrize(
+        "seeds, n_range",
+        [(range(6000, 6050), (6, 20)), (range(60), (20, 60))],
+        ids=["criterion-9", "n20-60"],
+    )
+    def test_matches_whole_graph_reference(self, seeds, n_range):
+        """The pressure descent fixes the same vertices to the same values, in
+        as many paths, as the old loop of one whole-graph steepest path per
+        round, and leaves the same intervals."""
+        for seed in seeds:
+            g, v0 = random_directed_instance(seed, n_range=n_range)
+            res = directed_lex_min(g, v0, seed=seed)
+            values, fixed = reference_directed_fixing(g, v0, seed=seed)
+            mask = ~np.isnan(values)
+            ambiguous = []
+            if not mask.all():
+                median = float(statistics.median(v0.values[v0.terminals()].tolist()))
+                values, ambiguous = solvers._resolve_intervals(g, values, median)
+            assert np.array_equal(res.fixed_before_resolution, mask), seed
+            assert res.result.iterations == len(fixed), seed
+            np.testing.assert_allclose(
+                grad_plus_vector(g, res.result.assignment), grad_plus_vector(g, values), rtol=0, atol=1e-9
+            )
+            assert [a.vertex for a in res.ambiguous] == [a.vertex for a in ambiguous], seed
+            for got, ref in zip(res.ambiguous, ambiguous):
+                np.testing.assert_allclose([got.lower, got.upper], [ref.lower, ref.upper], rtol=0, atol=1e-9)
+
+    def test_dense_and_general_paths_agree(self, monkeypatch):
+        """DENSE_MAX 0 sends every directed component through the general
+        loop, 10**6 every component below the top level, at any alpha, through
+        the dense kernel."""
+        instances = [random_directed_instance(seed + 300, n_range=(20, 60)) for seed in range(12)]
+        refs = [grad_plus_vector(g, directed_lex_min(g, v0).result.assignment) for g, v0 in instances]
+        calls = []
+        dense = solvers._fix_dense
+
+        def counting(*args):
+            calls.append(args[2])
+            return dense(*args)
+
+        monkeypatch.setattr(solvers, "_fix_dense", counting)
+        for cutoff in (0, 10**6):
+            monkeypatch.setattr(solvers, "DENSE_MAX", cutoff)
+            calls.clear()
+            for seed, ((g, v0), ref) in enumerate(zip(instances, refs)):
+                res = directed_lex_min(g, v0, seed=seed)
+                assert np.abs(grad_plus_vector(g, res.result.assignment) - ref).max() < 1e-9
+                assert not res.violations
+            assert (len(calls) > 0) == (cutoff > 0)
+
+    @pytest.mark.parametrize("cutoff", [0, 48])
+    def test_paths_within_tol_of_flat_stay_free(self, monkeypatch, cutoff):
+        """Six chains A -> x -> B of length 10 whose drops of 1.5e-9 .. 9e-9
+        give positive gradients within tol of 0, and one steep chain: only the
+        steep one is fixed, by the general loop or the dense kernel."""
+        monkeypatch.setattr(solvers, "DENSE_MAX", cutoff)
+        edges, vals = [(18, 19, 1.0), (19, 20, 1.0)], []
+        for i in range(6):
+            edges += [(3 * i, 3 * i + 1, 5.0), (3 * i + 1, 3 * i + 2, 5.0), (3 * i + 2, 3 * i + 1, 5.0)]
+            vals += [0.5 + 1.5e-9 * (i + 1), None, 0.5]
+        g, v0 = Graph(21, edges, directed=True), PartialAssignment(vals + [1.0, None, 0.0])
+        for seed in range(10):
+            res = directed_lex_min(g, v0, seed=seed)
+            assert [path.vertices for path, _ in res.result.fixed_order] == [(18, 19, 20)]
+            assert [a.vertex for a in res.ambiguous] == [1, 4, 7, 10, 13, 16]
+
+    def test_dense_walk_back_follows_in_edges(self):
+        """The steepest pair is 0 -> 4 along 0 -> 1 -> 2 -> 4. The step into
+        4 is the arc 2 -> 4, which has no reverse arc, while 4's only out-arc
+        leads to 3: read along out-arcs, the walk back from 4 goes astray."""
+        g = Graph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 4, 1.0), (4, 3, 0.5), (3, 2, 0.5)], directed=True)
+        state = solvers._FastState(g, np.array([2.0, np.nan, np.nan, np.nan, 0.0]), np.random.default_rng(0), 1e-9)
+        solvers._fix_dense(g, np.arange(5), 0.0, state)
+        assert [path.vertices for path, _ in state.fixed] == [(0, 1, 2, 4)]
+        np.testing.assert_allclose(state.values[:3], [2.0, 4.0 / 3.0, 2.0 / 3.0])
+        assert np.isnan(state.values[3])  # only flat or uphill walks pass through 3
 
 
 class TestVerifyMaxMin:
