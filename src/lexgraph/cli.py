@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -27,6 +28,7 @@ from .core import (
     LexgraphError,
     NotWellPosedError,
     PartialAssignment,
+    require_well_posed,
 )
 from .l0reg import outlier_approx, outlier_exact
 from .solvers import (
@@ -51,6 +53,12 @@ EXIT_PARSE = 3
 VERIFY_SHOWN = 20
 
 
+def _fail(message: object, code: int) -> NoReturn:
+    """The one ``error:`` line on stderr, then exit with ``code``."""
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
+
+
 def _default_seed() -> int:
     return _parse_seed(os.environ.get("LEXGRAPH_SEED", "0"), "LEXGRAPH_SEED")
 
@@ -62,8 +70,7 @@ def _parse_seed(raw: str, source: str) -> int:
     except ValueError:
         seed = -1
     if seed < 0:
-        click.echo(f"error: {source} must be a non-negative integer, got {raw!r}", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(f"{source} must be a non-negative integer, got {raw!r}", EXIT_PARSE)
     return seed
 
 
@@ -129,17 +136,32 @@ def read_edge_file(path: str) -> tuple[Graph, list[str]]:
     return graph, names
 
 
-def read_label_file(path: str, names: list[str]) -> PartialAssignment:
-    ids = {name: i for i, name in enumerate(names)}
-    labels: dict[int, float] = {}
+def _tsv_rows(path: str):
+    """(line number, line, tab-separated fields) of every row of a TSV file
+    that is neither blank nor a '#' comment."""
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     for ln, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.rstrip("\n").split("\t")
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield ln, line, line.rstrip("\n").split("\t")
+
+
+def _finite_value(path: str, ln: int, raw: str, what: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ParseError(f"{path}:{ln}: bad value {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"{path}:{ln}: {what} value must be finite, got {raw!r}")
+    return value
+
+
+def read_label_file(path: str, names: list[str]) -> PartialAssignment:
+    ids = {name: i for i, name in enumerate(names)}
+    labels: dict[int, float] = {}
+    for ln, _, parts in _tsv_rows(path):
         if len(parts) != 2:
             raise ParseError(f"{path}:{ln}: expected 'vertex-id<TAB>value'")
         name, raw = parts
@@ -147,36 +169,17 @@ def read_label_file(path: str, names: list[str]) -> PartialAssignment:
             raise ParseError(f"{path}:{ln}: label on unknown vertex {name!r}")
         if ids[name] in labels:
             raise ParseError(f"{path}:{ln}: duplicate label for vertex {name!r}")
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{ln}: bad value {raw!r}") from exc
-        if not math.isfinite(value):
-            raise ParseError(f"{path}:{ln}: label value must be finite, got {raw!r}")
-        labels[ids[name]] = value
+        labels[ids[name]] = _finite_value(path, ln, raw, "label")
     return PartialAssignment.from_dict(len(names), labels)
 
 
 def read_assignment_file(path: str, names: list[str]) -> np.ndarray:
     ids = {name: i for i, name in enumerate(names)}
     values = np.full(len(names), np.nan)
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    for ln, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.rstrip("\n").split("\t")
+    for ln, line, parts in _tsv_rows(path):
         if len(parts) != 2 or parts[0] not in ids:
             raise ParseError(f"{path}:{ln}: bad assignment row {line!r}")
-        try:
-            value = float(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{ln}: bad value {parts[1]!r}") from exc
-        if not math.isfinite(value):
-            raise ParseError(f"{path}:{ln}: assignment value must be finite, got {parts[1]!r}")
-        values[ids[parts[0]]] = value
+        values[ids[parts[0]]] = _finite_value(path, ln, parts[1], "assignment")
     if np.isnan(values).any():
         missing = [names[i] for i in np.flatnonzero(np.isnan(values))][:5]
         raise ParseError(f"{path}: assignment misses vertices (e.g. {missing})")
@@ -193,19 +196,25 @@ def write_assignment(path: str | None, names: list[str], values: np.ndarray) -> 
             out.close()
 
 
-def _solve_command(solver_name: str, graph_file: str, labels_file: str, seed: int, tol: float, out: str | None):
-    started = time.perf_counter()
+def _load(graph_file: str, labels_file: str, assignment_file: str | None = None):
+    """(graph, vertex names, labels, assignment or None) from the input files;
+    a file that does not parse exits 3."""
     try:
         graph, names = read_edge_file(graph_file)
         v0 = read_label_file(labels_file, names)
+        values = None if assignment_file is None else read_assignment_file(assignment_file, names)
     except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(exc, EXIT_PARSE)
+    return graph, names, v0, values
+
+
+def _solve_command(solver_name: str, graph_file: str, labels_file: str, seed: int, tol: float, out: str | None):
+    started = time.perf_counter()
+    graph, names, v0, _ = _load(graph_file, labels_file)
     try:
         if solver_name == "dirlexmin":
             if not graph.directed:
-                click.echo("error: dirlexmin needs a '#directed' edge file", err=True)
-                sys.exit(EXIT_ILL_POSED)
+                _fail("dirlexmin needs a '#directed' edge file", EXIT_ILL_POSED)
             directed = directed_lex_min(graph, v0, seed=seed, tol=tol)
             result = directed.result
             for amb in directed.ambiguous:
@@ -218,8 +227,7 @@ def _solve_command(solver_name: str, graph_file: str, labels_file: str, seed: in
                 click.echo(f"warning: residual directed gradient {grad:.3e} on edge {eid}", err=True)
         else:
             if graph.directed and solver_name != "infmin":
-                click.echo(f"error: {solver_name} needs an undirected graph; use dirlexmin", err=True)
-                sys.exit(EXIT_ILL_POSED)
+                _fail(f"{solver_name} needs an undirected graph; use dirlexmin", EXIT_ILL_POSED)
             solver = {
                 "infmin": comp_inf_min,
                 "lexmin": comp_lex_min,
@@ -227,8 +235,7 @@ def _solve_command(solver_name: str, graph_file: str, labels_file: str, seed: in
             }[solver_name]
             result = solver(graph, v0, seed=seed, tol=tol)
     except NotWellPosedError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ILL_POSED)
+        _fail(exc, EXIT_ILL_POSED)
     write_assignment(out, names, result.assignment)
     elapsed = time.perf_counter() - started
     click.echo(
@@ -247,6 +254,7 @@ seed_option = click.option(
 tol_option = click.option(
     "--tol", type=float, default=1e-9, show_default=True, callback=_check_tol, help="relative comparison tolerance"
 )
+POSITIVE = click.IntRange(min=1)
 out_option = click.option("--out", type=click.Path(dir_okay=False), default=None, help="output TSV (default: stdout)")
 
 
@@ -299,20 +307,14 @@ _register_solver("dirlexmin", "Directed lex-minimal extension with ambiguity rep
 def cmd_l0(graph_file, labels_file, k, mode, seed, tol, out):
     """Outlier-robust inf-minimization: drop up to k (exact) or 2k (approx) labels."""
     started = time.perf_counter()
-    try:
-        graph, names = read_edge_file(graph_file)
-        v0 = read_label_file(labels_file, names)
-    except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+    graph, names, v0, _ = _load(graph_file, labels_file)
     try:
         if mode == "exact":
             res = outlier_exact(graph, v0, k, tol=tol)
         else:
             res = outlier_approx(graph, v0, k, seed=seed, tol=tol)
     except NotWellPosedError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ILL_POSED)
+        _fail(exc, EXIT_ILL_POSED)
     write_assignment(out, names, res.result.assignment)
     sidecar = (out + ".l0meta.tsv") if out else None
     meta_lines = [f"alpha\t{res.alpha:.12g}"] + [f"removed\t{names[t]}" for t in sorted(res.removed)]
@@ -335,16 +337,9 @@ def cmd_l0(graph_file, labels_file, k, mode, seed, tol, out):
 @click.option("--tol", type=float, default=1e-7, show_default=True, callback=_check_tol)
 def cmd_verify(graph_file, labels_file, assignment_file, tol):
     """Check the max-min gradient averaging characterization of the lex-minimizer."""
-    try:
-        graph, names = read_edge_file(graph_file)
-        v0 = read_label_file(labels_file, names)
-        values = read_assignment_file(assignment_file, names)
-    except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+    graph, names, v0, values = _load(graph_file, labels_file, assignment_file)
     if graph.directed:
-        click.echo("error: verify needs an undirected graph; got a '#directed' edge file", err=True)
-        sys.exit(EXIT_ILL_POSED)
+        _fail("verify needs an undirected graph; got a '#directed' edge file", EXIT_ILL_POSED)
     mismatch = [
         names[t]
         for t in v0.terminals()
@@ -369,12 +364,12 @@ def cmd_verify(graph_file, labels_file, assignment_file, tol):
 
 @main.command(name="synth")
 @click.option("--kind", type=click.Choice(["gauss1d", "cube-knn", "random-regular", "random-digraph"]), required=True)
-@click.option("--n", type=int, default=1000, show_default=True, help="vertex count (all kinds but gauss1d)")
-@click.option("--labels", "n_labels", type=int, default=100, show_default=True)
-@click.option("--dim", type=int, default=4, show_default=True)
-@click.option("--knn", type=int, default=8, show_default=True)
-@click.option("--degree", type=int, default=4, show_default=True)
-@click.option("--per-cluster", type=int, default=100, show_default=True, help="gauss1d samples per cluster")
+@click.option("--n", type=POSITIVE, default=1000, show_default=True, help="vertex count (all kinds but gauss1d)")
+@click.option("--labels", "n_labels", type=POSITIVE, default=100, show_default=True)
+@click.option("--dim", type=POSITIVE, default=4, show_default=True)
+@click.option("--knn", type=POSITIVE, default=8, show_default=True)
+@click.option("--degree", type=POSITIVE, default=4, show_default=True)
+@click.option("--per-cluster", type=POSITIVE, default=100, show_default=True, help="gauss1d samples per cluster")
 @click.option("--cluster-std", type=float, default=1.0, show_default=True)
 @seed_option
 @click.option("--out-prefix", required=True, help="writes <prefix>.edges.tsv / .labels.tsv / (.truth.tsv)")
@@ -390,8 +385,7 @@ def cmd_synth(kind, n, n_labels, dim, knn, degree, per_cluster, cluster_std, see
         else:
             inst = synth.random_regular(n, degree=degree, n_labels=n_labels, seed=seed)
     except (ValueError, RuntimeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(exc, EXIT_PARSE)
     g = inst.graph
     with open(out_prefix + ".edges.tsv", "w") as fh:
         fh.write("#directed\n" if g.directed else "#undirected\n")
@@ -412,9 +406,9 @@ def cmd_synth(kind, n, n_labels, dim, knn, degree, per_cluster, cluster_std, see
 @click.option(
     "--sizes", default="10000,30000,100000", show_default=True, callback=_parse_sizes, help="comma separated vertex counts"
 )
-@click.option("--labels", "n_labels", type=int, default=100, show_default=True)
-@click.option("--degree", type=int, default=4, show_default=True)
-@click.option("--repeats", type=int, default=1, show_default=True)
+@click.option("--labels", "n_labels", type=POSITIVE, default=100, show_default=True)
+@click.option("--degree", type=POSITIVE, default=4, show_default=True)
+@click.option("--repeats", type=POSITIVE, default=1, show_default=True)
 @seed_option
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="CSV output (default: stdout)")
 def cmd_bench(kind, sizes, n_labels, degree, repeats, seed, out):
@@ -426,10 +420,12 @@ def cmd_bench(kind, sizes, n_labels, degree, repeats, seed, out):
                 inst = synth.random_regular(n, degree=degree, n_labels=n_labels, seed=seed)
             else:
                 inst = synth.cube_knn(n, n_labels=n_labels, seed=seed)
+            v0 = inst.assignment()
+            require_well_posed(inst.graph, v0)
+        except NotWellPosedError as exc:
+            _fail(exc, EXIT_ILL_POSED)
         except (ValueError, RuntimeError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
-        v0 = inst.assignment()
+            _fail(exc, EXIT_PARSE)
         for rep in range(repeats):
             for name, solver in (("infmin", comp_inf_min), ("fastlexmin", comp_fast_lex_min)):
                 t0 = time.perf_counter()

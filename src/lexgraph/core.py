@@ -351,31 +351,15 @@ class WellPosednessReport:
         return "; ".join(parts)
 
 
-def _reachable_from(g: Graph, seeds: np.ndarray, reverse: bool) -> np.ndarray:
-    """Boolean mask of vertices reachable from any seed along edge orientation."""
-    indptr, head, _ = g._csr(reverse)
-    seen = np.zeros(g.n, dtype=bool)
-    stack = [int(s) for s in seeds]
-    seen[seeds] = True
-    while stack:
-        x = stack.pop()
-        for y in head[indptr[x]:indptr[x + 1]]:
-            if not seen[y]:
-                seen[y] = True
-                stack.append(int(y))
-    return seen
-
-
-def _component_labels(g: Graph, strong: bool = False) -> tuple[int, np.ndarray]:
+def _component_labels(g: Graph) -> tuple[int, np.ndarray]:
     """(count, per-vertex component label) of the weakly connected components,
-    or of the strongly connected ones with ``strong``. Labels on undirected
-    graphs number the components by their smallest vertex."""
+    numbered by their smallest vertex."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     indptr, indices, lengths = g._csr()
     mat = csr_matrix((lengths, indices, indptr), shape=(g.n, g.n))
-    return connected_components(mat, directed=strong, connection="strong")
+    return connected_components(mat, directed=False)
 
 
 def check_well_posed(g: Graph, v0: PartialAssignment) -> WellPosednessReport:
@@ -385,13 +369,13 @@ def check_well_posed(g: Graph, v0: PartialAssignment) -> WellPosednessReport:
         raise GraphFormatError("assignment size does not match graph")
     terminals = v0.terminals()
     if g.directed:
-        if terminals.size == 0:
-            stranded = tuple(range(g.n))
-            return WellPosednessReport(False, stranded_vertices=stranded)
-        from_t = _reachable_from(g, terminals, reverse=False)
-        to_t = _reachable_from(g, terminals, reverse=True)
-        free = ~v0.terminal_mask()
-        bad = tuple(np.flatnonzero(free & ~(from_t & to_t)).tolist())
+        # reachability is a finite distance at scale 0, from and to the terminals
+        ok = v0.terminal_mask()
+        if terminals.size:
+            start = np.zeros(terminals.shape[0])
+            reach = [np.isfinite(_dijkstra(g, terminals, start, 0.0, rev)[0]) for rev in (False, True)]
+            ok |= reach[0] & reach[1]
+        bad = tuple(np.flatnonzero(~ok).tolist())
         return WellPosednessReport(not bad, stranded_vertices=bad)
 
     _, labels = _component_labels(g)

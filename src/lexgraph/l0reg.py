@@ -20,6 +20,7 @@ from .core import (
     Graph,
     LexgraphError,
     PartialAssignment,
+    _dijkstra,
     check_well_posed,
     definitely_greater,
     inf_norm_of,
@@ -166,38 +167,35 @@ class OutlierResult:
 
 def _sweep_extend(g: Graph, v0: PartialAssignment, alpha: float) -> np.ndarray:
     """Feasible completion with max gradient <= alpha, robust to instances
-    whose label removal stranded some vertices (envelope midpoint where both
-    envelopes are finite, monotone repair sweeps elsewhere)."""
+    whose label removal stranded some vertices: the envelope midpoint where
+    both envelopes are finite; elsewhere the one finite bound (else 0),
+    repaired by two sloped envelopes of the shortest-path kernel. The
+    vertices that reach no terminal are raised to the max over u of
+    value(u) - alpha * dist(u -> x), on paths whose later vertices lie in
+    that set; then those that no terminal reaches are lowered likewise to
+    the min of value(u) + alpha * dist(x -> u)."""
     if v0.terminals().size == 0:
         return np.zeros(g.n)  # every label dropped: any constant has gradient 0
     vlow, vhigh = envelope_pair(g, v0, alpha, require_complete=False)
     # the high envelope is the pointwise lower bound on feasible values,
-    # the low envelope the upper bound
+    # the low envelope the upper bound; both are finite at terminals
     lo, hi = vhigh.values, vlow.values
-    tmask = v0.terminal_mask()
-    both = np.isfinite(lo) & np.isfinite(hi)
-    lo_safe = np.where(np.isfinite(lo), lo, 0.0)
-    hi_safe = np.where(np.isfinite(hi), hi, 0.0)
-    values = np.where(tmask, v0.values, np.where(both, 0.5 * (lo_safe + hi_safe), 0.0))
     raise_set = ~np.isfinite(hi)  # unbounded above: can only be pushed up
     lower_set = ~np.isfinite(lo) & ~raise_set
-    values[raise_set & ~tmask] = np.where(np.isfinite(lo), lo, 0.0)[raise_set & ~tmask]
-    values[lower_set & ~tmask] = hi[lower_set & ~tmask]
+    lo_safe, hi_safe = np.where(np.isfinite(lo), lo, 0.0), np.where(raise_set, 0.0, hi)
+    values = np.select(
+        [v0.terminal_mask(), raise_set, lower_set], [v0.values, lo_safe, hi], 0.5 * (lo_safe + hi_safe)
+    )
     if not (raise_set.any() or lower_set.any()):
         return values
-    arcs = list(zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_len.tolist()))
-    if not g.directed:
-        arcs += [(v, u, w) for u, v, w in arcs]
-    for up in (True, False):  # push the raise set up to its bounds, then the lower set down
-        for _ in range(g.n + 1):
-            changed = False
-            for u, v, w in arcs:
-                if up and raise_set[v] and not tmask[v] and values[v] < values[u] - alpha * w - 1e-15:
-                    values[v], changed = values[u] - alpha * w, True
-                elif not up and lower_set[u] and not tmask[u] and values[u] > values[v] + alpha * w + 1e-15:
-                    values[u], changed = values[v] + alpha * w, True
-            if not changed:
-                break
+    # only the two sets take the envelopes: the kernel's scipy branch shifts
+    # its start values, so a label passed through it can move by an ulp (and
+    # 0 come back as -0, which 0.0 - x, unlike -x, turns into 0)
+    every = np.arange(g.n)
+    up = _dijkstra(g.with_edge_mask(raise_set[g.edge_v]), every, -values, alpha, False)[0]
+    values[raise_set] = 0.0 - up[raise_set]
+    down = _dijkstra(g.with_edge_mask(lower_set[g.edge_u]), every, values, alpha, True)[0]
+    values[lower_set] = down[lower_set]
     return values
 
 

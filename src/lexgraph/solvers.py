@@ -13,7 +13,9 @@ gradient. Larger components, and the whole graph at the top level, take the
 general loop.
 
 The directed solver runs the same descent on weakly connected components,
-fixing only paths of positive gradient, then resolves the free leftovers.
+fixing only paths of positive gradient, then clamps each free leftover into
+its interval. Both interval bounds are envelopes at scale 0 of the one
+shortest-path kernel, ``core._dijkstra``, from the fixed vertices.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .core import (
     PartialAssignment,
     TerminalPath,
     _component_labels,
+    _dijkstra,
     definitely_greater,
     gradient_vector,
     inf_norm_of,
@@ -389,46 +392,18 @@ def directed_lex_min(
 
 def _resolve_intervals(g: Graph, values: np.ndarray, median: float):
     """Assign leftover free vertices. Constraints: along every remaining edge
-    (x, y) the completion must satisfy v(x) <= v(y), so each strongly
-    connected free component gets one interval [max upstream fixed value,
-    min downstream fixed value]."""
-    free = np.flatnonzero(np.isnan(values))
-    local = np.full(g.n, -1, dtype=np.int64)
-    local[free] = np.arange(free.size)
-    eu, ev = g.edge_u, g.edge_v
-    n_comp, comp = _component_labels(g.induced_subgraph(free)[0], strong=True)
-
-    lower = np.full(n_comp, -np.inf)
-    upper = np.full(n_comp, np.inf)
-    succ: list[set[int]] = [set() for _ in range(n_comp)]
-    pred: list[set[int]] = [set() for _ in range(n_comp)]
-    for e in range(g.m):
-        u, v = int(eu[e]), int(ev[e])
-        lu, lv = local[u], local[v]
-        if lu >= 0 and lv >= 0:
-            cu, cv = int(comp[lu]), int(comp[lv])
-            if cu != cv:
-                succ[cu].add(cv)
-                pred[cv].add(cu)
-        elif lu < 0 and lv >= 0:
-            cv = int(comp[lv])
-            lower[cv] = max(lower[cv], values[u])
-        elif lu >= 0 and lv < 0:
-            cu = int(comp[lu])
-            upper[cu] = min(upper[cu], values[v])
-
-    order = _topo_order(n_comp, succ, pred)
-    for c in order:
-        for s in succ[c]:
-            lower[s] = max(lower[s], lower[c])
-    for c in reversed(order):
-        for p in pred[c]:
-            upper[p] = min(upper[p], upper[c])
-
+    (x, y) the completion must satisfy v(x) <= v(y), so a free vertex x gets
+    the interval [max fixed value with a free path into x, min fixed value
+    with a free path out of x]. Both bounds are shortest-path envelopes at
+    scale 0 from the fixed vertices, on the edges that do not enter (for the
+    lower bound) or leave (for the upper) a fixed vertex."""
+    fixed = ~np.isnan(values)
+    src = np.flatnonzero(fixed)
+    lower = -_dijkstra(g.with_edge_mask(~fixed[g.edge_v]), src, -values[src], 0.0, False)[0]
+    upper = _dijkstra(g.with_edge_mask(~fixed[g.edge_u]), src, values[src], 0.0, True)[0]
     ambiguous = []
-    for i, x in enumerate(free):
-        c = int(comp[i])
-        lo, hi = float(lower[c]), float(upper[c])
+    for x in np.flatnonzero(~fixed):
+        lo, hi = float(lower[x]), float(upper[x])
         if math.isinf(lo) and math.isinf(hi):
             val = median
         elif math.isinf(lo):
@@ -440,22 +415,6 @@ def _resolve_intervals(g: Graph, values: np.ndarray, median: float):
         values[x] = val
         ambiguous.append(AmbiguousVertex(int(x), lo, hi, float(val)))
     return values, ambiguous
-
-
-def _topo_order(n: int, succ: list[set[int]], pred: list[set[int]]) -> list[int]:
-    indeg = [len(p) for p in pred]
-    queue = [c for c in range(n) if indeg[c] == 0]
-    order = []
-    while queue:
-        c = queue.pop()
-        order.append(c)
-        for s in succ[c]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                queue.append(s)
-    if len(order) != n:
-        raise LexgraphError("free-component condensation is not acyclic")
-    return order
 
 
 def verify_max_min(

@@ -56,6 +56,8 @@ def cube_knn(
 
     if n_labels > n:
         raise ValueError("more labels than vertices")
+    if knn >= n:
+        raise ValueError(f"knn must be below the vertex count, got knn={knn} for n={n}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(n, dim))
     tree = cKDTree(pts)

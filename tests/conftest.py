@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from lexgraph import Graph, PartialAssignment, check_well_posed
 from lexgraph.core import definitely_greater
-from lexgraph.solvers import _fix_path_inplace, _terminal_edge_mask
+from lexgraph.solvers import AmbiguousVertex, _fix_path_inplace, _terminal_edge_mask
 from lexgraph.steepest import steepest_path
 
 
@@ -81,6 +85,73 @@ def reference_directed_fixing(g: Graph, v0: PartialAssignment, seed: int = 0, to
             break
         fixed.append((path, _fix_path_inplace(g, values, path, tol)))
     return values, fixed
+
+
+def reference_resolve_intervals(g: Graph, values: np.ndarray, median: float):
+    """(values, ambiguous) of the interval pass that ``directed_lex_min`` ran
+    before its bounds came from shortest-path envelopes: condense the strongly
+    connected components of the free vertices into a DAG, seed each with
+    [max upstream fixed value, min downstream fixed value], propagate the
+    bounds in topological order, and clamp the median into them. A test
+    reference only; the library never calls it. Fills ``values`` in place."""
+    free = np.flatnonzero(np.isnan(values))
+    local = np.full(g.n, -1, dtype=np.int64)
+    local[free] = np.arange(free.size)
+    sub, _ = g.induced_subgraph(free)
+    adj = csr_matrix((sub.edge_len, (sub.edge_u, sub.edge_v)), shape=(sub.n, sub.n))
+    n_comp, comp = connected_components(adj, directed=True, connection="strong")
+
+    lower = np.full(n_comp, -np.inf)
+    upper = np.full(n_comp, np.inf)
+    succ: list[set[int]] = [set() for _ in range(n_comp)]
+    pred: list[set[int]] = [set() for _ in range(n_comp)]
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+        lu, lv = local[u], local[v]
+        if lu >= 0 and lv >= 0:
+            cu, cv = int(comp[lu]), int(comp[lv])
+            if cu != cv:
+                succ[cu].add(cv)
+                pred[cv].add(cu)
+        elif lu < 0 and lv >= 0:
+            cv = int(comp[lv])
+            lower[cv] = max(lower[cv], values[u])
+        elif lu >= 0 and lv < 0:
+            cu = int(comp[lu])
+            upper[cu] = min(upper[cu], values[v])
+
+    indeg = [len(p) for p in pred]
+    queue = [c for c in range(n_comp) if indeg[c] == 0]
+    order = []
+    while queue:
+        c = queue.pop()
+        order.append(c)
+        for s in succ[c]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                queue.append(s)
+    assert len(order) == n_comp, "free-component condensation is not acyclic"
+    for c in order:
+        for s in succ[c]:
+            lower[s] = max(lower[s], lower[c])
+    for c in reversed(order):
+        for p in pred[c]:
+            upper[p] = min(upper[p], upper[c])
+
+    ambiguous = []
+    for i, x in enumerate(free):
+        c = int(comp[i])
+        lo, hi = float(lower[c]), float(upper[c])
+        if math.isinf(lo) and math.isinf(hi):
+            val = median
+        elif math.isinf(lo):
+            val = hi
+        elif math.isinf(hi):
+            val = lo
+        else:
+            val = min(max(median, lo), hi)
+        values[x] = val
+        ambiguous.append(AmbiguousVertex(int(x), lo, hi, float(val)))
+    return values, ambiguous
 
 
 def random_dag(seed: int, n_range: tuple[int, int] = (2, 14), density: float = 0.3):

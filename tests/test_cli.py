@@ -207,6 +207,24 @@ class TestBadInput:
         assert "--tol" in line
 
 
+#: (arguments, exit code, text of the error line) of generator and bench
+#: inputs that cannot give a readable, well-posed instance.
+GENERATOR_ERRORS = [
+    (("synth", "--kind", "cube-knn", "--n", "5", "--knn", "8", "--labels", "2"), 3, "knn"),
+    (("synth", "--kind", "cube-knn", "--dim", "0"), 3, "--dim"),
+    (("synth", "--kind", "cube-knn", "--knn", "0"), 3, "--knn"),
+    (("synth", "--kind", "random-regular", "--degree", "0"), 3, "--degree"),
+    (("synth", "--kind", "random-regular", "--n", "0"), 3, "--n"),
+    (("synth", "--kind", "random-digraph", "--labels", "0"), 3, "--labels"),
+    (("synth", "--kind", "gauss1d", "--per-cluster", "0"), 3, "--per-cluster"),
+    (("bench", "--sizes", "50", "--labels", "0"), 3, "--labels"),
+    (("bench", "--sizes", "50", "--degree", "0"), 3, "--degree"),
+    (("bench", "--sizes", "50", "--repeats", "0"), 3, "--repeats"),
+    (("bench", "--sizes", "8", "--kind", "cube-knn", "--labels", "2"), 3, "knn"),
+    (("bench", "--sizes", "50", "--labels", "1", "--degree", "1"), 2, "not well-posed"),
+]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "args",
@@ -223,6 +241,18 @@ class TestUsageErrors:
         res = run_cli(*(arg.format(edges=edges, labels=labels) for arg in args))
         line = _assert_one_line_error(res, 3)
         assert args[-2] in line
+
+    @pytest.mark.parametrize(
+        "args, code, needle", GENERATOR_ERRORS, ids=[" ".join(args) for args, _, _ in GENERATOR_ERRORS]
+    )
+    def test_generator_input_errors(self, args, code, needle, tmp_path):
+        """Generator and bench inputs that cannot give a readable, well-posed
+        instance exit with one line and write no files."""
+        prefix = tmp_path / "s"
+        extra = ("--out-prefix", str(prefix)) if args[0] == "synth" else ()
+        line = _assert_one_line_error(run_cli(*args, *extra), code)
+        assert needle in line
+        assert not list(tmp_path.iterdir())
 
     def test_help_exits_0(self):
         res = run_cli("infmin", "--help")

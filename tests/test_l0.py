@@ -7,7 +7,9 @@ from lexgraph import (
     Graph,
     PartialAssignment,
     PressureGraph,
+    check_well_posed,
     comp_inf_min,
+    core,
     inf_norm_of,
     min_vc_implicit,
     min_vc_tcdag,
@@ -15,7 +17,7 @@ from lexgraph import (
     outlier_exact,
     term_pressure_graph,
 )
-from lexgraph.l0reg import NotADagError
+from lexgraph.l0reg import NotADagError, _sweep_extend
 from lexgraph.oracles import apsp_floyd_warshall, brute_min_vc, brute_outlier
 
 from conftest import random_dag, random_directed_instance, random_instance, transitive_closure
@@ -166,12 +168,64 @@ class TestOutlierExact:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_directed_matches_subset_oracle(self, seed):
+        """Seeds 500-503 and 507 remove labels that strand free vertices, so
+        ``_sweep_extend`` raises or lowers some of them; kept labels stay exact."""
         g, v0 = random_directed_instance(seed + 500, terminal_range=(3, 6))
         for k in (1, 2):
             alpha_ref, _ = brute_outlier(g, v0, k)
             res = outlier_exact(g, v0, k)
             assert res.alpha == pytest.approx(alpha_ref, abs=1e-10)
             assert res.result.inf_norm <= alpha_ref + 1e-9
+            kept = v0.terminal_mask()
+            kept[sorted(res.removed)] = False
+            assert np.array_equal(res.result.assignment[kept], v0.values[kept])
+
+    def test_directed_removals_strand_vertices(self):
+        """The instances of ``test_directed_matches_subset_oracle`` do reach
+        the repair envelopes of ``_sweep_extend``."""
+        stranded = 0
+        for seed in range(8):
+            g, v0 = random_directed_instance(seed + 500, terminal_range=(3, 6))
+            for k in (1, 2):
+                freed = v0.values.copy()
+                freed[sorted(outlier_exact(g, v0, k).removed)] = np.nan
+                stranded += not check_well_posed(g, PartialAssignment(freed)).ok
+        assert stranded == 9
+
+    @pytest.mark.parametrize("cutoff", [2048, 0], ids=["heap", "scipy"])
+    def test_sweep_extend_keeps_labels_exact(self, monkeypatch, cutoff):
+        """A component left without labels takes 0 (not -0, which the output
+        would print as "-0") and starts the repair envelopes; the labels of
+        the other component must come out exactly as given on both branches
+        of the kernel, whose scipy branch shifts start values by their
+        minimum."""
+        monkeypatch.setattr(core, "SCIPY_CUTOFF", cutoff)
+        g = Graph(8, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (5, 6, 1.0), (6, 7, 1.0)])
+        v0 = PartialAssignment([0.1, None, 0.7, None, -0.3, None, None, None])
+        values = _sweep_extend(g, v0, 1.0)
+        assert values[[0, 2, 4]].tolist() == [0.1, 0.7, -0.3]
+        np.testing.assert_allclose(values[[1, 3]], [0.4, 0.2], rtol=0, atol=1e-15)
+        assert values[5:].tolist() == [0.0, 0.0, 0.0] and not np.signbit(values[5:]).any()
+
+    @pytest.mark.parametrize("cutoff", [2048, 0], ids=["heap", "scipy"])
+    def test_sweep_extend_chain_against_id_order(self, monkeypatch, cutoff):
+        """Terminal 0 (value 5) is reached only by the arc 1 -> 0; the chain
+        1 -> k+1 -> k -> ... -> 2 reaches no terminal, and no terminal reaches
+        it. Vertex 1 gets its upper bound 5 + 0.01, and the chain falls from
+        it with slope alpha. The chain's arcs run against id order, where a
+        sweep over the edge list moves one step per pass. The label stays
+        exact on both branches of the kernel."""
+        monkeypatch.setattr(core, "SCIPY_CUTOFF", cutoff)
+        k = 40
+        lengths = 0.5 + 0.25 * (np.arange(k) % 3)
+        chain = [1, k + 1, *range(k, 1, -1)]
+        edges = [(1, 0, 1.0)] + [(a, b, float(w)) for a, b, w in zip(chain, chain[1:], lengths)]
+        g = Graph(k + 2, edges, directed=True)
+        values = _sweep_extend(g, PartialAssignment([5.0] + [None] * (k + 1)), 0.01)
+        assert values[0] == 5.0
+        dist = np.concatenate([[0.0], np.cumsum(lengths)])  # d(1, x) along the chain
+        np.testing.assert_allclose(values[chain], 5.01 - 0.01 * dist, rtol=0, atol=1e-12)
+        assert inf_norm_of(g, values) <= 0.01 + 1e-12
 
 
 class TestOutlierApprox:

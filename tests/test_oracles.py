@@ -161,10 +161,14 @@ def _imported_modules(tree: ast.AST):
 
 def test_no_production_module_imports_oracles():
     """The oracles are the independent reference; production code that used
-    them would make the oracle-equality tests circular."""
+    them would make the oracle-equality tests circular. Likewise every graph
+    propagation runs on the one shortest-path kernel, ``core._dijkstra``, so
+    no other module imports heapq or scipy's dijkstra."""
     src = Path(lexgraph.__file__).parent
     modules = sorted(path for path in src.glob("*.py") if path.name != "oracles.py")
     assert len(modules) >= 8
     for path in modules:
         names = set(_imported_modules(ast.parse(path.read_text(), filename=str(path))))
         assert not {name for name in names if name.split(".")[-1] == "oracles"}, path.name
+        if path.name != "core.py":
+            assert not names & {"heapq", "scipy.sparse.csgraph.dijkstra"}, path.name
