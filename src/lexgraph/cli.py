@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 import click
 import numpy as np
@@ -95,12 +95,24 @@ def _parse_sizes(ctx: click.Context, param: click.Parameter, value: str) -> list
     return sizes
 
 
-def read_edge_file(path: str) -> tuple[Graph, list[str]]:
-    """Graph plus the vertex-name table (dense id -> original string id)."""
+def _read_lines(path: str) -> list[str]:
     try:
-        lines = Path(path).read_text().splitlines()
+        return Path(path).read_text().splitlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _tsv_rows(lines: list[str], first: int = 1):
+    """(line number, tab-separated fields) of every row that is neither blank
+    nor a '#' comment; ``first`` is the number of ``lines[0]``."""
+    for ln, line in enumerate(lines, start=first):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield ln, line.split("\t")
+
+
+def read_edge_file(path: str) -> tuple[Graph, list[str]]:
+    """Graph plus the vertex-name table (dense id -> original string id)."""
+    lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty edge file")
     header = lines[0].strip()
@@ -113,10 +125,7 @@ def read_edge_file(path: str) -> tuple[Graph, list[str]]:
     names: list[str] = []
     ids: dict[str, int] = {}
     rows: list[tuple[int, int, float]] = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.rstrip("\n").split("\t")
+    for ln, parts in _tsv_rows(lines[1:], first=2):
         if len(parts) != 3:
             raise ParseError(f"{path}:{ln}: expected 'u<TAB>v<TAB>len'")
         u, v, raw = parts
@@ -136,18 +145,6 @@ def read_edge_file(path: str) -> tuple[Graph, list[str]]:
     return graph, names
 
 
-def _tsv_rows(path: str):
-    """(line number, line, tab-separated fields) of every row of a TSV file
-    that is neither blank nor a '#' comment."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    for ln, line in enumerate(lines, start=1):
-        if line.strip() and not line.lstrip().startswith("#"):
-            yield ln, line, line.rstrip("\n").split("\t")
-
-
 def _finite_value(path: str, ln: int, raw: str, what: str) -> float:
     try:
         value = float(raw)
@@ -161,7 +158,7 @@ def _finite_value(path: str, ln: int, raw: str, what: str) -> float:
 def read_label_file(path: str, names: list[str]) -> PartialAssignment:
     ids = {name: i for i, name in enumerate(names)}
     labels: dict[int, float] = {}
-    for ln, _, parts in _tsv_rows(path):
+    for ln, parts in _tsv_rows(_read_lines(path)):
         if len(parts) != 2:
             raise ParseError(f"{path}:{ln}: expected 'vertex-id<TAB>value'")
         name, raw = parts
@@ -176,9 +173,10 @@ def read_label_file(path: str, names: list[str]) -> PartialAssignment:
 def read_assignment_file(path: str, names: list[str]) -> np.ndarray:
     ids = {name: i for i, name in enumerate(names)}
     values = np.full(len(names), np.nan)
-    for ln, line, parts in _tsv_rows(path):
+    for ln, parts in _tsv_rows(_read_lines(path)):
         if len(parts) != 2 or parts[0] not in ids:
-            raise ParseError(f"{path}:{ln}: bad assignment row {line!r}")
+            row = "\t".join(parts)
+            raise ParseError(f"{path}:{ln}: bad assignment row {row!r}")
         values[ids[parts[0]]] = _finite_value(path, ln, parts[1], "assignment")
     if np.isnan(values).any():
         missing = [names[i] for i in np.flatnonzero(np.isnan(values))][:5]
@@ -186,7 +184,7 @@ def read_assignment_file(path: str, names: list[str]) -> np.ndarray:
     return values
 
 
-def write_assignment(path: str | None, names: list[str], values: np.ndarray) -> None:
+def write_assignment(path: str | None, names: Iterable[object], values: Iterable[float]) -> None:
     out = sys.stdout if path is None else open(path, "w")
     try:
         for name, val in zip(names, values):
@@ -301,10 +299,9 @@ _register_solver("dirlexmin", "Directed lex-minimal extension with ambiguity rep
 @click.argument("labels_file", type=click.Path(exists=False))
 @click.option("--k", type=click.IntRange(min=0), required=True, help="outlier budget")
 @click.option("--mode", type=click.Choice(["exact", "approx"]), default="exact", show_default=True)
-@seed_option
 @tol_option
 @out_option
-def cmd_l0(graph_file, labels_file, k, mode, seed, tol, out):
+def cmd_l0(graph_file, labels_file, k, mode, tol, out):
     """Outlier-robust inf-minimization: drop up to k (exact) or 2k (approx) labels."""
     started = time.perf_counter()
     graph, names, v0, _ = _load(graph_file, labels_file)
@@ -312,7 +309,7 @@ def cmd_l0(graph_file, labels_file, k, mode, seed, tol, out):
         if mode == "exact":
             res = outlier_exact(graph, v0, k, tol=tol)
         else:
-            res = outlier_approx(graph, v0, k, seed=seed, tol=tol)
+            res = outlier_approx(graph, v0, k, tol=tol)
     except NotWellPosedError as exc:
         _fail(exc, EXIT_ILL_POSED)
     write_assignment(out, names, res.result.assignment)
@@ -391,13 +388,10 @@ def cmd_synth(kind, n, n_labels, dim, knn, degree, per_cluster, cluster_std, see
         fh.write("#directed\n" if g.directed else "#undirected\n")
         for u, v, w in zip(g.edge_u, g.edge_v, g.edge_len):
             fh.write(f"{u}\t{v}\t{w:.12g}\n")
-    with open(out_prefix + ".labels.tsv", "w") as fh:
-        for x in sorted(inst.labels):
-            fh.write(f"{x}\t{inst.labels[x]:.12g}\n")
+    labeled = sorted(inst.labels)
+    write_assignment(out_prefix + ".labels.tsv", labeled, [inst.labels[x] for x in labeled])
     if inst.truth is not None:
-        with open(out_prefix + ".truth.tsv", "w") as fh:
-            for x, val in enumerate(inst.truth):
-                fh.write(f"{x}\t{val:.12g}\n")
+        write_assignment(out_prefix + ".truth.tsv", range(len(inst.truth)), inst.truth)
     click.echo(f"wrote {out_prefix}.edges.tsv ({g.n} vertices, {g.m} edges)", err=True)
 
 

@@ -369,11 +369,13 @@ def check_well_posed(g: Graph, v0: PartialAssignment) -> WellPosednessReport:
         raise GraphFormatError("assignment size does not match graph")
     terminals = v0.terminals()
     if g.directed:
-        # reachability is a finite distance at scale 0, from and to the terminals
+        # reachability is a finite distance at scale 0, from and to the terminals;
+        # on a copy, so the caller's graph does not keep the adjacency lists
         ok = v0.terminal_mask()
         if terminals.size:
+            work = Graph._from_arrays(g.n, g.edge_u, g.edge_v, g.edge_len, True)
             start = np.zeros(terminals.shape[0])
-            reach = [np.isfinite(_dijkstra(g, terminals, start, 0.0, rev)[0]) for rev in (False, True)]
+            reach = [np.isfinite(_dijkstra(work, terminals, start, 0.0, rev)[0]) for rev in (False, True)]
             ok |= reach[0] & reach[1]
         bad = tuple(np.flatnonzero(~ok).tolist())
         return WellPosednessReport(not bad, stranded_vertices=bad)

@@ -1,12 +1,13 @@
 """Exact and approximate outlier removal for inf-minimization.
 
-Dropping up to k labels to minimize the max gradient reduces to minimum
-vertex cover on the pressure graph over terminals, which is always a
-transitively closed DAG. Both the pressure graph and the candidate
-thresholds come from one terminal-pair gradient matrix. The cover comes from
-scipy csgraph: a maximum matching on the bipartite double graph plus König's
-construction, or a Dinic min cut on a network that encodes the transitive
-closure implicitly.
+Both solvers choose the labels to drop on one terminal-pair gradient matrix
+(a shortest path through a third terminal is a mediant of its two halves, so
+never beats them), then share one completion. Exact: a minimum vertex cover
+of the pressure graph over terminals, always a transitively closed DAG, from
+scipy csgraph's maximum matching on its bipartite double graph plus König's
+construction, or a Dinic min cut that encodes the closure implicitly; binary
+search over the matrix entries finds the threshold. Approximate: drop both
+ends of the steepest kept pair, k times.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .core import (
     LexgraphError,
     PartialAssignment,
     _dijkstra,
-    check_well_posed,
     definitely_greater,
     inf_norm_of,
     require_well_posed,
@@ -29,8 +29,7 @@ from .core import (
     terminal_gradient_matrix,
 )
 from .envelopes import envelope_pair
-from .solvers import SolverResult, _terminal_edge_mask
-from .steepest import steepest_path
+from .solvers import SolverResult
 
 
 class NotADagError(LexgraphError):
@@ -199,9 +198,16 @@ def _sweep_extend(g: Graph, v0: PartialAssignment, alpha: float) -> np.ndarray:
     return values
 
 
-def _max_kept_gradient(grad: np.ndarray, keep: np.ndarray) -> float:
-    """Largest gradient between kept terminals, at least 0."""
-    return float(grad[np.ix_(keep, keep)].max(initial=0.0))
+def _complete(g, v0, terminals, grad, drop, iterations, alpha=None) -> OutlierResult:
+    """Free the labels of ``terminals[drop]`` and extend at the largest
+    gradient left between kept terminals (at least 0), which is also the
+    reported alpha unless one is given."""
+    residual = float(grad[np.ix_(~drop, ~drop)].max(initial=0.0))
+    freed = v0.values.copy()
+    freed[terminals[drop]] = np.nan
+    values = _sweep_extend(g, PartialAssignment(freed), residual)
+    result = SolverResult(values, inf_norm_of(g, values), iterations, ())
+    return OutlierResult(result, frozenset(terminals[drop].tolist()), residual if alpha is None else alpha)
 
 
 def outlier_exact(g: Graph, v0: PartialAssignment, k: int, tol: float = DEFAULT_TOL) -> OutlierResult:
@@ -231,74 +237,27 @@ def outlier_exact(g: Graph, v0: PartialAssignment, k: int, tol: float = DEFAULT_
             best_cover = cover
         else:
             lo = mid + 1
-
-    freed = v0.values.copy()
-    freed[terminals[best_cover]] = np.nan
-    values = _sweep_extend(g, PartialAssignment(freed), _max_kept_gradient(grad, ~best_cover))
-    result = SolverResult(values, inf_norm_of(g, values), evaluations, ())
-    return OutlierResult(result, frozenset(terminals[best_cover].tolist()), float(candidates[hi]))
+    return _complete(g, v0, terminals, grad, best_cover, evaluations, float(candidates[hi]))
 
 
-def outlier_approx(
-    g: Graph, v0: PartialAssignment, k: int, seed: int = 0, tol: float = DEFAULT_TOL
-) -> OutlierResult:
-    """Greedy 2k-removal approximation: k rounds of dropping both endpoints of
-    the steepest terminal path, then an inf-min completion. Achieves the
-    k-budget optimum gradient with at most 2k removals."""
+def outlier_approx(g: Graph, v0: PartialAssignment, k: int, tol: float = DEFAULT_TOL) -> OutlierResult:
+    """Greedy 2k-removal approximation: up to k rounds, each dropping both
+    ends of the steepest pair of kept terminals (the row-major first on
+    ties), then the completion of ``outlier_exact``. Stops early once no
+    kept pair has a positive gradient. Achieves the k-budget optimum
+    gradient with at most 2k removals."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     require_well_posed(g, v0)
-    rng = np.random.default_rng(seed)
     terminals, grad = terminal_gradient_matrix(g, v0)
-    removed: set[int] = set()
-    values = v0.values.copy()
+    drop = np.zeros(terminals.shape[0], dtype=bool)
     rounds = 0
-    for _ in range(k):
-        cur = PartialAssignment(values)
-        if cur.terminals().size < 2:
+    while rounds < k and drop.size - drop.sum() >= 2:
+        kept = np.flatnonzero(~drop)
+        sub = grad[np.ix_(kept, kept)]
+        i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
+        if not definitely_greater(float(sub[i, j]), 0.0, tol):
             break
-        endpoints = _steepest_terminal_pair(g, cur, rng, tol, terminals, grad)
-        if endpoints is None:
-            break
-        s, t = endpoints
-        removed.update((s, t))
-        values[[s, t]] = np.nan
+        drop[kept[[i, j]]] = True
         rounds += 1
-    residual = _max_kept_gradient(grad, ~np.isnan(values[terminals]))
-    out = _sweep_extend(g, PartialAssignment(values), residual)
-    result = SolverResult(out, inf_norm_of(g, out), rounds, ())
-    return OutlierResult(result, frozenset(removed), float(residual))
-
-
-def _steepest_terminal_pair(g, cur, rng, tol, terminals, grad):
-    """Endpoints of the steepest terminal path w.r.t. the current labels, or
-    None when no path has positive gradient. Terminal-terminal edges count.
-    ``grad`` is the gradient matrix of the original labels on ``terminals``."""
-    best = None  # (gradient, s, t)
-    tt = _terminal_edge_mask(g, cur.values)
-    if tt.any():
-        eu, ev, el = g.edge_u[tt], g.edge_v[tt], g.edge_len[tt]
-        grads = (cur.values[eu] - cur.values[ev]) / el
-        if not g.directed:
-            flip = grads < 0
-            eu, ev = np.where(flip, ev, eu), np.where(flip, eu, ev)
-            grads = np.abs(grads)
-        i = int(np.argmax(grads))
-        best = (float(grads[i]), int(eu[i]), int(ev[i]))
-    if not cur.is_complete and check_well_posed(g, cur).ok:
-        work = g.with_edge_mask(~tt)
-        path = steepest_path(work, cur, seed=int(rng.integers(2**63)), tol=tol)
-        if best is None or path.gradient > best[0]:
-            best = (path.gradient, path.first, path.last)
-    elif not cur.is_complete:
-        # removals broke well-posedness; take the steepest pair of kept
-        # terminals instead, the row-major first one on ties
-        keep = cur.terminal_mask()[terminals]
-        sub = grad[np.ix_(keep, keep)]
-        if sub.size:
-            i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
-            if sub[i, j] > (-np.inf if best is None else best[0]):
-                best = (float(sub[i, j]), int(terminals[keep][i]), int(terminals[keep][j]))
-    if best is None or not definitely_greater(best[0], 0.0, tol):
-        return None
-    return best[1], best[2]
+    return _complete(g, v0, terminals, grad, drop, rounds)

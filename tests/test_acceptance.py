@@ -150,7 +150,7 @@ def test_criterion_6_l0_approximation():
     for seed, (g, v0) in _outlier_instances():
         k = 1 + seed % 3
         alpha_ref, _ = brute_outlier(g, v0, k)
-        res = outlier_approx(g, v0, k, seed=seed)
+        res = outlier_approx(g, v0, k)
         if len(res.removed) > 2 * k or res.result.inf_norm > alpha_ref + 1e-9:
             ok = False
             break

@@ -318,7 +318,7 @@ class TestL0Command:
     def test_approx_mode(self, random_fixture, tmp_path):
         edges, labels = random_fixture
         out = tmp_path / "out.tsv"
-        res = run_cli("l0", str(edges), str(labels), "--k", "1", "--mode", "approx", "--seed", "4", "--out", str(out))
+        res = run_cli("l0", str(edges), str(labels), "--k", "1", "--mode", "approx", "--out", str(out))
         assert res.returncode == 0, res.stderr
 
 
@@ -381,7 +381,6 @@ SEEDED_COMMANDS = [
     ("lexmin", "{edges}", "{labels}"),
     ("fastlexmin", "{edges}", "{labels}"),
     ("dirlexmin", "{edges}", "{labels}"),
-    ("l0", "{edges}", "{labels}", "--k", "1", "--mode", "approx"),
     ("synth", "--kind", "gauss1d", "--per-cluster", "10", "--out-prefix", "{prefix}"),
     ("bench", "--sizes", "200", "--labels", "10"),
 ]

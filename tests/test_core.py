@@ -16,6 +16,7 @@ from lexgraph import (
 )
 from lexgraph import core
 from lexgraph.oracles import apsp_floyd_warshall
+from lexgraph.synth import random_digraph
 
 from conftest import random_directed_instance, random_instance
 
@@ -122,6 +123,13 @@ class TestWellPosed:
         flipped = Graph(3, [(0, 1, 1.0), (2, 1, 1.0)], directed=True)
         report = check_well_posed(flipped, v0)
         assert not report.ok and report.stranded_vertices == (1,)
+
+    def test_directed_check_leaves_no_adjacency_lists(self):
+        """The reachability envelopes run on a copy of the graph, so the
+        caller's graph keeps no adjacency lists that no solver reads."""
+        inst = random_digraph(500, n_labels=50, seed=3)
+        assert check_well_posed(inst.graph, inst.assignment()).ok
+        assert inst.graph._adj_cache == [None, None]
 
     def test_complete_assignment_always_ok(self):
         for seed in range(5):

@@ -231,14 +231,14 @@ class TestOutlierExact:
 class TestOutlierApprox:
     def test_k0_equals_inf_min(self):
         g, v0 = random_instance(3)
-        res = outlier_approx(g, v0, 0, seed=0)
+        res = outlier_approx(g, v0, 0)
         assert res.removed == frozenset()
         assert res.result.inf_norm == pytest.approx(comp_inf_min(g, v0, seed=0).inf_norm, abs=1e-9)
 
     def test_single_outlier_path(self):
         g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         v0 = PartialAssignment([0.0, 10.0, 0.0])
-        res = outlier_approx(g, v0, 1, seed=0)
+        res = outlier_approx(g, v0, 1)
         assert len(res.removed) <= 2 and 1 in res.removed
         assert res.result.inf_norm == pytest.approx(0.0, abs=1e-9)
 
@@ -247,15 +247,42 @@ class TestOutlierApprox:
         g, v0 = random_instance(seed + 400, n_range=(6, 10), terminal_range=(3, 8))
         for k in (1, 2):
             exact = outlier_exact(g, v0, k)
-            approx = outlier_approx(g, v0, k, seed=seed)
+            approx = outlier_approx(g, v0, k)
             assert len(approx.removed) <= 2 * k
             assert approx.result.inf_norm <= exact.alpha + 1e-9
 
     def test_pair_scan_after_removals_break_well_posedness(self):
-        # round 1 drops both labels of the component {0, 1, 2}, so round 2
-        # takes its pair from the scan over the kept terminals
+        # round 1 drops both labels of the component {0, 1, 2}, which leaves
+        # it unlabeled; round 2 still takes the steepest kept pair {3, 5}
         g = Graph(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
         v0 = PartialAssignment([0.0, 10.0, None, 0.0, None, 1.0])
         res = outlier_approx(g, v0, 2)
         assert res.removed == frozenset({0, 1, 3, 5})
         assert np.array_equal(res.result.assignment, np.zeros(6))
+
+    def test_greedy_replay_on_oracle_distances(self):
+        """Replays the greedy rule on Floyd-Warshall distances: each round
+        drops both ends of the steepest pair of kept terminals, the first in
+        row-major order on ties, until k rounds are done, fewer than two
+        terminals are kept or no kept pair is definitely steeper than 0."""
+        for make in (random_instance, random_directed_instance):
+            for seed in range(200):
+                g, v0 = make(seed)
+                terminals = v0.terminals()
+                dist = apsp_floyd_warshall(g)[np.ix_(terminals, terminals)]
+                vals = v0.values[terminals]
+                for k in (1, 2, 3):
+                    kept, removed = list(range(terminals.size)), set()
+                    for _ in range(k):
+                        best = None
+                        for i in kept:
+                            for j in kept:
+                                if 0 < dist[i, j] < np.inf:
+                                    grad = (vals[i] - vals[j]) / dist[i, j]
+                                    if best is None or grad > best[0]:
+                                        best = (grad, i, j)
+                        if best is None or not core.definitely_greater(best[0], 0.0):
+                            break
+                        kept = [x for x in kept if x not in best[1:]]
+                        removed |= {int(terminals[best[1]]), int(terminals[best[2]])}
+                    assert outlier_approx(g, v0, k).removed == removed, (make.__name__, seed, k)
