@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, NoReturn
+from typing import Iterable, NoReturn, TextIO
 
 import click
 import numpy as np
@@ -79,7 +79,7 @@ def _resolve_seed(ctx: click.Context, param: click.Parameter, value: str | None)
     return _default_seed() if value is None else _parse_seed(value, "--seed")
 
 
-def _check_tol(ctx: click.Context, param: click.Parameter, value: float) -> float:
+def _check_finite_non_negative(ctx: click.Context, param: click.Parameter, value: float) -> float:
     if not 0.0 <= value < math.inf:  # also rejects nan
         raise click.BadParameter(f"must be a finite non-negative number, got {value!r}")
     return value
@@ -184,8 +184,16 @@ def read_assignment_file(path: str, names: list[str]) -> np.ndarray:
     return values
 
 
+def _open_out(path: str, **kw) -> TextIO:
+    """``path`` opened for writing; a path that cannot be written exits 3."""
+    try:
+        return open(path, "w", **kw)
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror or exc}", EXIT_PARSE)
+
+
 def write_assignment(path: str | None, names: Iterable[object], values: Iterable[float]) -> None:
-    out = sys.stdout if path is None else open(path, "w")
+    out = sys.stdout if path is None else _open_out(path)
     try:
         for name, val in zip(names, values):
             out.write(f"{name}\t{val:.12g}\n")
@@ -250,7 +258,12 @@ seed_option = click.option(
     help="RNG seed, a non-negative integer (default: $LEXGRAPH_SEED or 0)",
 )
 tol_option = click.option(
-    "--tol", type=float, default=1e-9, show_default=True, callback=_check_tol, help="relative comparison tolerance"
+    "--tol",
+    type=float,
+    default=1e-9,
+    show_default=True,
+    callback=_check_finite_non_negative,
+    help="relative comparison tolerance",
 )
 POSITIVE = click.IntRange(min=1)
 out_option = click.option("--out", type=click.Path(dir_okay=False), default=None, help="output TSV (default: stdout)")
@@ -316,7 +329,8 @@ def cmd_l0(graph_file, labels_file, k, mode, tol, out):
     sidecar = (out + ".l0meta.tsv") if out else None
     meta_lines = [f"alpha\t{res.alpha:.12g}"] + [f"removed\t{names[t]}" for t in sorted(res.removed)]
     if sidecar:
-        Path(sidecar).write_text("\n".join(meta_lines) + "\n")
+        with _open_out(sidecar) as fh:
+            fh.write("\n".join(meta_lines) + "\n")
     else:
         for line in meta_lines:
             click.echo(line, err=True)
@@ -331,7 +345,7 @@ def cmd_l0(graph_file, labels_file, k, mode, tol, out):
 @click.argument("graph_file", type=click.Path(exists=False))
 @click.argument("labels_file", type=click.Path(exists=False))
 @click.argument("assignment_file", type=click.Path(exists=False))
-@click.option("--tol", type=float, default=1e-7, show_default=True, callback=_check_tol)
+@click.option("--tol", type=float, default=1e-7, show_default=True, callback=_check_finite_non_negative)
 def cmd_verify(graph_file, labels_file, assignment_file, tol):
     """Check the max-min gradient averaging characterization of the lex-minimizer."""
     graph, names, v0, values = _load(graph_file, labels_file, assignment_file)
@@ -367,7 +381,7 @@ def cmd_verify(graph_file, labels_file, assignment_file, tol):
 @click.option("--knn", type=POSITIVE, default=8, show_default=True)
 @click.option("--degree", type=POSITIVE, default=4, show_default=True)
 @click.option("--per-cluster", type=POSITIVE, default=100, show_default=True, help="gauss1d samples per cluster")
-@click.option("--cluster-std", type=float, default=1.0, show_default=True)
+@click.option("--cluster-std", type=float, default=1.0, show_default=True, callback=_check_finite_non_negative)
 @seed_option
 @click.option("--out-prefix", required=True, help="writes <prefix>.edges.tsv / .labels.tsv / (.truth.tsv)")
 def cmd_synth(kind, n, n_labels, dim, knn, degree, per_cluster, cluster_std, seed, out_prefix):
@@ -384,7 +398,7 @@ def cmd_synth(kind, n, n_labels, dim, knn, degree, per_cluster, cluster_std, see
     except (ValueError, RuntimeError) as exc:
         _fail(exc, EXIT_PARSE)
     g = inst.graph
-    with open(out_prefix + ".edges.tsv", "w") as fh:
+    with _open_out(out_prefix + ".edges.tsv") as fh:
         fh.write("#directed\n" if g.directed else "#undirected\n")
         for u, v, w in zip(g.edge_u, g.edge_v, g.edge_len):
             fh.write(f"{u}\t{v}\t{w:.12g}\n")
@@ -425,7 +439,7 @@ def cmd_bench(kind, sizes, n_labels, degree, repeats, seed, out):
                 t0 = time.perf_counter()
                 solver(inst.graph, v0, seed=seed + rep)
                 rows.append((name, str(n), str(inst.graph.m), f"{time.perf_counter() - t0:.3f}"))
-    fh = sys.stdout if out is None else open(out, "w", newline="")
+    fh = sys.stdout if out is None else _open_out(out, newline="")
     try:
         writer = csv.writer(fh)
         writer.writerows(rows)

@@ -8,8 +8,6 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -64,12 +62,12 @@ def definitely_greater(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
 class Graph:
     """Weighted graph with positive finite edge lengths.
 
-    Parameters are validated eagerly; the CSR index and adjacency lists are
-    built lazily and cached. ``edge_u``/``edge_v``/``edge_len`` define the
+    Parameters are validated eagerly; the CSR index of each direction is
+    built on first use and cached. ``edge_u``/``edge_v``/``edge_len`` define the
     fixed edge order used by gradient vectors; it is sorted by (u, v).
     """
 
-    __slots__ = ("n", "directed", "edge_u", "edge_v", "edge_len", "_csr_cache", "_adj_cache", "_edge_lookup")
+    __slots__ = ("n", "directed", "edge_u", "edge_v", "edge_len", "_csr_cache", "_edge_lookup")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]], directed: bool = False):
         if n < 0:
@@ -114,7 +112,6 @@ class Graph:
             arr.setflags(write=False)
         # [out, in]; an undirected graph uses slot 0 only
         self._csr_cache = [None, None]
-        self._adj_cache = [None, None]
         self._edge_lookup = None
 
     @property
@@ -140,15 +137,6 @@ class Graph:
             np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
             self._csr_cache[side] = (indptr, dst[order].astype(np.int32), w[order])
         return self._csr_cache[side]
-
-    def adjacency_lists(self, reverse: bool = False) -> list[list[tuple[int, float]]]:
-        """Plain-list adjacency (neighbor, length), cached; heap Dijkstra uses this."""
-        side = int(reverse and self.directed)
-        if self._adj_cache[side] is None:
-            indptr, indices, lengths = self._csr(reverse)
-            ptr, head, lens = indptr.tolist(), indices.tolist(), lengths.tolist()
-            self._adj_cache[side] = [list(zip(head[a:b], lens[a:b])) for a, b in zip(ptr, ptr[1:])]
-        return self._adj_cache[side]
 
     def edge_between(self, u: int, v: int) -> Optional[tuple[int, float]]:
         """(edge id, length) of edge u->v (any orientation if undirected)."""
@@ -369,13 +357,11 @@ def check_well_posed(g: Graph, v0: PartialAssignment) -> WellPosednessReport:
         raise GraphFormatError("assignment size does not match graph")
     terminals = v0.terminals()
     if g.directed:
-        # reachability is a finite distance at scale 0, from and to the terminals;
-        # on a copy, so the caller's graph does not keep the adjacency lists
+        # reachability is a finite distance at scale 0, from and to the terminals
         ok = v0.terminal_mask()
         if terminals.size:
-            work = Graph._from_arrays(g.n, g.edge_u, g.edge_v, g.edge_len, True)
             start = np.zeros(terminals.shape[0])
-            reach = [np.isfinite(_dijkstra(work, terminals, start, 0.0, rev)[0]) for rev in (False, True)]
+            reach = [np.isfinite(_dijkstra(g, terminals, start, 0.0, rev)[0]) for rev in (False, True)]
             ok |= reach[0] & reach[1]
         bad = tuple(np.flatnonzero(~ok).tolist())
         return WellPosednessReport(not bad, stranded_vertices=bad)
@@ -393,61 +379,46 @@ def require_well_posed(g: Graph, v0: PartialAssignment) -> None:
         raise NotWellPosedError(report)
 
 
-#: Graphs with more vertices run Dijkstra in scipy; smaller ones on a Python
-#: heap, whose per-call cost is lower on the tiny pressure components.
-SCIPY_CUTOFF = 2048
-
-
 def _dijkstra(
     g: Graph, sources: Sequence[int], start: Sequence[float], scale: float, reverse: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """(value, parent) with value(x) = min over sources s of start[s] + scale * dist(s -> x).
 
-    The one shortest-path kernel. Distances follow edge orientation
-    (``reverse`` flips it on directed graphs). parent[x] is the predecessor
-    on a minimizing path; it is -1 where the value is a source's own start
-    and at unreached vertices, which get +inf. Heap ties break on vertex id,
-    so parent trees are deterministic.
+    The one shortest-path kernel: scipy's Dijkstra from a super-source row
+    appended to the cached CSR, whose edges to the sources carry the start
+    offsets. Distances follow edge orientation (``reverse`` flips it on
+    directed graphs). parent[x] is the predecessor on a minimizing path; it
+    is -1 where the value is a source's own start and at unreached vertices,
+    which get +inf. At scale 0 the offsets are the ranks of the distinct
+    starts, so every reached vertex gets exactly the start of the source its
+    parent chain leads to; at other scales they are the starts less their
+    minimum, which can move a value by an ulp.
     """
     scale = float(scale)
-    if g.n > SCIPY_CUTOFF:
-        # one super-source row n whose edges carry the start offsets
-        sources = np.asarray(sources, dtype=np.int32)
-        start = np.asarray(start, dtype=np.float64)
+    sources = np.asarray(sources, dtype=np.int32)
+    start = np.asarray(start, dtype=np.float64)
+    if scale == 0.0:
+        starts, rank = np.unique(start, return_inverse=True)
+        offsets = rank.astype(np.float64)
+    else:
         base = float(start.min())
-        indptr, indices, lengths = g._csr(reverse)
-        dist, pred = _scipy_dijkstra(
-            np.concatenate([indptr, [indptr[-1] + sources.shape[0]]], dtype=np.int32),
-            np.concatenate([indices, sources]),
-            np.concatenate([scale * lengths, start - base]),
-            g.n,
-            predecessors=True,
-        )
-        parent = pred[: g.n].astype(np.int64)
-        parent[(parent == g.n) | (parent < 0)] = -1
-        return dist[: g.n] + base, parent
-
-    adj = g.adjacency_lists(reverse)
-    dist = [math.inf] * g.n
-    parent = [-1] * g.n
-    done = [False] * g.n
-    heap = []
-    for s, d in zip(np.asarray(sources).tolist(), np.asarray(start, dtype=np.float64).tolist()):
-        dist[s] = d
-        heap.append((d, s))
-    heapq.heapify(heap)
-    while heap:
-        d, x = heapq.heappop(heap)
-        if done[x]:
-            continue
-        done[x] = True
-        for y, w in adj[x]:
-            nd = d + scale * w
-            if nd < dist[y]:
-                dist[y] = nd
-                parent[y] = x
-                heapq.heappush(heap, (nd, y))
-    return np.array(dist, dtype=np.float64), np.array(parent, dtype=np.int64)
+        offsets = start - base
+    indptr, indices, lengths = g._csr(reverse)
+    dist, pred = _scipy_dijkstra(
+        np.concatenate([indptr, [indptr[-1] + sources.shape[0]]], dtype=np.int32),
+        np.concatenate([indices, sources]),
+        np.concatenate([scale * lengths, offsets]),
+        g.n,
+        predecessors=True,
+    )
+    dist = dist[: g.n]
+    parent = pred[: g.n].astype(np.int64)
+    parent[(parent == g.n) | (parent < 0)] = -1
+    if scale == 0.0:
+        reached = np.isfinite(dist)
+        dist[reached] = starts[dist[reached].astype(np.int64)]
+        return dist, parent
+    return dist + base, parent
 
 
 def _scipy_dijkstra(indptr, indices, data, sources, predecessors: bool = False):

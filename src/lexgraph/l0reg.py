@@ -187,7 +187,7 @@ def _sweep_extend(g: Graph, v0: PartialAssignment, alpha: float) -> np.ndarray:
     )
     if not (raise_set.any() or lower_set.any()):
         return values
-    # only the two sets take the envelopes: the kernel's scipy branch shifts
+    # only the two sets take the envelopes: at alpha > 0 the kernel shifts
     # its start values, so a label passed through it can move by an ulp (and
     # 0 come back as -0, which 0.0 - x, unlike -x, turns into 0)
     every = np.arange(g.n)

@@ -207,12 +207,14 @@ def p_laplacian_min(
         return PLaplacianResult(values, True, 0)
     # start free vertices at the terminal mean so the bracket below is sane
     values[free] = float(np.nanmean(v0.values)) if np.isfinite(np.nanmean(v0.values)) else 0.0
-    adj = g.adjacency_lists()
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+    for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_len.tolist()):
+        adj[u].append((v, w))
+        adj[v].append((u, w))
 
     def descend(x: int) -> float:
-        neigh = adj[x]
-        vals = np.array([values[y] for y, _ in neigh])
-        lens = np.array([w for _, w in neigh])
+        vals = np.array([values[y] for y, _ in adj[x]])
+        lens = np.array([w for _, w in adj[x]])
         lo, hi = float(vals.min()), float(vals.max())
         if hi - lo < 1e-300:
             return lo

@@ -131,17 +131,16 @@ def comp_inf_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DE
     critical gradient (max terminal-terminal edge gradient vs steepest free
     terminal path)."""
     require_well_posed(g, v0)
+    if v0.is_complete:
+        return SolverResult(v0.values.copy(), inf_norm_of(g, v0.values), 1, ())
     tt = _terminal_edge_mask(g, v0.values)
     alpha = inf_norm_of(g.with_edge_mask(tt), v0.values)  # over terminal-terminal edges
     pruned = g.with_edge_mask(~tt)
-    fixed_order: tuple[tuple[TerminalPath, float], ...] = ()
-    if not v0.is_complete:
-        path = steepest_path(pruned, v0, seed=seed, tol=tol)
-        alpha = max(alpha, path.gradient)
-        fixed_order = ((path, path.gradient),)
+    path = steepest_path(pruned, v0, seed=seed, tol=tol)
+    alpha = max(alpha, path.gradient)
     vlow, vhigh = envelope_pair(pruned, v0, alpha)
     values = np.where(v0.terminal_mask(), v0.values, 0.5 * (vlow.values + vhigh.values))
-    return SolverResult(values, inf_norm_of(g, values), 1, fixed_order)
+    return SolverResult(values, inf_norm_of(g, values), 1, ((path, path.gradient),))
 
 
 def comp_lex_min(
@@ -157,7 +156,7 @@ def comp_lex_min(
     prev = math.inf
     # the pressure test resolves gradients no finer than tol * value scale /
     # path length, so the ordering check gets the same slack
-    label_scale = max(1.0, float(np.nanmax(np.abs(v0.values))))
+    label_scale = float(np.nanmax(np.abs(v0.values), initial=1.0))
     grad_slack = 1e-7 * label_scale / min(1.0, float(g.edge_len.min())) if g.m else 0.0
     while np.isnan(values).any():
         cur = PartialAssignment(values)

@@ -171,6 +171,18 @@ def _assert_one_line_error(res, code):
     return lines[0]
 
 
+#: Every command that writes files, pointed at a directory that does not exist.
+UNWRITABLE_COMMANDS = [
+    ("infmin", "{edges}", "{labels}", "--out", "{target}"),
+    ("lexmin", "{edges}", "{labels}", "--out", "{target}"),
+    ("fastlexmin", "{edges}", "{labels}", "--out", "{target}"),
+    ("dirlexmin", "{directed}", "{labels}", "--out", "{target}"),
+    ("l0", "{edges}", "{labels}", "--k", "0", "--out", "{target}"),
+    ("synth", "--kind", "gauss1d", "--per-cluster", "10", "--out-prefix", "{target}"),
+    ("bench", "--sizes", "200", "--labels", "10", "--out", "{target}"),
+]
+
+
 class TestBadInput:
     def test_verify_directed_exits_2(self, tmp_path):
         edges = tmp_path / "d.edges.tsv"
@@ -206,6 +218,28 @@ class TestBadInput:
         line = _assert_one_line_error(run_cli("lexmin", str(edges), str(labels), "--tol", "-1"), 3)
         assert "--tol" in line
 
+    @pytest.mark.parametrize("cmd", UNWRITABLE_COMMANDS, ids=lambda c: c[0])
+    def test_unwritable_output_exits_3(self, cmd, path_fixture, tmp_path):
+        edges, labels = path_fixture
+        directed = tmp_path / "d.edges.tsv"
+        directed.write_text("#directed\nc\tb\t1\nb\ta\t1\n")
+        target = tmp_path / "missing" / "out"
+        args = [arg.format(edges=edges, directed=directed, labels=labels, target=target) for arg in cmd]
+        line = _assert_one_line_error(run_cli(*args), 3)
+        assert line.startswith(f"error: cannot write {target}")
+
+    @pytest.mark.parametrize("cmd", ["infmin", "lexmin", "fastlexmin", "dirlexmin", "l0", "verify"])
+    def test_header_only_edge_file_exits_0(self, cmd, tmp_path):
+        """No edges and no labels is an empty instance with an empty answer."""
+        edges = tmp_path / "e.edges.tsv"
+        edges.write_text("#directed\n" if cmd == "dirlexmin" else "#undirected\n")
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        extra = {"l0": ("--k", "1"), "verify": (str(empty),)}.get(cmd, ())
+        res = run_cli(cmd, str(edges), str(empty), *extra)
+        assert res.returncode == 0 and "Traceback" not in res.stderr, res.stderr
+        assert res.stdout == ""
+
 
 #: (arguments, exit code, text of the error line) of generator and bench
 #: inputs that cannot give a readable, well-posed instance.
@@ -217,6 +251,9 @@ GENERATOR_ERRORS = [
     (("synth", "--kind", "random-regular", "--n", "0"), 3, "--n"),
     (("synth", "--kind", "random-digraph", "--labels", "0"), 3, "--labels"),
     (("synth", "--kind", "gauss1d", "--per-cluster", "0"), 3, "--per-cluster"),
+    (("synth", "--kind", "gauss1d", "--cluster-std", "nan"), 3, "--cluster-std"),
+    (("synth", "--kind", "gauss1d", "--cluster-std", "inf"), 3, "--cluster-std"),
+    (("synth", "--kind", "gauss1d", "--cluster-std", "-1"), 3, "--cluster-std"),
     (("bench", "--sizes", "50", "--labels", "0"), 3, "--labels"),
     (("bench", "--sizes", "50", "--degree", "0"), 3, "--degree"),
     (("bench", "--sizes", "50", "--repeats", "0"), 3, "--repeats"),

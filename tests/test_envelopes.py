@@ -75,24 +75,33 @@ class TestModDijkstra:
         env = comp_vlow(g, v0, 0.7)
         assert np.allclose(env.values, brute_vlow(g, v0, 0.7))
 
-    def test_backends_agree(self, monkeypatch):
-        """The kernel's heap branch (small graphs) and scipy branch (large
-        graphs) agree on the same small graphs, both orientations."""
+    def test_kernel_matches_floyd_warshall(self):
+        """``core._dijkstra`` equals min over sources of start + scale * dist
+        from the all-pairs oracle, both orientations; exactly at scale 0. The
+        copies without the edges into terminals leave each vertex only some
+        sources, or none."""
         instances = [random_instance(seed, n_range=(12, 25)) for seed in range(5)]
         instances += [random_directed_instance(seed, n_range=(12, 25)) for seed in range(5)]
+        instances += [(g.with_edge_mask(~v0.terminal_mask()[g.edge_v]), v0) for g, v0 in instances]
         for g, v0 in instances:
+            dist = apsp_floyd_warshall(g)
             terms = v0.terminals()
             calls = [(terms, v0.values[terms], alpha) for alpha in (0.0, 0.3, 1.7)]
+            calls.append((terms, -v0.values[terms], 0.0))
+            # one start far below the rest, which a shift by the minimum rounds
+            calls.append((terms, v0.values[terms] - 3.0 * (terms == terms[0]), 0.0))
             calls.append(([int(np.flatnonzero(~v0.terminal_mask())[0])], [0.0], 1.0))
             for sources, start, scale in calls:
                 for reverse in (False, True):
-                    monkeypatch.setattr(core, "SCIPY_CUTOFF", g.n)
-                    heap = core._dijkstra(g, sources, start, scale, reverse)
-                    monkeypatch.setattr(core, "SCIPY_CUTOFF", g.n - 1)
-                    scipy = core._dijkstra(g, sources, start, scale, reverse)
-                    assert np.allclose(heap[0], scipy[0], atol=1e-12)
-                    for values, parent in (heap, scipy):
-                        _check_parents(g, values, parent, dict(zip(sources, start)), scale, reverse)
+                    d = dist[:, sources].T if reverse and g.directed else dist[sources]
+                    with np.errstate(invalid="ignore"):
+                        paths = np.where(np.isfinite(d), np.asarray(start)[:, None] + scale * d, np.inf)
+                    values, parent = core._dijkstra(g, sources, start, scale, reverse)
+                    if scale == 0.0:
+                        assert np.array_equal(values, paths.min(axis=0))
+                    else:
+                        np.testing.assert_allclose(values, paths.min(axis=0), rtol=0, atol=1e-12)
+                    _check_parents(g, values, parent, dict(zip(sources, start)), scale, reverse)
 
     def test_parent_recurrence(self):
         g, v0 = random_instance(4, n_range=(15, 15))

@@ -17,10 +17,11 @@ from lexgraph import (
     outlier_exact,
     term_pressure_graph,
 )
+from lexgraph import l0reg
 from lexgraph.l0reg import NotADagError, _sweep_extend
 from lexgraph.oracles import apsp_floyd_warshall, brute_min_vc, brute_outlier
 
-from conftest import random_dag, random_directed_instance, random_instance, transitive_closure
+from conftest import heap_dijkstra, random_dag, random_directed_instance, random_instance, transitive_closure
 
 
 class TestTermPressureGraph:
@@ -192,14 +193,14 @@ class TestOutlierExact:
                 stranded += not check_well_posed(g, PartialAssignment(freed)).ok
         assert stranded == 9
 
-    @pytest.mark.parametrize("cutoff", [2048, 0], ids=["heap", "scipy"])
-    def test_sweep_extend_keeps_labels_exact(self, monkeypatch, cutoff):
+    @pytest.mark.parametrize("kernel", [heap_dijkstra, core._dijkstra], ids=["heap", "scipy"])
+    def test_sweep_extend_keeps_labels_exact(self, monkeypatch, kernel):
         """A component left without labels takes 0 (not -0, which the output
         would print as "-0") and starts the repair envelopes; the labels of
-        the other component must come out exactly as given on both branches
-        of the kernel, whose scipy branch shifts start values by their
-        minimum."""
-        monkeypatch.setattr(core, "SCIPY_CUTOFF", cutoff)
+        the other component must come out exactly as given, both on the
+        reference heap Dijkstra and on the kernel, which shifts start values
+        by their minimum."""
+        monkeypatch.setattr(l0reg, "_dijkstra", kernel)
         g = Graph(8, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (5, 6, 1.0), (6, 7, 1.0)])
         v0 = PartialAssignment([0.1, None, 0.7, None, -0.3, None, None, None])
         values = _sweep_extend(g, v0, 1.0)
@@ -207,15 +208,15 @@ class TestOutlierExact:
         np.testing.assert_allclose(values[[1, 3]], [0.4, 0.2], rtol=0, atol=1e-15)
         assert values[5:].tolist() == [0.0, 0.0, 0.0] and not np.signbit(values[5:]).any()
 
-    @pytest.mark.parametrize("cutoff", [2048, 0], ids=["heap", "scipy"])
-    def test_sweep_extend_chain_against_id_order(self, monkeypatch, cutoff):
+    @pytest.mark.parametrize("kernel", [heap_dijkstra, core._dijkstra], ids=["heap", "scipy"])
+    def test_sweep_extend_chain_against_id_order(self, monkeypatch, kernel):
         """Terminal 0 (value 5) is reached only by the arc 1 -> 0; the chain
         1 -> k+1 -> k -> ... -> 2 reaches no terminal, and no terminal reaches
         it. Vertex 1 gets its upper bound 5 + 0.01, and the chain falls from
         it with slope alpha. The chain's arcs run against id order, where a
         sweep over the edge list moves one step per pass. The label stays
-        exact on both branches of the kernel."""
-        monkeypatch.setattr(core, "SCIPY_CUTOFF", cutoff)
+        exact on the reference heap Dijkstra and on the kernel."""
+        monkeypatch.setattr(l0reg, "_dijkstra", kernel)
         k = 40
         lengths = 0.5 + 0.25 * (np.arange(k) % 3)
         chain = [1, k + 1, *range(k, 1, -1)]

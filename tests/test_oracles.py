@@ -162,17 +162,20 @@ def _imported_modules(tree: ast.AST):
 def test_no_production_module_imports_oracles():
     """The oracles are the independent reference; production code that used
     them would make the oracle-equality tests circular. Likewise every graph
-    propagation runs on the one shortest-path kernel, ``core._dijkstra``, so
-    no other module imports heapq or scipy's dijkstra; and both l0 solvers
-    work on the one terminal-pair gradient matrix, so l0reg imports no
-    steepest-path search."""
+    propagation runs on the one shortest-path kernel, ``core._dijkstra``,
+    which is scipy's: no module imports heapq, and none but core imports
+    scipy's dijkstra; and both l0 solvers work on the one terminal-pair
+    gradient matrix, so l0reg imports no steepest-path search."""
     src = Path(lexgraph.__file__).parent
-    modules = sorted(path for path in src.glob("*.py") if path.name != "oracles.py")
-    assert len(modules) >= 8
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 9
     for path in modules:
         names = set(_imported_modules(ast.parse(path.read_text(), filename=str(path))))
+        assert "heapq" not in names, path.name
+        if path.name == "oracles.py":
+            continue
         assert not {name for name in names if name.split(".")[-1] == "oracles"}, path.name
         if path.name != "core.py":
-            assert not names & {"heapq", "scipy.sparse.csgraph.dijkstra"}, path.name
+            assert "scipy.sparse.csgraph.dijkstra" not in names, path.name
         if path.name == "l0reg.py":
             assert not {name for name in names if "steepest" in name.split(".")}, path.name
