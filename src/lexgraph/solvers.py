@@ -4,13 +4,14 @@ The reference lex solver repeatedly fixes a steepest free terminal path; the
 fast solver fixes whole pressure plateaus per connected component before
 descending. Both produce the same (unique) extension on undirected graphs.
 
-The fast solver descends on an explicit work stack, not by recursion. A
-component of a pressure split with at most ``DENSE_MAX`` vertices skips the
-sampling, star search and further splits: a dense kernel takes all-pairs
-distances on its k x k length matrix (Floyd-Warshall), fixes the path of the
-steepest terminal pair, and repeats until no pair is steeper than the split's
-gradient. Larger components, and the whole graph at the top level, take the
-general loop.
+The fast solver descends on an explicit work stack, not by recursion: each
+round works on the top frame, and a pressure split pushes its components. One
+rule picks the kernel. A frame with at most ``DENSE_MAX`` vertices, fresh
+from a split or shrunk after a round, skips the sampling, star search and
+further splits, unless it is undirected at alpha 0: a dense kernel takes
+all-pairs distances on its k x k length matrix (Floyd-Warshall), fixes the
+path of the steepest terminal pair, and repeats until no pair is steeper than
+the frame's alpha. Every other frame takes the general loop.
 
 The directed solver runs the same descent on weakly connected components,
 fixing only paths of positive gradient, then clamps each free leftover into
@@ -172,13 +173,14 @@ def comp_lex_min(
     return SolverResult(values, inf_norm_of(g, values), len(fixed), tuple(fixed))
 
 
-#: Components of a pressure split with at most this many vertices are solved
-#: by the dense kernel ``_fix_dense``; larger ones, and the whole graph at the
-#: top level, take the sample / star search / pressure split loop. Measured on
-#: 3000-vertex cube-kNN instances, where 1,072 of 1,095 split components have
-#: at most 48 vertices and take 1,691 of 1,766 fixes: every cutoff from 16 to
-#: 96 cuts the solve by 37-47%, 48 by the most; at 128 the kernel's O(k^3)
-#: work per fix gives back much of the gain.
+#: Frames of the descent with at most this many vertices are solved by the
+#: dense kernel ``_fix_dense``, except undirected frames at alpha 0; larger
+#: ones take the sample / star search / pressure split loop. On 3000-vertex
+#: cube-kNN instances, when only split components went to the kernel, every
+#: cutoff from 16 to 96 cut the solve by 37-47%, 48 by the most; at 128 the
+#: kernel's O(k^3) work per fix gave back much of the gain. At 48, on seed 0,
+#: 977 kernel calls take 1,758 of the 1,766 fixes and the general loop runs
+#: 113 rounds.
 DENSE_MAX = 48
 
 
@@ -195,14 +197,12 @@ class _FastState:
 class _Frame:
     """One component on the descent's work stack: fix every free terminal
     path steeper than ``alpha`` inside ``g`` (vertex ids ``orig`` in the root
-    graph). ``children`` holds the pending components of its last pressure
-    split, the next one last, and ``child_alpha`` that split's gradient."""
+    graph), ``depth`` pressure splits below the whole graph."""
 
     g: Graph
     orig: np.ndarray
     alpha: float
-    children: list[tuple[Graph, np.ndarray]] = field(default_factory=list)
-    child_alpha: float = 0.0
+    depth: int = 0
     started: bool = False
 
 
@@ -211,36 +211,33 @@ def _fix_paths_above(g: Graph, v0: PartialAssignment, seed: int, tol: float) -> 
     a directed graph, of positive gradient), descending into each (weakly)
     connected high-pressure component.
 
-    The descent runs on an explicit work stack in depth-first order: a
-    component is finished before its next sibling starts. A component below
-    the top level with at most DENSE_MAX vertices goes to ``_fix_dense``."""
+    The descent runs a round of ``_split_round`` on the top frame of an
+    explicit work stack and pops the frame once a round returns False. A
+    split pushes its components onto the stack, so a component is finished
+    before its next sibling starts."""
     require_well_posed(g, v0)
     state = _FastState(g, v0.values.copy(), np.random.default_rng(seed), tol)
     stack = [_Frame(g, np.arange(g.n, dtype=np.int64), 0.0)]
     while stack:
-        if len(stack) > 4096:
-            raise LexgraphError("pressure descent too deep; instance is pathological")
         frame = stack[-1]
-        if frame.children:
-            sub, sub_orig = frame.children.pop()
-            # below an undirected split at gradient 0 the flat walks that
-            # finish dangling free vertices are left; only the general loop makes those
-            if (frame.child_alpha > 0.0 or sub.directed) and sub.n <= DENSE_MAX:
-                _fix_dense(sub, sub_orig, frame.child_alpha, state)
-            else:
-                stack.append(_Frame(sub, sub_orig, frame.child_alpha))
-        elif not _split_round(frame, state):
+        if frame.depth >= 4096:  # pressure splits below the whole graph
+            raise LexgraphError("pressure descent too deep; instance is pathological")
+        if not _split_round(frame, stack, state):
             stack.pop()
     return state
 
 
-def _split_round(frame: _Frame, state: _FastState) -> bool:
-    """One round of the general loop on a frame: after the first round, shrink
-    to the vertices still steeper than alpha (a positive alpha, or any alpha
-    on a directed graph); then sample a steepest path, and fix it if nothing
-    is steeper, else queue the components of the pressure split above it.
-    False once the frame is done."""
-    if frame.started and (frame.alpha > 0.0 or frame.g.directed):
+def _split_round(frame: _Frame, stack: list[_Frame], state: _FastState) -> bool:
+    """One round on a frame; False once the frame is done.
+
+    A frame that is not undirected at alpha 0 shrinks, after its first
+    round, to the vertices still steeper than alpha; with at most DENSE_MAX
+    vertices it then goes to the dense kernel and ends. (At alpha 0 only the
+    general loop makes the flat walks that finish dangling free vertices.)
+    Otherwise sample a steepest path, and fix it if nothing is steeper, else
+    push the components of the pressure split above it."""
+    flat = frame.alpha <= 0.0 and not frame.g.directed
+    if frame.started and not flat:
         local_vals = state.values[frame.orig]
         if not np.isnan(local_vals).any():
             return False
@@ -250,6 +247,9 @@ def _split_round(frame: _Frame, state: _FastState) -> bool:
             return False
         frame.g = shrink.graph
         frame.orig = frame.orig[shrink.vertices]
+    if not flat and frame.g.n <= DENSE_MAX:
+        _fix_dense(frame.g, frame.orig, frame.alpha, state)
+        return False
     frame.started = True
     g, orig = frame.g, frame.orig
     local_vals = state.values[orig]
@@ -274,10 +274,9 @@ def _split_round(frame: _Frame, state: _FastState) -> bool:
     else:
         n_comp, comp_labels = _component_labels(hp.graph)
         hp_orig = orig[hp.vertices]
-        frame.child_alpha = threshold
         for c in reversed(range(n_comp)):
             sub, local_ids = hp.graph.induced_subgraph(np.flatnonzero(comp_labels == c))
-            frame.children.append((sub, hp_orig[local_ids]))
+            stack.append(_Frame(sub, hp_orig[local_ids], threshold, frame.depth + 1))
     return True
 
 
@@ -341,8 +340,9 @@ def comp_fast_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float
 
     Each round samples a steepest path, splits off the connected components
     whose pressure exceeds its gradient and descends into each, on an explicit
-    work stack. Components of a split with at most DENSE_MAX vertices are
-    finished by the dense kernel on their all-pairs distances."""
+    work stack. A frame of at most DENSE_MAX vertices above alpha 0 is
+    finished by the dense kernel on its all-pairs distances. ``fixed_order``
+    is in depth-first descent order, steepest first inside a dense frame."""
     if g.directed:
         raise ValueError("comp_fast_lex_min handles undirected graphs; use directed_lex_min")
     # at alpha 0 the undirected descent returns only once every vertex is fixed
@@ -358,9 +358,10 @@ def directed_lex_min(
     the leftover interval-constrained vertices.
 
     The descent splits on weakly connected high-pressure components at the
-    threshold max(gradient, 0), and components of at most DENSE_MAX vertices,
-    at any alpha, go to the dense kernel on their asymmetric length matrix.
-    ``fixed_order`` is in depth-first descent order, not non-increasing.
+    threshold max(gradient, 0), and every frame of at most DENSE_MAX
+    vertices, at any alpha, the whole graph included, goes to the dense
+    kernel on its asymmetric length matrix. ``fixed_order`` is in depth-first
+    descent order, not non-increasing.
 
     Every edge outside the fixed set must end with directed gradient ~0; the
     chosen completion (interval endpoint, or the value closest to the median
@@ -441,14 +442,3 @@ def verify_max_min(
             violations.append((int(x), float(hi), float(lo)))
     return MaxMinReport(not violations, tuple(violations))
 
-
-def stability_check(
-    g: Graph, v0: PartialAssignment, v1: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL
-) -> float:
-    """Max pointwise change of the lex-minimizer under a label perturbation;
-    bounded by the largest label change."""
-    if not np.array_equal(v0.terminal_mask(), v1.terminal_mask()):
-        raise ValueError("stability_check needs identical terminal sets")
-    a = comp_lex_min(g, v0, seed=seed, tol=tol).assignment
-    b = comp_lex_min(g, v1, seed=seed, tol=tol).assignment
-    return float(np.abs(a - b).max()) if g.n else 0.0

@@ -141,6 +141,19 @@ class TestExitCodes:
         labels.write_text("a\t0\n")
         assert run_cli("lexmin", str(edges), str(labels)).returncode == 3
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("a\ta\t1", "self-loop at vertex 0"), ("a\tb\t0", "invalid length 0.0")],
+        ids=["self-loop", "zero-length"],
+    )
+    def test_bad_edge_row_is_one_line(self, tmp_path, row, reason):
+        edges = tmp_path / "bad.tsv"
+        edges.write_text(f"#undirected\n{row}\n")
+        labels = tmp_path / "l.tsv"
+        labels.write_text("a\t0\n")
+        line = _assert_one_line_error(run_cli("lexmin", str(edges), str(labels)), 3)
+        assert line.startswith(f"error: {edges}: ") and reason in line
+
     def test_parse_error_duplicate_label(self, path_fixture, tmp_path):
         edges, _ = path_fixture
         labels = tmp_path / "dup.tsv"

@@ -6,6 +6,7 @@ import pytest
 
 from lexgraph import (
     Graph,
+    LexgraphError,
     LexOrder,
     NoTerminalPathError,
     NotWellPosedError,
@@ -19,7 +20,6 @@ from lexgraph import (
     grad_plus_vector,
     gradient_vector,
     lex_compare,
-    stability_check,
     verify_max_min,
 )
 from lexgraph import solvers, synth
@@ -63,6 +63,39 @@ class TestFixPath:
         bad = TerminalPath((1, 2), 1.0, 0.0)
         with pytest.raises(NoTerminalPathError):
             fix_path(g, PartialAssignment([0.0, None, None]), bad)
+
+    def test_step_off_the_graph(self, path3):
+        g, v0 = path3
+        with pytest.raises(NoTerminalPathError, match="not an edge"):
+            fix_path(g, v0, TerminalPath((0, 2), 2.0, -0.5))
+
+    def test_inconsistent_revisit(self, path3):
+        # 0 -> 1 -> 2 -> 1 -> 2 reaches 1 at 1/4 and again at 3/4 of its length
+        g, v0 = path3
+        with pytest.raises(LexgraphError, match="revisits vertex 1"):
+            fix_path(g, v0, TerminalPath((0, 1, 2, 1, 2), 4.0, -0.25))
+
+
+def _rounds_on_small_frames(monkeypatch, solve) -> list[bool]:
+    """Run solve() with spies on the descent: one entry per general-loop
+    round (the sampling after the shrink), True if its frame has at most
+    DENSE_MAX vertices and is not undirected at alpha 0."""
+    frames, rounds = [], []
+    split_round, sampled = solvers._split_round, solvers._sampled_steepest
+
+    def spy_round(frame, *rest):
+        frames.append(frame)
+        return split_round(frame, *rest)
+
+    def spy_sampled(*args):
+        f = frames[-1]
+        rounds.append(f.g.n <= solvers.DENSE_MAX and (f.alpha > 0.0 or f.g.directed))
+        return sampled(*args)
+
+    monkeypatch.setattr(solvers, "_split_round", spy_round)
+    monkeypatch.setattr(solvers, "_sampled_steepest", spy_sampled)
+    solve()
+    return rounds
 
 
 def test_empty_instance_solves_to_empty():
@@ -205,8 +238,10 @@ class TestCompFastLexMin:
         assert np.abs(fast - slow).max() < 1e-10
 
     def test_dense_and_general_paths_agree(self, monkeypatch):
-        """DENSE_MAX 0 sends every component through the general loop, 10**6
-        every component below the top level through the dense kernel."""
+        """DENSE_MAX 0 sends every frame through the general loop; 8 sends
+        the frames of at most 8 vertices, and 10**6 every frame, to the dense
+        kernel, except undirected frames at alpha 0 (the whole graph, and the
+        components of a split at gradient 0)."""
         instances = [random_instance(seed * 17 + 3) for seed in range(12)]
         refs = [comp_lex_min(g, v0, seed=0).assignment for g, v0 in instances]
         calls = []
@@ -217,7 +252,7 @@ class TestCompFastLexMin:
             return dense(*args)
 
         monkeypatch.setattr(solvers, "_fix_dense", counting)
-        for cutoff in (0, 10**6):
+        for cutoff in (0, 8, 10**6):
             monkeypatch.setattr(solvers, "DENSE_MAX", cutoff)
             calls.clear()
             for seed, ((g, v0), ref) in enumerate(zip(instances, refs)):
@@ -225,6 +260,13 @@ class TestCompFastLexMin:
                 assert np.abs(out - ref).max() < 1e-8
                 assert verify_max_min(g, v0, out).ok
             assert (len(calls) > 0) == (cutoff > 0)
+
+    def test_small_frames_skip_the_general_loop(self, monkeypatch):
+        inst = synth.cube_knn(300, n_labels=20, seed=0)
+        rounds = _rounds_on_small_frames(
+            monkeypatch, lambda: comp_fast_lex_min(inst.graph, inst.assignment(), seed=0)
+        )
+        assert rounds and not any(rounds)
 
     def test_leaves_recursion_limit_alone(self, monkeypatch):
         def refuse(limit):
@@ -354,9 +396,9 @@ class TestDirectedLexMin:
             assert list(res.ambiguous) == ambiguous, seed
 
     def test_dense_and_general_paths_agree(self, monkeypatch):
-        """DENSE_MAX 0 sends every directed component through the general
-        loop, 10**6 every component below the top level, at any alpha, through
-        the dense kernel."""
+        """DENSE_MAX 0 sends every directed frame through the general loop; 8
+        sends the frames of at most 8 vertices, and 10**6 every frame, the
+        whole graph included, at any alpha, to the dense kernel."""
         instances = [random_directed_instance(seed + 300, n_range=(20, 60)) for seed in range(12)]
         refs = [grad_plus_vector(g, directed_lex_min(g, v0).result.assignment) for g, v0 in instances]
         calls = []
@@ -367,7 +409,7 @@ class TestDirectedLexMin:
             return dense(*args)
 
         monkeypatch.setattr(solvers, "_fix_dense", counting)
-        for cutoff in (0, 10**6):
+        for cutoff in (0, 8, 10**6):
             monkeypatch.setattr(solvers, "DENSE_MAX", cutoff)
             calls.clear()
             for seed, ((g, v0), ref) in enumerate(zip(instances, refs)):
@@ -375,6 +417,13 @@ class TestDirectedLexMin:
                 assert np.abs(grad_plus_vector(g, res.result.assignment) - ref).max() < 1e-9
                 assert not res.violations
             assert (len(calls) > 0) == (cutoff > 0)
+
+    def test_small_frames_skip_the_general_loop(self, monkeypatch):
+        inst = synth.random_digraph(200, 20, seed=0)
+        rounds = _rounds_on_small_frames(
+            monkeypatch, lambda: directed_lex_min(inst.graph, inst.assignment(), seed=0)
+        )
+        assert rounds and not any(rounds)
 
     @pytest.mark.parametrize("cutoff", [0, 48])
     def test_paths_within_tol_of_flat_stay_free(self, monkeypatch, cutoff):
@@ -429,6 +478,18 @@ class TestVerifyMaxMin:
         for x in np.flatnonzero(~v0.terminal_mask()):
             neigh = vals[np.concatenate([g.edge_v[g.edge_u == x], g.edge_u[g.edge_v == x]])]
             assert vals[x] == pytest.approx(0.5 * (max(neigh) + min(neigh)), abs=1e-7)
+
+
+def stability_check(
+    g: Graph, v0: PartialAssignment, v1: PartialAssignment, seed: int = 0
+) -> float:
+    """Max pointwise change of the lex-minimizer under a label perturbation;
+    bounded by the largest label change."""
+    if not np.array_equal(v0.terminal_mask(), v1.terminal_mask()):
+        raise ValueError("stability_check needs identical terminal sets")
+    a = comp_lex_min(g, v0, seed=seed).assignment
+    b = comp_lex_min(g, v1, seed=seed).assignment
+    return float(np.abs(a - b).max()) if g.n else 0.0
 
 
 class TestStability:
