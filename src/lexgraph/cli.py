@@ -16,8 +16,9 @@ import math
 import os
 import sys
 import time
+from itertools import compress, count
 from pathlib import Path
-from typing import Iterable, NoReturn, TextIO
+from typing import Iterable, NoReturn, Sequence, TextIO
 
 import click
 import numpy as np
@@ -102,16 +103,30 @@ def _read_lines(path: str) -> list[str]:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _is_row(line: str) -> bool:
+    """A row is a line that is neither blank nor a '#' comment."""
+    return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
 def _tsv_rows(lines: list[str], first: int = 1):
-    """(line number, tab-separated fields) of every row that is neither blank
-    nor a '#' comment; ``first`` is the number of ``lines[0]``."""
+    """(line number, tab-separated fields) of every row; ``first`` is the
+    number of ``lines[0]``."""
     for ln, line in enumerate(lines, start=first):
-        if line.strip() and not line.lstrip().startswith("#"):
+        if _is_row(line):
             yield ln, line.split("\t")
 
 
+def _name_ids(names: list[str]) -> dict[str, int]:
+    """Vertex name -> dense id."""
+    return dict(zip(names, range(len(names))))
+
+
 def read_edge_file(path: str) -> tuple[Graph, list[str]]:
-    """Graph plus the vertex-name table (dense id -> original string id)."""
+    """Graph plus the vertex-name table (dense id -> original string id).
+
+    Rows are split, named and parsed in bulk; only when a bulk check fails
+    is the file scanned row by row, for the line of the first bad row. Each
+    step drops what the next does not need, which keeps peak memory down."""
     lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty edge file")
@@ -122,27 +137,59 @@ def read_edge_file(path: str) -> tuple[Graph, list[str]]:
         directed = False
     else:
         raise ParseError(f"{path}: first line must be '#directed' or '#undirected'")
-    names: list[str] = []
-    ids: dict[str, int] = {}
-    rows: list[tuple[int, int, float]] = []
-    for ln, parts in _tsv_rows(lines[1:], first=2):
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{ln}: expected 'u<TAB>v<TAB>len'")
-        u, v, raw = parts
-        try:
-            length = float(raw)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{ln}: bad length {raw!r}") from exc
-        for name in (u, v):
-            if name not in ids:
-                ids[name] = len(names)
-                names.append(name)
-        rows.append((ids[u], ids[v], length))
+    # Joined by "\t\n\t", the rows split into u, v, len, "\n", u, v, len, ...
+    # No row holds a "\n", so every row has three fields iff each of the
+    # n_rows - 1 separators is a fourth field.
+    text = "\t\n\t".join([line for line in lines[1:] if _is_row(line)])
+    del lines
+    if not text:
+        return Graph(0, [], directed=directed), []
+    n_rows = text.count("\n") + 1
+    fields = text.split("\t")
+    del text
+    if len(fields) != 4 * n_rows - 1 or fields[3::4].count("\n") != n_rows - 1:
+        raise _first_bad_row(path)
     try:
-        graph = Graph(len(names), rows, directed=directed)
+        lengths = np.array(fields[2::4], dtype=np.float64)
+    except ValueError:
+        raise _first_bad_row(path) from None
+    del fields[2::4]  # u, v, "\n", u, v, "\n", ...
+    del fields[2::3]  # u, v, u, v, ...
+    names, ids = _number_names(fields)
+    try:
+        graph = Graph(len(names), np.column_stack((ids.reshape(-1, 2), lengths)), directed=directed)
     except GraphFormatError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return graph, names
+
+
+def _number_names(ends: list[str]) -> tuple[list[str], np.ndarray]:
+    """(distinct names in first-appearance order, dense id of each entry).
+
+    Empties ``ends``. The names come back as new strings, made once the
+    others are freed, so a few survivors do not keep the freed strings'
+    memory pools half empty under the objects the solvers allocate next."""
+    seen: dict[str, int] = {}
+    # the position where the name of each entry first appears
+    first = np.fromiter(map(seen.setdefault, ends, count()), np.int64, len(ends))
+    new = first == np.arange(len(ends))
+    text = "\t".join(compress(ends, new.tolist()))
+    ends.clear()
+    seen.clear()
+    return text.split("\t"), (np.cumsum(new) - 1)[first]
+
+
+def _first_bad_row(path: str) -> ParseError:
+    """The error of the first edge row without three fields or with a length
+    that does not parse, from a second read of the file."""
+    for ln, parts in _tsv_rows(_read_lines(path)[1:], first=2):
+        if len(parts) != 3:
+            return ParseError(f"{path}:{ln}: expected 'u<TAB>v<TAB>len'")
+        try:
+            float(parts[2])
+        except ValueError:
+            return ParseError(f"{path}:{ln}: bad length {parts[2]!r}")
+    return ParseError(f"{path}: changed while it was read")
 
 
 def _finite_value(path: str, ln: int, raw: str, what: str) -> float:
@@ -156,7 +203,7 @@ def _finite_value(path: str, ln: int, raw: str, what: str) -> float:
 
 
 def read_label_file(path: str, names: list[str]) -> PartialAssignment:
-    ids = {name: i for i, name in enumerate(names)}
+    ids = _name_ids(names)
     labels: dict[int, float] = {}
     for ln, parts in _tsv_rows(_read_lines(path)):
         if len(parts) != 2:
@@ -171,7 +218,7 @@ def read_label_file(path: str, names: list[str]) -> PartialAssignment:
 
 
 def read_assignment_file(path: str, names: list[str]) -> np.ndarray:
-    ids = {name: i for i, name in enumerate(names)}
+    ids = _name_ids(names)
     values = np.full(len(names), np.nan)
     for ln, parts in _tsv_rows(_read_lines(path)):
         if len(parts) != 2 or parts[0] not in ids:
@@ -192,11 +239,11 @@ def _open_out(path: str, **kw) -> TextIO:
         _fail(f"cannot write {path}: {exc.strerror or exc}", EXIT_PARSE)
 
 
-def write_assignment(path: str | None, names: Iterable[object], values: Iterable[float]) -> None:
+def write_assignment(path: str | None, names: Iterable[object], values: Sequence[float] | np.ndarray) -> None:
+    rows = map("{}\t{:.12g}\n".format, names, np.asarray(values, dtype=np.float64).tolist())
     out = sys.stdout if path is None else _open_out(path)
     try:
-        for name, val in zip(names, values):
-            out.write(f"{name}\t{val:.12g}\n")
+        out.writelines(rows)
     finally:
         if path is not None:
             out.close()
@@ -400,8 +447,7 @@ def cmd_synth(kind, n, n_labels, dim, knn, degree, per_cluster, cluster_std, see
     g = inst.graph
     with _open_out(out_prefix + ".edges.tsv") as fh:
         fh.write("#directed\n" if g.directed else "#undirected\n")
-        for u, v, w in zip(g.edge_u, g.edge_v, g.edge_len):
-            fh.write(f"{u}\t{v}\t{w:.12g}\n")
+        fh.writelines(map("{}\t{}\t{:.12g}\n".format, g.edge_u.tolist(), g.edge_v.tolist(), g.edge_len.tolist()))
     labeled = sorted(inst.labels)
     write_assignment(out_prefix + ".labels.tsv", labeled, [inst.labels[x] for x in labeled])
     if inst.truth is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -62,40 +62,44 @@ def definitely_greater(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
 class Graph:
     """Weighted graph with positive finite edge lengths.
 
-    Parameters are validated eagerly; the CSR index of each direction is
-    built on first use and cached. ``edge_u``/``edge_v``/``edge_len`` define the
-    fixed edge order used by gradient vectors; it is sorted by (u, v).
+    ``edges`` is an iterable of (u, v, length) triples or an (m, 3) array.
+    Validation is vectorized; the first bad edge in input order raises, for
+    its first fault: out of range, self-loop, invalid length. The CSR index
+    of each direction is built on first use and cached. ``edge_u``/``edge_v``/
+    ``edge_len`` define the fixed edge order used by gradient vectors; it is
+    sorted by (u, v).
     """
 
     __slots__ = ("n", "directed", "edge_u", "edge_v", "edge_len", "_csr_cache", "_edge_lookup")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int, float]], directed: bool = False):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, float]] | np.ndarray, directed: bool = False):
         if n < 0:
             raise GraphFormatError("vertex count must be nonnegative")
-        dedup: dict[tuple[int, int], float] = {}
-        for u, v, length in edges:
-            u = int(u)
-            v = int(v)
+        rows = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.float64)
+        if rows.size == 0:
+            rows = rows.reshape(0, 3)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise GraphFormatError("edges must be (u, v, length) triples")
+        ends, lengths = np.trunc(rows[:, :2]), rows[:, 2]
+        bad = ~((ends >= 0) & (ends < n)).all(axis=1) | (ends[:, 0] == ends[:, 1])
+        bad |= ~((lengths > 0.0) & (lengths < np.inf))
+        if bad.any():  # name the first fault of the first bad edge
+            u, v, length = rows[int(bad.argmax())].tolist()
+            u, v = int(u), int(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
-            length = float(length)
-            if not np.isfinite(length) or length <= 0.0:
-                raise GraphFormatError(f"edge ({u},{v}) has invalid length {length!r}")
-            key = (u, v) if directed or u < v else (v, u)
-            prev = dedup.get(key)
-            if prev is None or length < prev:
-                dedup[key] = length
-
-        keys = sorted(dedup)
-        self._set_edges(
-            n,
-            np.array([k[0] for k in keys], dtype=np.int64),
-            np.array([k[1] for k in keys], dtype=np.int64),
-            np.array([dedup[k] for k in keys], dtype=np.float64),
-            directed,
-        )
+            raise GraphFormatError(f"edge ({u},{v}) has invalid length {length!r}")
+        u, v = ends[:, 0].astype(np.int64), ends[:, 1].astype(np.int64)
+        if not directed:
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        # sort by (u, v) and keep each pair once, at its minimum length
+        key = u * n + v
+        order = np.argsort(key)
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        keep = order[starts]
+        self._set_edges(n, u[keep], v[keep], np.minimum.reduceat(lengths[order], starts), directed)
 
     @classmethod
     def _from_arrays(cls, n: int, u: np.ndarray, v: np.ndarray, lengths: np.ndarray, directed: bool) -> "Graph":
@@ -328,15 +332,22 @@ class WellPosednessReport:
     stranded_vertices: tuple[int, ...] = ()
 
     def describe(self) -> str:
+        """One line; each list of defects names at most 20 entries."""
         if self.ok:
             return "ok"
         parts = []
         if self.unlabeled_components:
-            comps = ", ".join("{" + ",".join(map(str, c)) + "}" for c in self.unlabeled_components)
+            comps = _first_20(self.unlabeled_components, lambda c: "{" + ",".join(map(str, c)) + "}")
             parts.append(f"components without a terminal: {comps}")
         if self.stranded_vertices:
-            parts.append(f"free vertices on no terminal-to-terminal path: {list(self.stranded_vertices)}")
+            parts.append(f"free vertices on no terminal-to-terminal path: [{_first_20(self.stranded_vertices, str)}]")
         return "; ".join(parts)
+
+
+def _first_20(items: Sequence, fmt: Callable[..., str]) -> str:
+    """The first 20 of ``items``, formatted and joined by commas, then how many more there are."""
+    more = f", … and {len(items) - 20} more" if len(items) > 20 else ""
+    return ", ".join(map(fmt, items[:20])) + more
 
 
 def _component_labels(g: Graph) -> tuple[int, np.ndarray]:
@@ -369,7 +380,11 @@ def check_well_posed(g: Graph, v0: PartialAssignment) -> WellPosednessReport:
     _, labels = _component_labels(g)
     labeled = np.zeros(labels.max(initial=-1) + 1, dtype=bool)
     labeled[labels[v0.terminal_mask()]] = True
-    bad = tuple(tuple(np.flatnonzero(labels == c).tolist()) for c in np.flatnonzero(~labeled))
+    # the vertices of unlabeled components, grouped by component in one stable sort
+    stranded = np.flatnonzero(~labeled[labels])
+    stranded = stranded[np.argsort(labels[stranded], kind="stable")]
+    cuts = np.flatnonzero(np.diff(labels[stranded])) + 1
+    bad = tuple(tuple(part.tolist()) for part in np.split(stranded, cuts)) if stranded.size else ()
     return WellPosednessReport(not bad, unlabeled_components=bad)
 
 

@@ -37,7 +37,7 @@ def gauss1d(
     n = pts.shape[0]
     iu, ju = np.triu_indices(n, k=1)
     lengths = np.exp((pts[iu] - pts[ju]) ** 2 / (2.0 * kernel_sigma**2))
-    graph = Graph(n, zip(iu.tolist(), ju.tolist(), lengths.tolist()))
+    graph = Graph(n, np.column_stack((iu, ju, lengths)))
     labels = {int(np.abs(pts).argmin()): -1.0, int(np.abs(pts - 4.0).argmin()): 1.0}
     return SyntheticInstance(graph, labels, truth=None, positions=pts)
 
@@ -63,7 +63,7 @@ def cube_knn(
     tree = cKDTree(pts)
     dists, idx = tree.query(pts, k=knn + 1)
     lengths = np.where(dists[:, 1:] <= 0.0, 1e-12, dists[:, 1:])  # coincident samples; keep the edge usable
-    graph = Graph(n, zip(np.repeat(np.arange(n), knn).tolist(), idx[:, 1:].ravel().tolist(), lengths.ravel().tolist()))
+    graph = Graph(n, np.column_stack((np.repeat(np.arange(n), knn), idx[:, 1:].ravel(), lengths.ravel())))
     chosen = rng.choice(n, size=n_labels, replace=False)
     labels = {int(i): float(pts[i, 0]) for i in sorted(chosen)}
     return SyntheticInstance(graph, labels, truth=pts[:, 0].copy(), positions=pts)
@@ -90,7 +90,7 @@ def random_regular(
             break
     else:
         raise RuntimeError("failed to build a simple regular graph")
-    graph = Graph(n, [(int(a), int(b), 1.0) for a, b in pairs])
+    graph = Graph(n, np.column_stack((pairs, np.ones(pairs.shape[0]))))
     chosen = rng.choice(n, size=n_labels, replace=False)
     labels = {int(i): float(rng.uniform(0.0, 1.0)) for i in sorted(chosen)}
     return SyntheticInstance(graph, labels)

@@ -10,10 +10,40 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from lexgraph import Graph, PartialAssignment, check_well_posed
+from lexgraph import Graph, GraphFormatError, PartialAssignment, check_well_posed
 from lexgraph.core import definitely_greater
 from lexgraph.solvers import AmbiguousVertex, _fix_path_inplace, _terminal_edge_mask
 from lexgraph.steepest import steepest_path
+
+
+def reference_graph_arrays(n: int, edges, directed: bool = False):
+    """(edge_u, edge_v, edge_len) of the per-edge dict loop that ``Graph``
+    ran before its build was vectorized: check each (u, v, length) in input
+    order (range, then self-loop, then length), orient undirected edges to
+    (min, max), keep the minimum length of parallel edges and sort by (u, v).
+    Raises the ``GraphFormatError`` of the first bad edge. A test reference
+    only; the library never calls it."""
+    dedup: dict[tuple[int, int], float] = {}
+    for u, v, length in edges:
+        u = int(u)
+        v = int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphFormatError(f"self-loop at vertex {u}")
+        length = float(length)
+        if not np.isfinite(length) or length <= 0.0:
+            raise GraphFormatError(f"edge ({u},{v}) has invalid length {length!r}")
+        key = (u, v) if directed or u < v else (v, u)
+        prev = dedup.get(key)
+        if prev is None or length < prev:
+            dedup[key] = length
+    keys = sorted(dedup)
+    return (
+        np.array([k[0] for k in keys], dtype=np.int64),
+        np.array([k[1] for k in keys], dtype=np.int64),
+        np.array([dedup[k] for k in keys], dtype=np.float64),
+    )
 
 
 def random_instance(

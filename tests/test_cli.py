@@ -176,6 +176,82 @@ class TestExitCodes:
         assert "not well-posed" in res.stderr
 
 
+class TestEdgeReader:
+    def test_row_field_counts_are_checked_per_row(self, tmp_path):
+        """A 2-field row then a 4-field row still total 3 fields a row."""
+        edges = tmp_path / "bad.tsv"
+        edges.write_text("#undirected\na\tb\t1\nb\tc\nc\td\t1\t2\n")
+        labels = tmp_path / "l.tsv"
+        labels.write_text("a\t0\n")
+        line = _assert_one_line_error(run_cli("infmin", str(edges), str(labels)), 3)
+        assert line == f"error: {edges}:3: expected 'u<TAB>v<TAB>len'"
+
+    def test_bad_length_on_the_last_row_names_its_line(self, tmp_path):
+        rows = [f"v{i}\tv{i + 1}\t1" for i in range(3000)] + ["v0\tv9\t1,5"]
+        edges = tmp_path / "big.tsv"
+        edges.write_text("#undirected\n" + "\n".join(rows) + "\n")
+        labels = tmp_path / "l.tsv"
+        labels.write_text("v0\t0\n")
+        line = _assert_one_line_error(run_cli("infmin", str(edges), str(labels)), 3)
+        assert line == f"error: {edges}:3002: bad length '1,5'"
+
+    def test_file_mended_between_reads(self, tmp_path, monkeypatch):
+        """The line of a bad row comes from a second read; a file fixed in
+        between still gives one error naming the file."""
+        from lexgraph import cli
+
+        edges = tmp_path / "e.tsv"
+        edges.write_text("#undirected\na\tb\tx\n")
+        reads = iter([["#undirected", "a\tb\tx"], ["#undirected", "a\tb\t1"]])
+        monkeypatch.setattr(cli, "_read_lines", lambda path: next(reads))
+        with pytest.raises(cli.ParseError, match="changed while it was read"):
+            cli.read_edge_file(str(edges))
+
+    def test_blank_and_comment_rows_are_skipped(self, tmp_path):
+        from lexgraph.cli import read_edge_file
+
+        plain = tmp_path / "plain.tsv"
+        plain.write_text("#undirected\na\tb\t1\nb\tc\t2\nc\ta\t0.5\n")
+        noisy = tmp_path / "noisy.tsv"
+        noisy.write_text("#undirected\n\na\tb\t1\n  \t \n# x\ty\tz\nb\tc\t2\n   # note\n\t\t\nc\ta\t 0.5 \n\n")
+        (g, names), (h, noisy_names) = read_edge_file(str(plain)), read_edge_file(str(noisy))
+        assert names == noisy_names == ["a", "b", "c"]
+        for got, want in zip((h.edge_u, h.edge_v, h.edge_len), (g.edge_u, g.edge_v, g.edge_len)):
+            assert np.array_equal(got, want)
+
+    def test_crlf_line_endings(self, path_fixture, tmp_path):
+        edges, labels = path_fixture
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(edges.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        assert run_cli("lexmin", str(edges), str(labels), "--out", str(a)).returncode == 0
+        res = run_cli("lexmin", str(crlf), str(labels), "--out", str(b))
+        assert res.returncode == 0, res.stderr
+        assert a.read_bytes() == b.read_bytes() == b"a\t0\nb\t0.5\nc\t1\n"
+
+    def test_string_ids_keep_first_appearance_order(self, tmp_path):
+        from lexgraph.cli import read_edge_file, write_assignment
+
+        edges = tmp_path / "e.tsv"
+        edges.write_text("#directed\nzeta\talpha\t1\nmid\tzeta\t1\nalpha\t10\t2\n10\tmid\t1\n")
+        g, names = read_edge_file(str(edges))
+        assert names == ["zeta", "alpha", "mid", "10"]
+        assert (g.edge_u.tolist(), g.edge_v.tolist()) == ([0, 1, 2, 3], [1, 3, 0, 2])
+        out = tmp_path / "o.tsv"
+        write_assignment(str(out), names, np.array([0.5, 1 / 3, 2.0, -0.0]))
+        assert out.read_text() == "zeta\t0.5\nalpha\t0.333333333333\nmid\t2\n10\t-0\n"
+
+    def test_one_row_edge_file_solves(self, tmp_path):
+        edges = tmp_path / "one.tsv"
+        edges.write_text("#undirected\nx\ty\t2\n")
+        labels = tmp_path / "l.tsv"
+        labels.write_text("x\t1\ny\t0\n")
+        res = run_cli("fastlexmin", str(edges), str(labels))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "x\t1\ny\t0\n"
+        assert "inf_norm=0.5 " in res.stderr
+
+
 def _assert_one_line_error(res, code):
     assert res.returncode == code, res.stderr
     assert "Traceback" not in res.stderr

@@ -17,7 +17,7 @@ from lexgraph import (
 from lexgraph import core
 from lexgraph.oracles import apsp_floyd_warshall
 
-from conftest import random_directed_instance, random_instance
+from conftest import random_directed_instance, random_instance, reference_graph_arrays
 
 
 class TestGraph:
@@ -39,9 +39,79 @@ class TestGraph:
         g = Graph(2, [(0, 1, 3.0), (1, 0, 1.5)], directed=True)
         assert g.m == 2
 
+    @pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1, 1.0, 2.0)], [0, 1, 1.0]], ids=["pair", "quad", "flat"])
+    def test_rejects_rows_that_are_not_triples(self, edges):
+        with pytest.raises(GraphFormatError, match="triples"):
+            Graph(2, edges)
+
     def test_undirected_symmetric_lookup(self):
         g = Graph(2, [(0, 1, 2.0)])
         assert g.edge_between(0, 1) == g.edge_between(1, 0)
+
+
+def _as_form(triples, form):
+    """The same edges as a list of triples, an (m, 3) array or a zip iterator."""
+    if form == "array":
+        return np.array(triples, dtype=np.float64).reshape(-1, 3)
+    if form == "zip":
+        return zip(*zip(*triples)) if triples else zip()
+    return list(triples)
+
+
+def _random_triples(seed):
+    """(n, triples) with many parallel edges, in both orientations, of
+    different lengths; no self-loops."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    m = int(rng.integers(1, 80))
+    u = rng.integers(0, n, m)
+    v = (u + rng.integers(1, n, m)) % n
+    lengths = rng.choice([0.25, 0.5, 1.0, 1.5, 2.0], size=m) * rng.choice([1.0, 1.0 + 1e-12], size=m)
+    return n, list(zip(u.tolist(), v.tolist(), lengths.tolist()))
+
+
+class TestGraphParity:
+    """The vectorized build against the per-edge dict loop it replaced."""
+
+    @pytest.mark.parametrize("form", ["triples", "array", "zip"])
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_reference(self, seed, directed, form):
+        n, triples = _random_triples(seed)
+        g = Graph(n, _as_form(triples, form), directed=directed)
+        for got, want in zip((g.edge_u, g.edge_v, g.edge_len), reference_graph_arrays(n, triples, directed)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("form", ["triples", "array", "zip"])
+    @pytest.mark.parametrize("n, triples", [(0, []), (3, []), (2, [(1, 0, 0.5)])], ids=["n0", "m0", "m1"])
+    def test_tiny(self, n, triples, form):
+        for directed in (False, True):
+            g = Graph(n, _as_form(triples, form), directed=directed)
+            assert g.n == n
+            for got, want in zip((g.edge_u, g.edge_v, g.edge_len), reference_graph_arrays(n, triples, directed)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("form", ["triples", "array", "zip"])
+    @pytest.mark.parametrize(
+        "first, later",
+        [
+            ((0, 5, 1.0), (2, 2, 1.0)),
+            ((-1, 2, 0.0), (1, 2, -1.0)),
+            ((2, 2, 1.0), (0, 9, 1.0)),
+            ((1, 1, float("nan")), (1, 2, 0.0)),
+            ((0, 1, 0.0), (3, 3, 1.0)),
+            ((2, 0, float("inf")), (7, 0, 1.0)),
+            ((1, 2, -0.5), (0, 0, float("nan"))),
+        ],
+        ids=["range", "range+length", "self-loop", "self-loop+length", "zero", "inf", "negative"],
+    )
+    def test_first_bad_edge_message(self, first, later, form):
+        triples = [(0, 1, 1.0), (1, 2, 2.0), first, (0, 2, 1.0), later]
+        with pytest.raises(GraphFormatError) as want:
+            reference_graph_arrays(3, triples)
+        with pytest.raises(GraphFormatError) as got:
+            Graph(3, _as_form(triples, form))
+        assert str(got.value) == str(want.value)
 
 
 class TestGradient:
@@ -122,6 +192,30 @@ class TestWellPosed:
         flipped = Graph(3, [(0, 1, 1.0), (2, 1, 1.0)], directed=True)
         report = check_well_posed(flipped, v0)
         assert not report.ok and report.stranded_vertices == (1,)
+
+    def test_many_unlabeled_components(self):
+        """Components come grouped in one sort, in order of their smallest
+        vertex; the one-line description names the first 20 of them."""
+        rng = np.random.default_rng(0)
+        n = 4000
+        perm = rng.permutation(n)
+        g = Graph(n, [(int(a), int(b), 1.0) for a, b in perm.reshape(-1, 2)])
+        vals = [None] * n
+        vals[int(perm[0])] = 0.0
+        report = check_well_posed(g, PartialAssignment(vals))
+        want = sorted(tuple(sorted(map(int, pair))) for pair in perm.reshape(-1, 2)[1:])
+        assert report.unlabeled_components == tuple(want)
+        text = report.describe()
+        assert text.count("{") == 20 and text.endswith(f", … and {len(want) - 20} more")
+        assert text.startswith("components without a terminal: {" + ",".join(map(str, want[0])) + "}, ")
+
+    def test_stranded_vertices_description_is_capped(self):
+        report = core.WellPosednessReport(False, stranded_vertices=tuple(range(25)))
+        assert report.describe() == (
+            "free vertices on no terminal-to-terminal path: [" + ", ".join(map(str, range(20))) + ", … and 5 more]"
+        )
+        short = core.WellPosednessReport(False, stranded_vertices=(3, 4))
+        assert short.describe() == "free vertices on no terminal-to-terminal path: [3, 4]"
 
     def test_complete_assignment_always_ok(self):
         for seed in range(5):

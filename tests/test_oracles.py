@@ -179,3 +179,16 @@ def test_no_production_module_imports_oracles():
             assert "scipy.sparse.csgraph.dijkstra" not in names, path.name
         if path.name == "l0reg.py":
             assert not {name for name in names if "steepest" in name.split(".")}, path.name
+
+
+def test_graph_init_has_no_per_edge_loop():
+    """``Graph.__init__`` validates and builds with array operations; a
+    ``for``/``while`` statement or a comprehension there would bring back the
+    per-edge Python loop that dominated loading large edge files."""
+    path = Path(lexgraph.__file__).parent / "core.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    graph = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Graph")
+    init = next(node for node in graph.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = [type(node).__name__ for node in ast.walk(init) if isinstance(node, loops)]
+    assert not found, found
