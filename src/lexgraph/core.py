@@ -67,10 +67,11 @@ class Graph:
     its first fault: out of range, self-loop, invalid length. The CSR index
     of each direction is built on first use and cached. ``edge_u``/``edge_v``/
     ``edge_len`` define the fixed edge order used by gradient vectors; it is
-    sorted by (u, v).
+    sorted by (u, v), so the keys ``edge_u * n + edge_v`` that ``edge_ids``
+    searches are sorted too.
     """
 
-    __slots__ = ("n", "directed", "edge_u", "edge_v", "edge_len", "_csr_cache", "_edge_lookup")
+    __slots__ = ("n", "directed", "edge_u", "edge_v", "edge_len", "_csr_cache", "_edge_key")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]] | np.ndarray, directed: bool = False):
         if n < 0:
@@ -116,7 +117,7 @@ class Graph:
             arr.setflags(write=False)
         # [out, in]; an undirected graph uses slot 0 only
         self._csr_cache = [None, None]
-        self._edge_lookup = None
+        self._edge_key = None
 
     @property
     def m(self) -> int:
@@ -142,17 +143,29 @@ class Graph:
             self._csr_cache[side] = (indptr, dst[order].astype(np.int32), w[order])
         return self._csr_cache[side]
 
-    def edge_between(self, u: int, v: int) -> Optional[tuple[int, float]]:
-        """(edge id, length) of edge u->v (any orientation if undirected)."""
-        if self._edge_lookup is None:
-            lookup: dict[tuple[int, int], tuple[int, float]] = {}
-            for i in range(self.m):
-                a, b, w = int(self.edge_u[i]), int(self.edge_v[i]), float(self.edge_len[i])
-                lookup[(a, b)] = (i, w)
-                if not self.directed:
-                    lookup[(b, a)] = (i, w)
-            self._edge_lookup = lookup
-        return self._edge_lookup.get((int(u), int(v)))
+    def edge_ids(self, u, v) -> np.ndarray:
+        """Edge id of u->v (either orientation if undirected), elementwise on
+        integer arrays or scalars; -1 where there is no edge."""
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        if not self.directed:
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        if self._edge_key is None:
+            # the sentinel n * n lies above every key, so a search stays in bounds
+            self._edge_key = np.append(self.edge_u * self.n + self.edge_v, self.n * self.n)
+        # an id out of range would alias a real key: (0, n + 2) is (1, 2)
+        ok = (u >= 0) & (u < self.n) & (v >= 0) & (v < self.n)
+        key = np.where(ok, u * self.n + v, -1)
+        pos = np.searchsorted(self._edge_key, key)
+        return np.where(self._edge_key[pos] == key, pos, -1)
+
+    def path_lengths(self, vertices: Sequence[int]) -> list[float]:
+        """Length of each step of a vertex walk, in walk order."""
+        walk = np.asarray(vertices, dtype=np.int64)
+        ids = self.edge_ids(walk[:-1], walk[1:])
+        if (ids < 0).any():
+            i = int(np.argmax(ids < 0))
+            raise NoTerminalPathError(f"path step ({walk[i]},{walk[i + 1]}) is not an edge")
+        return self.edge_len[ids].tolist()
 
     def with_edge_mask(self, mask: np.ndarray) -> "Graph":
         """Same vertex set, the edges where the boolean ``mask`` holds."""
@@ -244,12 +257,7 @@ class TerminalPath:
         vertices = tuple(int(x) for x in vertices)
         if len(vertices) < 2:
             raise NoTerminalPathError("a terminal path needs at least two vertices")
-        total = 0.0
-        for a, b in zip(vertices, vertices[1:]):
-            hit = g.edge_between(a, b)
-            if hit is None:
-                raise NoTerminalPathError(f"no edge between {a} and {b}")
-            total += hit[1]
+        total = sum(g.path_lengths(vertices))
         grad = (v0.value(vertices[0]) - v0.value(vertices[-1])) / total
         return cls(vertices, total, grad)
 
@@ -272,15 +280,13 @@ def gradient(g: Graph, v: PartialAssignment, edge: int | tuple[int, int]) -> flo
     """Signed gradient (v(x) - v(y)) / len(x, y) on one edge of a complete assignment."""
     if isinstance(edge, tuple):
         x, y = edge
-        hit = g.edge_between(x, y)
-        if hit is None:
+        eid = int(g.edge_ids(x, y))
+        if eid < 0:
             raise GraphFormatError(f"no edge between {x} and {y}")
-        length = hit[1]
     else:
         eid = int(edge)
         x, y = int(g.edge_u[eid]), int(g.edge_v[eid])
-        length = float(g.edge_len[eid])
-    return (v.value(x) - v.value(y)) / length
+    return (v.value(x) - v.value(y)) / float(g.edge_len[eid])
 
 
 def gradient_vector(g: Graph, values: np.ndarray) -> np.ndarray:

@@ -121,7 +121,7 @@ def brute_lex_min(g: Graph, v0: PartialAssignment) -> np.ndarray:
         path = brute_steepest_path(g, cur)
         run = 0.0
         for a, b in zip(path.vertices, path.vertices[1:]):
-            run += g.edge_between(a, b)[1]
+            run += g.edge_len[g.edge_ids(a, b)]
             if np.isnan(values[b]):
                 values[b] = values[path.vertices[0]] - path.gradient * run
     return values

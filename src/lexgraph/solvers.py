@@ -80,16 +80,11 @@ class MaxMinReport:
     violations: tuple[tuple[int, float, float], ...]  # (vertex, max grad, min grad)
 
 
-def _fix_path_inplace(g: Graph, values: np.ndarray, path: TerminalPath, tol: float) -> float:
+def _fix_path_inplace(values: np.ndarray, path: TerminalPath, lengths: list[float]) -> float:
+    """Fix ``path`` in ``values``; ``lengths`` holds the length of each step."""
     first, last = path.first, path.last
     if np.isnan(values[first]) or np.isnan(values[last]):
         raise NoTerminalPathError("fix_path needs a path with terminal endpoints")
-    lengths = []
-    for a, b in zip(path.vertices, path.vertices[1:]):
-        hit = g.edge_between(a, b)
-        if hit is None:
-            raise NoTerminalPathError(f"path step ({a},{b}) is not an edge")
-        lengths.append(hit[1])
     total = float(sum(lengths))
     grad = (values[first] - values[last]) / total
     run = 0.0
@@ -114,11 +109,11 @@ def _fix_path_inplace(g: Graph, values: np.ndarray, path: TerminalPath, tol: flo
     return float(grad)
 
 
-def fix_path(g: Graph, v0: PartialAssignment, path: TerminalPath, tol: float = DEFAULT_TOL) -> PartialAssignment:
+def fix_path(g: Graph, v0: PartialAssignment, path: TerminalPath) -> PartialAssignment:
     """Assign interior free vertices of a steepest fixable path by linear
     interpolation in path-length coordinate; existing values are unchanged."""
     values = v0.values.copy()
-    _fix_path_inplace(g, values, path, tol)
+    _fix_path_inplace(values, path, g.path_lengths(path.vertices))
     return PartialAssignment(values)
 
 
@@ -168,7 +163,7 @@ def comp_lex_min(
                 f"fixed gradients must be non-increasing; got {path.gradient} after {prev}"
             )
         prev = min(prev, path.gradient)
-        grad = _fix_path_inplace(g, values, path, tol)
+        grad = _fix_path_inplace(values, path, g.path_lengths(path.vertices))
         fixed.append((path, grad))
     return SolverResult(values, inf_norm_of(g, values), len(fixed), tuple(fixed))
 
@@ -269,7 +264,7 @@ def _split_round(frame: _Frame, stack: list[_Frame], state: _FastState) -> bool:
         if g.directed and not definitely_greater(best.gradient, 0.0, state.tol):
             return False
         mapped = TerminalPath(tuple(int(orig[v]) for v in best.vertices), best.length, best.gradient)
-        grad = _fix_path_inplace(state.root, state.values, mapped, state.tol)
+        grad = _fix_path_inplace(state.values, mapped, state.root.path_lengths(mapped.vertices))
         state.fixed.append((mapped, grad))
     else:
         n_comp, comp_labels = _component_labels(hp.graph)
@@ -329,8 +324,10 @@ def _fix_dense(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> N
             if len(walk) > k:
                 raise LexgraphError("shortest-path walk does not reach its source")
             walk.append(int(np.argmin(dist[s] + usable[:, walk[-1]])))
-        path = TerminalPath(tuple(int(orig[x]) for x in reversed(walk)), float(tdist[i, j]), grad)
-        state.fixed.append((path, _fix_path_inplace(state.root, state.values, path, state.tol)))
+        walk = np.array(walk[::-1])
+        path = TerminalPath(tuple(orig[walk].tolist()), float(tdist[i, j]), grad)
+        steps = lengths[walk[:-1], walk[1:]].tolist()
+        state.fixed.append((path, _fix_path_inplace(state.values, path, steps)))
         first = False
 
 
@@ -433,12 +430,11 @@ def verify_max_min(
     np.minimum.at(gmin, g.edge_u, grads_u)
     np.maximum.at(gmax, g.edge_v, -grads_u)
     np.minimum.at(gmin, g.edge_v, -grads_u)
-    violations = []
-    for x in np.flatnonzero(~v0.terminal_mask()):
-        hi, lo = gmax[x], gmin[x]
-        if not np.isfinite(hi):
-            continue  # isolated free vertex; ill-posed instances report elsewhere
-        if abs(hi + lo) > tol * max(1.0, abs(hi), abs(lo)):
-            violations.append((int(x), float(hi), float(lo)))
-    return MaxMinReport(not violations, tuple(violations))
+    free = np.flatnonzero(~v0.terminal_mask())
+    hi, lo = gmax[free], gmin[free]
+    # an isolated free vertex (hi = -inf) is skipped; ill-posed instances report elsewhere
+    with np.errstate(invalid="ignore"):
+        bad = np.isfinite(hi) & (np.abs(hi + lo) > tol * np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo))))
+    violations = tuple(zip(free[bad].tolist(), hi[bad].tolist(), lo[bad].tolist()))
+    return MaxMinReport(not violations, violations)
 

@@ -122,18 +122,15 @@ def _repair_pairs(pairs: np.ndarray, rng) -> bool:
     """Swap away self-loops and duplicate edges; True on success."""
     m = pairs.shape[0]
     for _ in range(60):
-        seen: set[tuple[int, int]] = set()
-        bad: list[int] = []
-        for i in range(m):
-            a, b = int(pairs[i, 0]), int(pairs[i, 1])
-            key = (a, b) if a < b else (b, a)
-            if a == b or key in seen:
-                bad.append(i)
-            else:
-                seen.add(key)
-        if not bad:
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        key = lo * (int(hi.max(initial=0)) + 1) + hi
+        # bad: a self-loop, or a repeat of an earlier pair
+        repeat = np.ones(m, dtype=bool)
+        repeat[np.unique(key, return_index=True)[1]] = False
+        bad = np.flatnonzero((lo == hi) | repeat)
+        if not bad.size:
             return True
-        for i in bad:
+        for i in bad.tolist():
             j = int(rng.integers(m))
             pairs[i, 1], pairs[j, 1] = pairs[j, 1], pairs[i, 1]
     return False

@@ -46,6 +46,41 @@ def reference_graph_arrays(n: int, edges, directed: bool = False):
     )
 
 
+def reference_edge_ids(g: Graph, u, v) -> list[int]:
+    """Edge id of each pair (u[i], v[i]) from a dict over every edge, -1 where
+    there is none: the lookup ``Graph`` kept before ``edge_ids`` searched its
+    sorted keys. A test reference only; the library never calls it."""
+    lookup: dict[tuple[int, int], int] = {}
+    for i, (a, b) in enumerate(zip(g.edge_u.tolist(), g.edge_v.tolist())):
+        lookup[(a, b)] = i
+        if not g.directed:
+            lookup[(b, a)] = i
+    return [lookup.get((a, b), -1) for a, b in zip(np.asarray(u).tolist(), np.asarray(v).tolist())]
+
+
+def reference_repair_pairs(pairs: np.ndarray, rng) -> bool:
+    """The per-pair loop ``synth._repair_pairs`` ran before it marked bad
+    pairs with array masks: swap away self-loops and repeats of an earlier
+    pair, in pair order; True on success. A test reference only."""
+    m = pairs.shape[0]
+    for _ in range(60):
+        seen: set[tuple[int, int]] = set()
+        bad: list[int] = []
+        for i in range(m):
+            a, b = int(pairs[i, 0]), int(pairs[i, 1])
+            key = (a, b) if a < b else (b, a)
+            if a == b or key in seen:
+                bad.append(i)
+            else:
+                seen.add(key)
+        if not bad:
+            return True
+        for i in bad:
+            j = int(rng.integers(m))
+            pairs[i, 1], pairs[j, 1] = pairs[j, 1], pairs[i, 1]
+    return False
+
+
 def random_instance(
     seed: int,
     n_range: tuple[int, int] = (5, 30),
@@ -114,7 +149,7 @@ def reference_directed_fixing(g: Graph, v0: PartialAssignment, seed: int = 0, to
         path = steepest_path(work, PartialAssignment(values), seed=int(rng.integers(2**63)), tol=tol)
         if not definitely_greater(path.gradient, 0.0, tol):
             break
-        fixed.append((path, _fix_path_inplace(g, values, path, tol)))
+        fixed.append((path, _fix_path_inplace(values, path, g.path_lengths(path.vertices))))
     return values, fixed
 
 

@@ -8,6 +8,7 @@ from lexgraph import (
     GraphFormatError,
     LexOrder,
     MissingValueError,
+    NoTerminalPathError,
     PartialAssignment,
     check_well_posed,
     enumerate_terminal_gradients,
@@ -16,8 +17,15 @@ from lexgraph import (
 )
 from lexgraph import core
 from lexgraph.oracles import apsp_floyd_warshall
+from lexgraph.synth import _repair_pairs
 
-from conftest import random_directed_instance, random_instance, reference_graph_arrays
+from conftest import (
+    random_directed_instance,
+    random_instance,
+    reference_edge_ids,
+    reference_graph_arrays,
+    reference_repair_pairs,
+)
 
 
 class TestGraph:
@@ -46,7 +54,7 @@ class TestGraph:
 
     def test_undirected_symmetric_lookup(self):
         g = Graph(2, [(0, 1, 2.0)])
-        assert g.edge_between(0, 1) == g.edge_between(1, 0)
+        assert g.edge_ids(0, 1) == g.edge_ids(1, 0)
 
 
 def _as_form(triples, form):
@@ -112,6 +120,80 @@ class TestGraphParity:
         with pytest.raises(GraphFormatError) as got:
             Graph(3, _as_form(triples, form))
         assert str(got.value) == str(want.value)
+
+
+class TestEdgeIds:
+    """The sorted-key search against a dict over every edge."""
+
+    @staticmethod
+    def _check_all_pairs(g):
+        ids = np.arange(-2, g.n + 3)
+        u, v = (a.ravel() for a in np.meshgrid(ids, ids))
+        got = g.edge_ids(u, v)
+        assert got.dtype == np.int64 and got.tolist() == reference_edge_ids(g, u, v)
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference(self, seed, directed):
+        n, triples = _random_triples(seed)
+        g = Graph(n, triples, directed=directed)
+        self._check_all_pairs(g)
+        rng = np.random.default_rng(seed)
+        self._check_all_pairs(g.induced_subgraph(np.flatnonzero(rng.random(n) < 0.6))[0])
+        self._check_all_pairs(g.with_edge_mask(rng.random(g.m) < 0.5))
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_out_of_range_ids_do_not_alias(self, directed):
+        n = 5
+        g = Graph(n, [(1, 2, 1.0), (1, 4, 2.0)], directed=directed)
+        assert g.edge_ids(1, 2) == 0 and g.edge_ids(1, 4) == 1
+        # (0, n + 2) has the key of (1, 2); (2, -1) has the key of (1, 4)
+        assert g.edge_ids(0, n + 2) == -1 and g.edge_ids(n + 2, 0) == -1
+        assert g.edge_ids(2, -1) == -1 and g.edge_ids(-1, 2) == -1
+        assert g.edge_ids(n, n) == -1
+
+    @pytest.mark.parametrize("n", [0, 3], ids=["n0", "m0"])
+    def test_no_edges(self, n):
+        for directed in (False, True):
+            g = Graph(n, [], directed=directed)
+            assert g.edge_ids(0, 1) == -1
+            assert g.edge_ids(np.array([0, 1, 2]), np.array([1, 2, 0])).tolist() == [-1, -1, -1]
+            assert g.edge_ids(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).shape == (0,)
+
+    def test_scalar_and_array_inputs(self):
+        g = Graph(4, [(0, 1, 1.0), (2, 3, 0.5), (1, 2, 2.0)])
+        assert g.edge_ids(3, 2).shape == () and int(g.edge_ids(3, 2)) == 2
+        assert g.edge_ids(np.array([[1, 0], [3, 0]]), 2).tolist() == [[1, -1], [2, -1]]
+        assert g.edge_ids([0, 2, 1], [1, 1, 3]).tolist() == [0, 1, -1]
+
+    def test_path_lengths(self):
+        g = Graph(4, [(0, 1, 1.0), (2, 3, 0.5), (1, 2, 2.0)])
+        assert g.path_lengths([3, 2, 1, 0, 1]) == [0.5, 2.0, 1.0, 1.0]
+        assert g.path_lengths([2]) == []
+        with pytest.raises(NoTerminalPathError, match=r"path step \(1,3\) is not an edge"):
+            g.path_lengths([0, 1, 3])
+
+
+class TestRepairPairs:
+    """``synth``'s vectorized repair against the per-pair loop it replaced."""
+
+    # 6 vertices of degree 5 and 8 of degree 7 can only become K6 and K8, so
+    # their repair runs many rounds
+    @pytest.mark.parametrize(
+        "n, degree", [(50, 4), (1000, 4), (3000, 6), (6, 5), (8, 7)], ids=["50", "1000", "3000d6", "6d5", "8d7"]
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference(self, n, degree, seed):
+        stubs = np.repeat(np.arange(n, dtype=np.int64), degree)
+        np.random.default_rng(seed).shuffle(stubs)
+        got, want = stubs.reshape(-1, 2), stubs.reshape(-1, 2).copy()
+        rng_got, rng_want = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+        assert _repair_pairs(got, rng_got) == reference_repair_pairs(want, rng_want)
+        assert np.array_equal(got, want)
+        assert rng_got.integers(2**63) == rng_want.integers(2**63)
+
+    def test_empty(self):
+        assert _repair_pairs(np.zeros((0, 2), dtype=np.int64), np.random.default_rng(0))
 
 
 class TestGradient:

@@ -54,7 +54,7 @@ def _check_parents(g, values, parent, start, scale, reverse):
         if p < 0:
             assert values[x] == pytest.approx(start[x], abs=1e-12) if x in start else np.isinf(values[x])
             continue
-        _, length = g.edge_between(x, p) if reverse else g.edge_between(p, x)
+        (length,) = g.path_lengths((x, p) if reverse else (p, x))
         assert values[x] == pytest.approx(values[p] + scale * length, abs=1e-12)
 
 
@@ -110,7 +110,7 @@ class TestModDijkstra:
         for x in np.flatnonzero(~v0.terminal_mask()):
             p = int(env.parent[x])
             assert p >= 0
-            _, length = g.edge_between(x, p)
+            (length,) = g.path_lengths((x, p))
             assert env.values[x] == pytest.approx(env.values[p] + alpha * length)
 
     def test_vhigh_parent_recurrence(self):
@@ -120,7 +120,7 @@ class TestModDijkstra:
         for x in np.flatnonzero(~v0.terminal_mask()):
             p = int(env.parent[x])
             assert p >= 0
-            _, length = g.edge_between(x, p)
+            (length,) = g.path_lengths((x, p))
             assert env.values[x] == pytest.approx(env.values[p] - alpha * length)
 
     def test_negative_alpha_rejected(self, path3):

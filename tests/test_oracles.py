@@ -192,3 +192,19 @@ def test_graph_init_has_no_per_edge_loop():
     loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     found = [type(node).__name__ for node in ast.walk(init) if isinstance(node, loops)]
     assert not found, found
+
+
+def test_graph_builds_no_dict():
+    """``Graph`` finds edges by a binary search over its sorted edge keys; a
+    dict literal, dict comprehension or ``dict(...)`` call anywhere in the
+    class would bring back the per-edge Python lookup and its memory."""
+    path = Path(lexgraph.__file__).parent / "core.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    graph = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Graph")
+    found = [
+        ast.unparse(node)
+        for node in ast.walk(graph)
+        if isinstance(node, (ast.Dict, ast.DictComp))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict")
+    ]
+    assert not found, found

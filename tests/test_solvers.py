@@ -1,5 +1,6 @@
 import statistics
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,22 @@ class TestCompFastLexMin:
         )
         assert rounds and not any(rounds)
 
+    @pytest.mark.parametrize("seed", [None, *range(6)], ids=["cube_knn300", *map(str, range(6))])
+    def test_replay_through_fix_path(self, seed):
+        """Re-fixing ``fixed_order`` from v0 with the public ``fix_path``,
+        which reads step lengths from the graph, gives the solver's bytes;
+        so the dense kernel's matrix lengths are the graph's own."""
+        if seed is None:
+            inst = synth.cube_knn(300, n_labels=20, seed=0)
+            g, v0 = inst.graph, inst.assignment()
+        else:
+            g, v0 = random_instance(seed * 13 + 2)
+        res = comp_fast_lex_min(g, v0, seed=0)
+        replay = v0
+        for path, _ in res.fixed_order:
+            replay = fix_path(g, replay, path)
+        assert np.array_equal(replay.values, res.assignment)
+
     def test_leaves_recursion_limit_alone(self, monkeypatch):
         def refuse(limit):
             raise AssertionError("comp_fast_lex_min changed the recursion limit")
@@ -368,6 +385,18 @@ class TestDirectedLexMin:
         g, v0 = path3
         with pytest.raises(ValueError):
             directed_lex_min(g, v0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_replay_through_fix_path(self, seed):
+        """Re-fixing ``fixed_order`` from v0 with ``fix_path`` gives the
+        values pinned before interval resolution, to the byte."""
+        g, v0 = random_directed_instance(seed + 300, n_range=(10, 40))
+        res = directed_lex_min(g, v0, seed=seed)
+        replay = v0
+        for path, _ in res.result.fixed_order:
+            replay = fix_path(g, replay, path)
+        pinned = np.where(res.fixed_before_resolution, res.result.assignment, np.nan)
+        assert np.array_equal(replay.values, pinned, equal_nan=True)
 
     @pytest.mark.parametrize(
         "seeds, n_range",
@@ -470,6 +499,27 @@ class TestVerifyMaxMin:
         assert not report.ok
         assert any(x == free[0] for x, _, _ in report.violations)
 
+    def test_violations_in_vertex_order(self):
+        """Each free vertex off the averaging rule is reported once, in vertex
+        order, with its largest and smallest gradient; an isolated free vertex
+        is skipped without a numpy warning."""
+        g, v0 = random_instance(23, n_range=(20, 20))
+        values = np.append(comp_lex_min(g, v0, seed=0).assignment, 0.0)
+        g = Graph(g.n + 1, np.column_stack((g.edge_u, g.edge_v, g.edge_len)))
+        v0 = PartialAssignment(np.append(v0.values, np.nan))
+        free = np.flatnonzero(~v0.terminal_mask())
+        values[free[::2]] += np.linspace(0.05, 0.3, free[::2].size)
+        want = []
+        for x in free[:-1]:
+            grads = [(values[x] - values[y]) / w for y, w in _neighbours(g, x)]
+            hi, lo = max(grads), min(grads)
+            if abs(hi + lo) > 1e-7 * max(1.0, abs(hi), abs(lo)):
+                want.append((int(x), hi, lo))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_max_min(g, v0, values, tol=1e-7)
+        assert want and report.violations == tuple(want) and not report.ok
+
     def test_unweighted_neighbor_averaging(self):
         g, v0 = random_instance(4, n_range=(12, 12))
         g = Graph(g.n, [(int(u), int(v), 1.0) for u, v in zip(g.edge_u, g.edge_v)])
@@ -478,6 +528,14 @@ class TestVerifyMaxMin:
         for x in np.flatnonzero(~v0.terminal_mask()):
             neigh = vals[np.concatenate([g.edge_v[g.edge_u == x], g.edge_u[g.edge_v == x]])]
             assert vals[x] == pytest.approx(0.5 * (max(neigh) + min(neigh)), abs=1e-7)
+
+
+def _neighbours(g: Graph, x: int) -> list[tuple[int, float]]:
+    """(neighbour, edge length) of every edge at x of an undirected graph."""
+    out = g.edge_u == x
+    back = g.edge_v == x
+    return list(zip(np.concatenate([g.edge_v[out], g.edge_u[back]]).tolist(),
+                    np.concatenate([g.edge_len[out], g.edge_len[back]]).tolist()))
 
 
 def stability_check(
