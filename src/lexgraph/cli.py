@@ -29,10 +29,14 @@ from .core import (
     LexgraphError,
     NotWellPosedError,
     PartialAssignment,
+    _first_20,
+    definitely_greater,
     require_well_posed,
 )
 from .l0reg import outlier_approx, outlier_exact
 from .solvers import (
+    DirectedLexResult,
+    SolverResult,
     comp_fast_lex_min,
     comp_inf_min,
     comp_lex_min,
@@ -224,7 +228,10 @@ def read_assignment_file(path: str, names: list[str]) -> np.ndarray:
         if len(parts) != 2 or parts[0] not in ids:
             row = "\t".join(parts)
             raise ParseError(f"{path}:{ln}: bad assignment row {row!r}")
-        values[ids[parts[0]]] = _finite_value(path, ln, parts[1], "assignment")
+        name, raw = parts
+        if not np.isnan(values[ids[name]]):
+            raise ParseError(f"{path}:{ln}: duplicate assignment for vertex {name!r}")
+        values[ids[name]] = _finite_value(path, ln, raw, "assignment")
     if np.isnan(values).any():
         missing = [names[i] for i in np.flatnonzero(np.isnan(values))][:5]
         raise ParseError(f"{path}: assignment misses vertices (e.g. {missing})")
@@ -261,40 +268,55 @@ def _load(graph_file: str, labels_file: str, assignment_file: str | None = None)
     return graph, names, v0, values
 
 
-def _solve_command(solver_name: str, graph_file: str, labels_file: str, seed: int, tol: float, out: str | None):
+def _run_solver(graph_file: str, labels_file: str, out: str | None, solve, report=None) -> None:
+    """Load the inputs and run ``solve(graph, v0)``; an instance that is not
+    well-posed exits 2. ``solve`` returns a SolverResult or a record that
+    holds one as ``result``. Write the assignment, then ``report(record,
+    names)`` if given, then the ``inf_norm=... iterations=... wall_time_s=...``
+    line on stderr."""
     started = time.perf_counter()
     graph, names, v0, _ = _load(graph_file, labels_file)
     try:
-        if solver_name == "dirlexmin":
-            if not graph.directed:
-                _fail("dirlexmin needs a '#directed' edge file", EXIT_ILL_POSED)
-            directed = directed_lex_min(graph, v0, seed=seed, tol=tol)
-            result = directed.result
-            for amb in directed.ambiguous:
-                click.echo(
-                    f"ambiguous\t{names[amb.vertex]}\t[{amb.lower:.12g}, {amb.upper:.12g}]"
-                    f"\t-> {amb.assigned:.12g}",
-                    err=True,
-                )
-            for eid, grad in directed.violations:
-                click.echo(f"warning: residual directed gradient {grad:.3e} on edge {eid}", err=True)
-        else:
-            if graph.directed and solver_name != "infmin":
-                _fail(f"{solver_name} needs an undirected graph; use dirlexmin", EXIT_ILL_POSED)
-            solver = {
-                "infmin": comp_inf_min,
-                "lexmin": comp_lex_min,
-                "fastlexmin": comp_fast_lex_min,
-            }[solver_name]
-            result = solver(graph, v0, seed=seed, tol=tol)
+        record = solve(graph, v0)
     except NotWellPosedError as exc:
         _fail(exc, EXIT_ILL_POSED)
+    result = record if isinstance(record, SolverResult) else record.result
     write_assignment(out, names, result.assignment)
+    if report is not None:
+        report(record, names)
     elapsed = time.perf_counter() - started
     click.echo(
         f"inf_norm={result.inf_norm:.12g} iterations={result.iterations} wall_time_s={elapsed:.3f}",
         err=True,
     )
+
+
+def _report_directed(directed: DirectedLexResult, names: list[str]) -> None:
+    for amb in directed.ambiguous:
+        click.echo(
+            f"ambiguous\t{names[amb.vertex]}\t[{amb.lower:.12g}, {amb.upper:.12g}]\t-> {amb.assigned:.12g}",
+            err=True,
+        )
+    for eid, grad in directed.violations:
+        click.echo(f"warning: residual directed gradient {grad:.3e} on edge {eid}", err=True)
+
+
+def _solve_command(solver_name: str, graph_file: str, labels_file: str, seed: int, tol: float, out: str | None):
+    solver = {
+        "infmin": comp_inf_min,
+        "lexmin": comp_lex_min,
+        "fastlexmin": comp_fast_lex_min,
+        "dirlexmin": directed_lex_min,
+    }[solver_name]
+
+    def solve(graph: Graph, v0: PartialAssignment):
+        if solver_name == "dirlexmin" and not graph.directed:
+            _fail("dirlexmin needs a '#directed' edge file", EXIT_ILL_POSED)
+        if graph.directed and solver_name not in ("infmin", "dirlexmin"):
+            _fail(f"{solver_name} needs an undirected graph; use dirlexmin", EXIT_ILL_POSED)
+        return solver(graph, v0, seed=seed, tol=tol)
+
+    _run_solver(graph_file, labels_file, out, solve, _report_directed if solver_name == "dirlexmin" else None)
 
 
 seed_option = click.option(
@@ -363,29 +385,18 @@ _register_solver("dirlexmin", "Directed lex-minimal extension with ambiguity rep
 @out_option
 def cmd_l0(graph_file, labels_file, k, mode, tol, out):
     """Outlier-robust inf-minimization: drop up to k (exact) or 2k (approx) labels."""
-    started = time.perf_counter()
-    graph, names, v0, _ = _load(graph_file, labels_file)
-    try:
-        if mode == "exact":
-            res = outlier_exact(graph, v0, k, tol=tol)
+    solver = outlier_exact if mode == "exact" else outlier_approx
+
+    def report(res, names: list[str]) -> None:
+        meta_lines = [f"alpha\t{res.alpha:.12g}"] + [f"removed\t{names[t]}" for t in sorted(res.removed)]
+        if out:
+            with _open_out(out + ".l0meta.tsv") as fh:
+                fh.write("\n".join(meta_lines) + "\n")
         else:
-            res = outlier_approx(graph, v0, k, tol=tol)
-    except NotWellPosedError as exc:
-        _fail(exc, EXIT_ILL_POSED)
-    write_assignment(out, names, res.result.assignment)
-    sidecar = (out + ".l0meta.tsv") if out else None
-    meta_lines = [f"alpha\t{res.alpha:.12g}"] + [f"removed\t{names[t]}" for t in sorted(res.removed)]
-    if sidecar:
-        with _open_out(sidecar) as fh:
-            fh.write("\n".join(meta_lines) + "\n")
-    else:
-        for line in meta_lines:
-            click.echo(line, err=True)
-    elapsed = time.perf_counter() - started
-    click.echo(
-        f"inf_norm={res.result.inf_norm:.12g} iterations={res.result.iterations} wall_time_s={elapsed:.3f}",
-        err=True,
-    )
+            for line in meta_lines:
+                click.echo(line, err=True)
+
+    _run_solver(graph_file, labels_file, out, lambda graph, v0: solver(graph, v0, k, tol=tol), report)
 
 
 @main.command(name="verify")
@@ -398,14 +409,13 @@ def cmd_verify(graph_file, labels_file, assignment_file, tol):
     graph, names, v0, values = _load(graph_file, labels_file, assignment_file)
     if graph.directed:
         _fail("verify needs an undirected graph; got a '#directed' edge file", EXIT_ILL_POSED)
-    mismatch = [
-        names[t]
-        for t in v0.terminals()
-        if abs(values[t] - v0.values[t]) > tol * max(1.0, abs(values[t]), abs(v0.values[t]))
-    ]
+    terminals = v0.terminals()
+    got, want = values[terminals], v0.values[terminals]
+    changed = definitely_greater(got, want, tol) | definitely_greater(want, got, tol)
+    mismatch = [names[t] for t in terminals[changed].tolist()]
     report = verify_max_min(graph, v0, values, tol=tol)
     if mismatch:
-        click.echo(f"assignment does not extend the labels at: {mismatch}", err=True)
+        click.echo(f"assignment does not extend the labels at: {_first_20(mismatch, str)}", err=True)
     if report.violations:
         x, hi, lo = max(report.violations, key=lambda row: abs(row[1] + row[2]))
         click.echo(

@@ -9,7 +9,6 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -46,17 +45,12 @@ class SizeGuardError(LexgraphError):
     """A desk-scale oracle was invoked beyond its size guard."""
 
 
-def rel_scale(a: float, b: float) -> float:
-    return max(1.0, abs(a), abs(b))
-
-
-def values_close(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
-    return abs(a - b) <= tol * rel_scale(a, b)
-
-
-def definitely_greater(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
-    """True iff a > b strictly, beyond the shared relative tolerance."""
-    return a - b > tol * rel_scale(a, b)
+@np.errstate(invalid="ignore")
+def definitely_greater(a, b, tol: float = DEFAULT_TOL):
+    """a > b strictly, beyond the shared relative tolerance: the one test of
+    "pressure exceeds alpha". Elementwise on arrays; never true where a or b
+    is infinite or NaN."""
+    return a - b > tol * np.maximum(np.maximum(abs(a), abs(b)), 1.0)
 
 
 class Graph:
@@ -237,9 +231,6 @@ class PartialAssignment:
             raise MissingValueError(f"vertex {x} is free")
         return v
 
-    def restrict(self, vertices: np.ndarray) -> "PartialAssignment":
-        return PartialAssignment(self.values[vertices])
-
     def __repr__(self) -> str:
         return f"PartialAssignment(n={self.n}, terminals={int(self.terminal_mask().sum())})"
 
@@ -252,15 +243,6 @@ class TerminalPath:
     length: float
     gradient: float
 
-    @classmethod
-    def build(cls, g: Graph, v0: PartialAssignment, vertices: Sequence[int]) -> "TerminalPath":
-        vertices = tuple(int(x) for x in vertices)
-        if len(vertices) < 2:
-            raise NoTerminalPathError("a terminal path needs at least two vertices")
-        total = sum(g.path_lengths(vertices))
-        grad = (v0.value(vertices[0]) - v0.value(vertices[-1])) / total
-        return cls(vertices, total, grad)
-
     @property
     def first(self) -> int:
         return self.vertices[0]
@@ -268,12 +250,6 @@ class TerminalPath:
     @property
     def last(self) -> int:
         return self.vertices[-1]
-
-
-class LexOrder(Enum):
-    LESS = -1
-    EQUAL = 0  # equal as multisets of absolute values
-    GREATER = 1
 
 
 def gradient(g: Graph, v: PartialAssignment, edge: int | tuple[int, int]) -> float:
@@ -308,25 +284,6 @@ def inf_norm_of(g: Graph, values: np.ndarray) -> float:
     if g.directed:
         return float(max(grads.max(), 0.0))
     return float(np.abs(grads).max())
-
-
-def lex_compare(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray, tol: float = DEFAULT_TOL) -> LexOrder:
-    """Compare two gradient vectors in the lexicographic order on sorted |values|.
-
-    Entries within the relative tolerance count as equal; EQUAL means the
-    sorted absolute values coincide as multisets.
-    """
-    a = np.abs(np.asarray(a, dtype=np.float64))
-    b = np.abs(np.asarray(b, dtype=np.float64))
-    if a.shape != b.shape:
-        raise ValueError(f"gradient vectors differ in length: {a.shape[0]} vs {b.shape[0]}")
-    a = np.sort(a)[::-1]
-    b = np.sort(b)[::-1]
-    for x, y in zip(a, b):
-        if values_close(x, y, tol):
-            continue
-        return LexOrder.LESS if x < y else LexOrder.GREATER
-    return LexOrder.EQUAL
 
 
 @dataclass(frozen=True)
@@ -503,18 +460,10 @@ def sorted_distinct(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     only inside runs of near-ties."""
     u = np.unique(values).astype(np.float64)
     keep = np.ones(u.shape[0], dtype=bool)
-    near = np.diff(u) <= tol * np.maximum(1.0, np.maximum(np.abs(u[1:]), np.abs(u[:-1])))
+    near = ~definitely_greater(u[1:], u[:-1], tol)
     last = 0.0
     for i in (np.flatnonzero(near) + 1).tolist():
         last = float(u[i - 1]) if keep[i - 1] else last
-        keep[i] = u[i] - last > tol * rel_scale(float(u[i]), last)
+        keep[i] = definitely_greater(float(u[i]), last, tol)
     return u[keep]
 
-
-def enumerate_terminal_gradients(
-    g: Graph, v0: PartialAssignment, dedup_tol: float = 1e-12
-) -> np.ndarray:
-    """Sorted deduplicated gradients (v0(s)-v0(t))/dist(s,t) over ordered terminal
-    pairs with finite distance."""
-    _, grad = terminal_gradient_matrix(g, v0)
-    return sorted_distinct(grad[np.isfinite(grad)], dedup_tol)

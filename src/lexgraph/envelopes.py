@@ -21,6 +21,7 @@ from .core import (
     PartialAssignment,
     WellPosednessReport,
     _dijkstra,
+    definitely_greater,
 )
 
 
@@ -93,14 +94,6 @@ def envelope_pair(
     return vlow, vhigh
 
 
-def _strictly_separated(vhigh: np.ndarray, vlow: np.ndarray, tol: float) -> np.ndarray:
-    out = np.zeros(vhigh.shape[0], dtype=bool)
-    finite = np.isfinite(vhigh) & np.isfinite(vlow)
-    scale = np.maximum(1.0, np.maximum(np.abs(vhigh[finite]), np.abs(vlow[finite])))
-    out[finite] = (vhigh[finite] - vlow[finite]) > tol * scale
-    return out
-
-
 def pressure_exceeds(g: Graph, v0: PartialAssignment, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Per-vertex test: does a terminal path with gradient > alpha run through x?
 
@@ -109,7 +102,7 @@ def pressure_exceeds(g: Graph, v0: PartialAssignment, alpha: float, tol: float =
     False for every alpha >= 0.
     """
     vlow, vhigh = envelope_pair(g, v0, alpha, require_complete=False)
-    return _strictly_separated(vhigh.values, vlow.values, tol)
+    return definitely_greater(vhigh.values, vlow.values, tol)
 
 
 def high_pressure_subgraph(g: Graph, v0: PartialAssignment, alpha: float, tol: float = DEFAULT_TOL) -> PressureSubgraph:

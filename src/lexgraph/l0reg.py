@@ -68,12 +68,6 @@ class PressureGraph:
         return not (two_step & ~adj).any()
 
 
-def _pressure_adjacency(grad: np.ndarray, alpha: float, tol: float) -> np.ndarray:
-    """``definitely_greater(grad, alpha, tol)`` entrywise."""
-    with np.errstate(invalid="ignore"):
-        return grad - alpha > tol * np.maximum(np.maximum(np.abs(grad), abs(alpha)), 1.0)
-
-
 def term_pressure_graph(
     g: Graph, v0: PartialAssignment, alpha: float, tol: float = DEFAULT_TOL
 ) -> PressureGraph:
@@ -82,7 +76,7 @@ def term_pressure_graph(
     Shortest paths may run through other terminals.
     """
     terminals, grad = terminal_gradient_matrix(g, v0)
-    rows, cols = np.nonzero(_pressure_adjacency(grad, alpha, tol))
+    rows, cols = np.nonzero(definitely_greater(grad, alpha, tol))
     arcs = frozenset(zip(terminals[rows].tolist(), terminals[cols].tolist()))
     return PressureGraph(tuple(terminals.tolist()), arcs, float(alpha))
 
@@ -117,27 +111,27 @@ def _min_cover(adj: np.ndarray) -> np.ndarray:
     return ~seen_l | seen_r
 
 
-def min_vc_tcdag(dag: PressureGraph, validate: bool = True) -> frozenset[int]:
+def min_vc_tcdag(dag: PressureGraph) -> frozenset[int]:
     """Minimum vertex cover of a transitively closed DAG via a maximum
     matching on its bipartite double graph (one left and one right copy per
-    vertex, arcs become left-right edges)."""
-    if validate:
-        if not dag.is_dag():
-            raise NotADagError("input has a directed cycle")
-        if not dag.is_transitively_closed():
-            raise NotADagError("input is not transitively closed")
+    vertex, arcs become left-right edges); other input raises NotADagError."""
+    if not dag.is_dag():
+        raise NotADagError("input has a directed cycle")
+    if not dag.is_transitively_closed():
+        raise NotADagError("input is not transitively closed")
     cover = _min_cover(dag.adjacency_matrix())
     return frozenset(np.asarray(dag.nodes, dtype=np.int64)[cover].tolist())
 
 
-def min_vc_implicit(dag: PressureGraph, validate: bool = True) -> frozenset[int]:
+def min_vc_implicit(dag: PressureGraph) -> frozenset[int]:
     """Minimum vertex cover of the transitive closure of a DAG without
     materializing the closure: min cut on the split network with back arcs
-    (v, right) -> (v, left) standing in for closure edges."""
+    (v, right) -> (v, left) standing in for closure edges. A cyclic input
+    raises NotADagError."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-    if validate and not dag.is_dag():
+    if not dag.is_dag():
         raise NotADagError("input has a directed cycle")
     k = len(dag.nodes)
     if k == 0:
@@ -221,7 +215,7 @@ def outlier_exact(g: Graph, v0: PartialAssignment, k: int, tol: float = DEFAULT_
     candidates = sorted_distinct(np.concatenate([[0.0], grad[grad > 0]]))
 
     def cover_at(alpha: float) -> np.ndarray:
-        return _min_cover(_pressure_adjacency(grad, alpha, tol))
+        return _min_cover(definitely_greater(grad, alpha, tol))
 
     lo, hi = 0, len(candidates) - 1
     best_cover = cover_at(candidates[hi])

@@ -71,7 +71,7 @@ class DirectedLexResult:
     # edges outside the fixed set whose final directed gradient is not ~0
     violations: tuple[tuple[int, float], ...]
     # vertices pinned by path fixing, before interval resolution
-    fixed_before_resolution: np.ndarray | None = None
+    fixed_before_resolution: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -225,40 +225,44 @@ def _fix_paths_above(g: Graph, v0: PartialAssignment, seed: int, tol: float) -> 
 def _split_round(frame: _Frame, stack: list[_Frame], state: _FastState) -> bool:
     """One round on a frame; False once the frame is done.
 
-    A frame that is not undirected at alpha 0 shrinks, after its first
-    round, to the vertices still steeper than alpha; with at most DENSE_MAX
-    vertices it then goes to the dense kernel and ends. (At alpha 0 only the
-    general loop makes the flat walks that finish dangling free vertices.)
-    Otherwise sample a steepest path, and fix it if nothing is steeper, else
-    push the components of the pressure split above it."""
+    The round works on its frame's graph without the edges between two fixed
+    vertices. A split component is cut from such a graph; the root, and a
+    frame whose last round fixed vertices or split, prune it here, once. A
+    started frame that is not undirected at alpha 0 then shrinks to the
+    vertices still steeper than alpha; with at most DENSE_MAX vertices it
+    goes to the dense kernel and ends. (At alpha 0 only the general loop
+    makes the flat walks that finish dangling free vertices.) Otherwise
+    sample a steepest path, and fix it if nothing is steeper, else push the
+    components of the pressure split above it."""
     flat = frame.alpha <= 0.0 and not frame.g.directed
-    if frame.started and not flat:
+    work = frame.g
+    if frame.started or frame.depth == 0:
         local_vals = state.values[frame.orig]
         if not np.isnan(local_vals).any():
             return False
         work = frame.g.with_edge_mask(~_terminal_edge_mask(frame.g, local_vals))
+    if frame.started and not flat:
         shrink = high_pressure_subgraph(work, PartialAssignment(local_vals), frame.alpha, tol=state.tol)
         if shrink.graph.n == 0:
             return False
-        frame.g = shrink.graph
+        frame.g = work = shrink.graph
         frame.orig = frame.orig[shrink.vertices]
     if not flat and frame.g.n <= DENSE_MAX:
         _fix_dense(frame.g, frame.orig, frame.alpha, state)
         return False
     frame.started = True
-    g, orig = frame.g, frame.orig
+    g, orig = work, frame.orig
     local_vals = state.values[orig]
     if not np.isnan(local_vals).any():
         return False
     cur = PartialAssignment(local_vals)
-    work = g.with_edge_mask(~_terminal_edge_mask(g, local_vals))
-    if work.m == 0:
+    if g.m == 0:
         raise LexgraphError("free vertices left with no usable edges")
-    best = _sampled_steepest(work, cur, state.rng, state.tol)
+    best = _sampled_steepest(g, cur, state.rng, state.tol)
     if best is None:
         raise LexgraphError("no terminal path found in a well-posed instance")
     threshold = max(best.gradient, 0.0) if g.directed else best.gradient
-    hp = high_pressure_subgraph(work, cur, threshold, tol=state.tol)
+    hp = high_pressure_subgraph(g, cur, threshold, tol=state.tol)
     if hp.graph.m == 0:
         # a directed path is fixed only if it slopes down; else nothing does
         if g.directed and not definitely_greater(best.gradient, 0.0, state.tol):
@@ -378,11 +382,8 @@ def directed_lex_min(
 
     grads = gradient_vector(g, values)
     outside = ~(fixed_mask[g.edge_u] & fixed_mask[g.edge_v])
-    violations = tuple(
-        (int(e), float(grads[e]))
-        for e in np.flatnonzero(outside)
-        if definitely_greater(grads[e], 0.0, tol)
-    )
+    bad = np.flatnonzero(outside & definitely_greater(grads, 0.0, tol))
+    violations = tuple(zip(bad.tolist(), grads[bad].tolist()))
     result = SolverResult(values, inf_norm_of(g, values), len(fixed), tuple(fixed))
     return DirectedLexResult(result, tuple(ambiguous), violations, fixed_mask)
 

@@ -109,10 +109,8 @@ def _two_sided_star(va, da, ia, vb, db, ib, rng, tol):
         rhs = vb[B] + alpha * db[B]
         lo = rhs.min()
         hi = lhs.max()
-        keep_a = lhs - lo > tol * np.maximum(1.0, np.maximum(np.abs(lhs), abs(lo)))
-        keep_b = hi - rhs > tol * np.maximum(1.0, np.maximum(np.abs(rhs), abs(hi)))
-        A = A[keep_a]
-        B = B[keep_b]
+        A = A[definitely_greater(lhs, lo, tol)]
+        B = B[definitely_greater(hi, rhs, tol)]
         if A.size == 0 or B.size == 0:
             break
     else:
@@ -264,8 +262,7 @@ def steepest_path(
     v0: PartialAssignment,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    with_stats: bool = False,
-):
+) -> TerminalPath:
     """Steepest free terminal path of a well-posed instance with no
     terminal-terminal edges and at least one free vertex.
 
@@ -300,13 +297,10 @@ def steepest_path(
             result = best
             break
         orig = orig[hp.vertices]
-        cur_v0 = cur_v0.restrict(hp.vertices)
+        cur_v0 = PartialAssignment(cur_v0.values[hp.vertices])
         cur_g = hp.graph
         depth += 1
 
     if result is None:
         raise NoTerminalPathError("no terminal path found")
-    mapped = TerminalPath(tuple(int(orig[v]) for v in result.vertices), result.length, result.gradient)
-    if with_stats:
-        return mapped, depth
-    return mapped
+    return TerminalPath(tuple(int(orig[v]) for v in result.vertices), result.length, result.gradient)

@@ -4,14 +4,23 @@ from __future__ import annotations
 
 import heapq
 import math
+from enum import Enum
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from lexgraph import Graph, GraphFormatError, PartialAssignment, check_well_posed
-from lexgraph.core import definitely_greater
+from lexgraph import (
+    DEFAULT_TOL,
+    Graph,
+    GraphFormatError,
+    NoTerminalPathError,
+    PartialAssignment,
+    TerminalPath,
+    check_well_posed,
+)
+from lexgraph.core import definitely_greater, sorted_distinct, terminal_gradient_matrix
 from lexgraph.solvers import AmbiguousVertex, _fix_path_inplace, _terminal_edge_mask
 from lexgraph.steepest import steepest_path
 
@@ -278,6 +287,46 @@ def transitive_closure(n: int, arcs: set[tuple[int, int]]) -> set[tuple[int, int
             stack.extend(adj[w])
         out |= {(s, w) for w in seen}
     return out
+
+
+class LexOrder(Enum):
+    LESS = -1
+    EQUAL = 0  # equal as multisets of absolute values
+    GREATER = 1
+
+
+def lex_compare(a, b, tol: float = DEFAULT_TOL) -> LexOrder:
+    """Compare two gradient vectors in the lexicographic order on sorted |values|.
+
+    Entries within the relative tolerance count as equal; EQUAL means the
+    sorted absolute values coincide as multisets.
+    """
+    a = np.abs(np.asarray(a, dtype=np.float64))
+    b = np.abs(np.asarray(b, dtype=np.float64))
+    if a.shape != b.shape:
+        raise ValueError(f"gradient vectors differ in length: {a.shape[0]} vs {b.shape[0]}")
+    for x, y in zip(np.sort(a)[::-1], np.sort(b)[::-1]):
+        if abs(x - y) <= tol * max(1.0, abs(x), abs(y)):
+            continue
+        return LexOrder.LESS if x < y else LexOrder.GREATER
+    return LexOrder.EQUAL
+
+
+def enumerate_terminal_gradients(g: Graph, v0: PartialAssignment, dedup_tol: float = 1e-12) -> np.ndarray:
+    """Sorted deduplicated gradients (v0(s)-v0(t))/dist(s,t) over ordered terminal
+    pairs with finite distance."""
+    _, grad = terminal_gradient_matrix(g, v0)
+    return sorted_distinct(grad[np.isfinite(grad)], dedup_tol)
+
+
+def terminal_path(g: Graph, v0: PartialAssignment, vertices) -> TerminalPath:
+    """The TerminalPath of a vertex walk between two terminals, its gradient
+    (first - last) / length."""
+    vertices = tuple(int(x) for x in vertices)
+    if len(vertices) < 2:
+        raise NoTerminalPathError("a terminal path needs at least two vertices")
+    total = sum(g.path_lengths(vertices))
+    return TerminalPath(vertices, total, (v0.value(vertices[0]) - v0.value(vertices[-1])) / total)
 
 
 @pytest.fixture

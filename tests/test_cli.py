@@ -290,6 +290,15 @@ class TestBadInput:
         line = _assert_one_line_error(run_cli("lexmin", str(edges), str(labels)), 3)
         assert f"{labels}:1:" in line
 
+    def test_duplicate_assignment_exits_3(self, path_fixture, tmp_path):
+        """A second row for a vertex is an error, as for labels: keeping the
+        last row would let verify pass a file whose earlier row is wrong."""
+        edges, labels = path_fixture
+        out = tmp_path / "dup.out.tsv"
+        out.write_text("a\t0\nb\t7\nc\t1\nb\t0.5\n")
+        line = _assert_one_line_error(run_cli("verify", str(edges), str(labels), str(out)), 3)
+        assert line == f"error: {out}:4: duplicate assignment for vertex 'b'"
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_assignment_exits_3(self, value, path_fixture, tmp_path):
         edges, labels = path_fixture
@@ -426,6 +435,22 @@ class TestVerify:
         assert len(lines) <= 22, res.stderr
         assert lines[0].startswith("violations\t48\tworst\tv1\t")
         assert sum(line.startswith("violation\t") for line in lines) == 20
+
+
+    def test_changed_labels_are_summarized(self, tmp_path):
+        # star of 25 labeled leaves around a free center; the assignment
+        # moves every label, so 20 are named and 5 counted
+        edges = tmp_path / "s.edges.tsv"
+        edges.write_text("#undirected\n" + "".join(f"c\tv{i}\t1\n" for i in range(25)))
+        labels = tmp_path / "s.labels.tsv"
+        labels.write_text("".join(f"v{i}\t0\n" for i in range(25)))
+        out = tmp_path / "s.out.tsv"
+        out.write_text("c\t1\n" + "".join(f"v{i}\t1\n" for i in range(25)))
+        res = run_cli("verify", str(edges), str(labels), str(out))
+        assert res.returncode == 1
+        lines = [line for line in res.stderr.splitlines() if line.startswith("assignment does not extend")]
+        named = ", ".join(f"v{i}" for i in range(20))
+        assert lines == [f"assignment does not extend the labels at: {named}, … and 5 more"], res.stderr
 
 
 class TestL0Command:

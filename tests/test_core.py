@@ -6,20 +6,20 @@ from hypothesis import strategies as st
 from lexgraph import (
     Graph,
     GraphFormatError,
-    LexOrder,
     MissingValueError,
     NoTerminalPathError,
     PartialAssignment,
     check_well_posed,
-    enumerate_terminal_gradients,
     gradient,
-    lex_compare,
 )
 from lexgraph import core
 from lexgraph.oracles import apsp_floyd_warshall
 from lexgraph.synth import _repair_pairs
 
 from conftest import (
+    LexOrder,
+    enumerate_terminal_gradients,
+    lex_compare,
     random_directed_instance,
     random_instance,
     reference_edge_ids,
@@ -359,7 +359,7 @@ def _sequential_distinct(values, tol=1e-12):
     """The one-value-at-a-time dedup that ``core.sorted_distinct`` replaces."""
     keep = []
     for x in np.unique(values).tolist():
-        if not keep or x - keep[-1] > tol * core.rel_scale(x, keep[-1]):
+        if not keep or x - keep[-1] > tol * max(1.0, abs(x), abs(keep[-1])):
             keep.append(x)
     return np.asarray(keep, dtype=np.float64)
 

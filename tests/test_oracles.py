@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,32 @@ def test_no_production_module_imports_oracles():
             assert "scipy.sparse.csgraph.dijkstra" not in names, path.name
         if path.name == "l0reg.py":
             assert not {name for name in names if "steepest" in name.split(".")}, path.name
+
+
+def _referenced_names(tree: ast.AST):
+    """Every name a module reads, imports or takes as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_public_names_are_used_or_documented():
+    """Every name in ``lexgraph.__all__`` is used by the library itself
+    (outside the package ``__init__``) or named in README's API section, so
+    no test harness ships as public API."""
+    src = Path(lexgraph.__file__).parent
+    used = set()
+    for path in src.glob("*.py"):
+        if path.name != "__init__.py":
+            used.update(_referenced_names(ast.parse(path.read_text(), filename=str(path))))
+    readme = (src.parents[1] / "README.md").read_text()
+    api = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"\w+", api))
+    assert not [name for name in lexgraph.__all__ if name not in used | documented]
 
 
 def test_graph_init_has_no_per_edge_loop():

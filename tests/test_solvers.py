@@ -8,7 +8,6 @@ import pytest
 from lexgraph import (
     Graph,
     LexgraphError,
-    LexOrder,
     NoTerminalPathError,
     NotWellPosedError,
     PartialAssignment,
@@ -20,30 +19,32 @@ from lexgraph import (
     fix_path,
     grad_plus_vector,
     gradient_vector,
-    lex_compare,
     verify_max_min,
 )
 from lexgraph import solvers, synth
 from lexgraph.oracles import apsp_floyd_warshall, brute_lex_min
 
 from conftest import (
+    LexOrder,
+    lex_compare,
     random_directed_instance,
     random_instance,
     reference_directed_fixing,
     reference_resolve_intervals,
+    terminal_path,
 )
 
 
 class TestFixPath:
     def test_symmetric_midpoint(self, path3):
         g, v0 = path3
-        p = TerminalPath.build(g, v0, [0, 1, 2])
+        p = terminal_path(g, v0, [0, 1, 2])
         assert fix_path(g, v0, p).values[1] == pytest.approx(0.5)
 
     def test_uneven_lengths(self):
         g = Graph(3, [(0, 1, 1.0), (1, 2, 3.0)])
         v0 = PartialAssignment([4.0, None, 0.0])
-        p = TerminalPath.build(g, v0, [0, 1, 2])
+        p = terminal_path(g, v0, [0, 1, 2])
         assert p.gradient == pytest.approx(1.0)
         assert fix_path(g, v0, p).values[1] == pytest.approx(3.0)
 
@@ -51,7 +52,7 @@ class TestFixPath:
         lens = [0.5, 1.5, 0.25, 2.0]
         g = Graph(5, [(i, i + 1, w) for i, w in enumerate(lens)])
         v0 = PartialAssignment([2.0, None, None, None, -1.0])
-        p = TerminalPath.build(g, v0, [0, 1, 2, 3, 4])
+        p = terminal_path(g, v0, [0, 1, 2, 3, 4])
         out = fix_path(g, v0, p).values
         total = sum(lens)
         run = 0.0
@@ -97,6 +98,29 @@ def _rounds_on_small_frames(monkeypatch, solve) -> list[bool]:
     monkeypatch.setattr(solvers, "_sampled_steepest", spy_sampled)
     solve()
     return rounds
+
+
+@pytest.mark.parametrize("case", ["cube_knn300", "digraph200"])
+def test_descent_rounds_prune_no_pruned_graph(monkeypatch, case):
+    """A split component is cut from a graph without edges between fixed
+    vertices, so only the root and a frame whose last round fixed vertices
+    or split prune their graph, once a round: no round's ``with_edge_mask``
+    keeps every edge, which would only copy the graph."""
+    if case == "cube_knn300":
+        inst, solve = synth.cube_knn(300, n_labels=20, seed=0), comp_fast_lex_min
+    else:
+        inst, solve = synth.random_digraph(200, 20, seed=0), directed_lex_min
+    keeps_all = []
+    with_edge_mask = Graph.with_edge_mask
+
+    def spy(self, mask):
+        if sys._getframe(1).f_code is solvers._split_round.__code__:
+            keeps_all.append(bool(mask.all()))
+        return with_edge_mask(self, mask)
+
+    monkeypatch.setattr(Graph, "with_edge_mask", spy)
+    solve(inst.graph, inst.assignment(), seed=0)
+    assert keeps_all and not any(keeps_all), keeps_all
 
 
 def test_empty_instance_solves_to_empty():

@@ -111,6 +111,22 @@ def prune_tt(g, v0):
     return g.with_edge_mask(~(tmask[g.edge_u] & tmask[g.edge_v]))
 
 
+def spy_descents(monkeypatch, split=lexgraph.steepest.high_pressure_subgraph) -> list[int]:
+    """Route ``steepest_path``'s pressure split through ``split`` and return a
+    list that gains one entry per split that left an edge, i.e. per descent:
+    its length after a search is the search's recursion depth."""
+    descents = []
+
+    def counted(g, v0, alpha, tol):
+        hp = split(g, v0, alpha, tol=tol)
+        if hp.graph.m:
+            descents.append(hp.graph.n)
+        return hp
+
+    monkeypatch.setattr(lexgraph.steepest, "high_pressure_subgraph", counted)
+    return descents
+
+
 class TestSteepestPath:
     def test_single_free_vertex(self, path3):
         g, v0 = path3
@@ -156,13 +172,15 @@ class TestSteepestPath:
         with pytest.raises(ValueError):
             steepest_path(g, PartialAssignment([0.0, 0.5, 1.0]), seed=0)
 
-    def test_expected_recursion_depth(self):
+    def test_expected_recursion_depth(self, monkeypatch):
         g, v0 = random_instance(999, n_range=(200, 200), max_extra_edges=400, terminal_range=(8, 8))
         work = prune_tt(g, v0)
+        descents = spy_descents(monkeypatch)
         depths = []
         for seed in range(100):
-            _, depth = steepest_path(work, v0, seed=seed, with_stats=True)
-            depths.append(depth)
+            descents.clear()
+            steepest_path(work, v0, seed=seed)
+            depths.append(len(descents))
         assert float(np.mean(depths)) <= 4 * math.log2(max(work.m, 2))
 
     def test_depth_cap_fallback_uses_no_oracle(self, monkeypatch):
@@ -177,8 +195,8 @@ class TestSteepestPath:
             raise AssertionError("production code called the oracle")
 
         # the pressure split never shrinks the graph, so the depth passes the cap
-        monkeypatch.setattr(lexgraph.steepest, "high_pressure_subgraph", keep_everything)
+        descents = spy_descents(monkeypatch, keep_everything)
         monkeypatch.setattr(lexgraph.oracles, "brute_steepest_path", oracle_called)
-        got, depth = steepest_path(work, v0, seed=0, with_stats=True)
-        assert depth > 8 * math.log2(work.m) + 16
+        got = steepest_path(work, v0, seed=0)
+        assert len(descents) > 8 * math.log2(work.m) + 16
         assert got.gradient == pytest.approx(ref.gradient, abs=1e-9)
