@@ -415,7 +415,10 @@ def single_source_distances(
     """Plain Dijkstra from one vertex (along orientation; reversed if asked).
 
     Unreachable vertices get +inf; parents are -1 at the source and there.
+    A source outside [0, n) raises ValueError.
     """
+    if not 0 <= source < g.n:
+        raise ValueError(f"source vertex {source} out of range for n={g.n}")
     dist, parent = _dijkstra(g, [int(source)], [0.0], 1.0, reverse)
     if with_parents:
         return dist, parent

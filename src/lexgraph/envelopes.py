@@ -10,6 +10,7 @@ through the vertex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +59,13 @@ def mod_dijkstra(
 
     Distances follow edge orientation toward x (``reverse`` flips it). This
     is the kernel ``core._dijkstra`` with the terminals as sources, starting
-    at their labels, and lengths scaled by alpha. With ``require_complete`` a
-    vertex unreachable from every terminal raises NotWellPosedError;
-    otherwise it carries +inf and parent -1.
+    at their labels, and lengths scaled by alpha, which must be finite and
+    nonnegative (else ValueError). With ``require_complete`` a vertex
+    unreachable from every terminal raises NotWellPosedError; otherwise it
+    carries +inf and parent -1.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
     terminals = v0.terminals()
     if terminals.size == 0:
         raise NotWellPosedError(WellPosednessReport(False, stranded_vertices=tuple(range(g.n))))

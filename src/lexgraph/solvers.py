@@ -1,22 +1,27 @@
 """Inf- and lex-minimization solvers plus the averaging verifier.
 
-The reference lex solver repeatedly fixes a steepest free terminal path; the
-fast solver fixes whole pressure plateaus per connected component before
-descending. Both produce the same (unique) extension on undirected graphs.
+Every lex solver fixes only free terminal paths that slope down (gradient
+``definitely_greater`` than 0), steepest first, and then settles what no such
+path reaches by intervals. The reference lex solver fixes one steepest path
+per round; the fast solver fixes whole pressure plateaus per connected
+component before descending. Both produce the same (unique) extension on
+undirected graphs.
 
 The fast solver descends on an explicit work stack, not by recursion: each
 round works on the top frame, and a pressure split pushes its components. One
-rule picks the kernel. A frame with at most ``DENSE_MAX`` vertices, fresh
-from a split or shrunk after a round, skips the sampling, star search and
-further splits, unless it is undirected at alpha 0: a dense kernel takes
-all-pairs distances on its k x k length matrix (Floyd-Warshall), fixes the
-path of the steepest terminal pair, and repeats until no pair is steeper than
-the frame's alpha. Every other frame takes the general loop.
+rule picks the kernel, in either orientation. A frame with at most
+``DENSE_MAX`` vertices (the whole graph, a component fresh from a split, or
+a frame shrunk after a round) skips the sampling, star search and further
+splits: a dense kernel takes all-pairs distances on its k x k length matrix
+(Floyd-Warshall), fixes the path of the steepest terminal pair, and repeats
+until no pair is steeper than the frame's alpha. Every other frame takes the general loop. The
+directed solver runs the same descent on weakly connected components.
 
-The directed solver runs the same descent on weakly connected components,
-fixing only paths of positive gradient, then clamps each free leftover into
-its interval. Both interval bounds are envelopes at scale 0 of the one
-shortest-path kernel, ``core._dijkstra``, from the fixed vertices.
+A free vertex left over has no sloped path through it. ``_resolve_intervals``
+clamps it into [largest fixed value with a path into it, smallest with a
+path out of it], both envelopes at scale 0 of the one shortest-path kernel,
+``core._dijkstra``. On an undirected graph the two bounds agree, so it takes
+the value of the fixed vertices it touches.
 """
 
 from __future__ import annotations
@@ -42,13 +47,16 @@ from .core import (
     require_well_posed,
 )
 from .envelopes import envelope_pair, high_pressure_subgraph
-from .steepest import _sampled_steepest, steepest_path
+from .steepest import _sample_split, steepest_path
 
 
 @dataclass(frozen=True)
 class SolverResult:
     """assignment extends the input labels; inf_norm is measured on the actual
-    output gradients; iterations counts path fixes (1 for the direct inf solve)."""
+    output gradients. The inf and lex solvers list in fixed_order the sloped
+    paths (gradient ``definitely_greater`` than 0) they fixed (comp_inf_min:
+    its critical path, if it slopes), with gradients, and iterations is its
+    length; the l0 solvers fix no path and count their search steps."""
 
     assignment: np.ndarray
     inf_norm: float
@@ -83,8 +91,8 @@ class MaxMinReport:
 def _fix_path_inplace(values: np.ndarray, path: TerminalPath, lengths: list[float]) -> float:
     """Fix ``path`` in ``values``; ``lengths`` holds the length of each step."""
     first, last = path.first, path.last
-    if np.isnan(values[first]) or np.isnan(values[last]):
-        raise NoTerminalPathError("fix_path needs a path with terminal endpoints")
+    if len(path.vertices) < 2 or np.isnan(values[first]) or np.isnan(values[last]):
+        raise NoTerminalPathError("fix_path needs a path of at least one edge with terminal endpoints")
     total = float(sum(lengths))
     grad = (values[first] - values[last]) / total
     run = 0.0
@@ -128,21 +136,29 @@ def comp_inf_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DE
     terminal path)."""
     require_well_posed(g, v0)
     if v0.is_complete:
-        return SolverResult(v0.values.copy(), inf_norm_of(g, v0.values), 1, ())
+        return SolverResult(v0.values.copy(), inf_norm_of(g, v0.values), 0, ())
     tt = _terminal_edge_mask(g, v0.values)
     alpha = inf_norm_of(g.with_edge_mask(tt), v0.values)  # over terminal-terminal edges
     pruned = g.with_edge_mask(~tt)
-    path = steepest_path(pruned, v0, seed=seed, tol=tol)
-    alpha = max(alpha, path.gradient)
+    fixed = ()
+    try:
+        path = steepest_path(pruned, v0, seed=seed, tol=tol)
+    except NoTerminalPathError:
+        pass  # no sloped path
+    else:
+        alpha = max(alpha, path.gradient)
+        if definitely_greater(path.gradient, 0.0, tol):
+            fixed = ((path, path.gradient),)
     vlow, vhigh = envelope_pair(pruned, v0, alpha)
     values = np.where(v0.terminal_mask(), v0.values, 0.5 * (vlow.values + vhigh.values))
-    return SolverResult(values, inf_norm_of(g, values), 1, ((path, path.gradient),))
+    return SolverResult(values, inf_norm_of(g, values), len(fixed), fixed)
 
 
 def comp_lex_min(
     g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> SolverResult:
-    """Reference lex-minimizer: fix one steepest free terminal path per round."""
+    """Reference lex-minimizer: fix one steepest free terminal path per round
+    while one slopes down, then resolve the leftovers by intervals."""
     if g.directed:
         raise ValueError("comp_lex_min handles undirected graphs; use directed_lex_min")
     require_well_posed(g, v0)
@@ -155,9 +171,13 @@ def comp_lex_min(
     label_scale = float(np.nanmax(np.abs(v0.values), initial=1.0))
     grad_slack = 1e-7 * label_scale / min(1.0, float(g.edge_len.min())) if g.m else 0.0
     while np.isnan(values).any():
-        cur = PartialAssignment(values)
         work = g.with_edge_mask(~_terminal_edge_mask(g, values))
-        path = steepest_path(work, cur, seed=int(rng.integers(2**63)), tol=tol)
+        try:
+            path = steepest_path(work, PartialAssignment(values), seed=int(rng.integers(2**63)), tol=tol)
+        except NoTerminalPathError:
+            break  # no sloped path left
+        if not definitely_greater(path.gradient, 0.0, tol):
+            break
         if path.gradient > prev + grad_slack:
             raise LexgraphError(
                 f"fixed gradients must be non-increasing; got {path.gradient} after {prev}"
@@ -165,13 +185,13 @@ def comp_lex_min(
         prev = min(prev, path.gradient)
         grad = _fix_path_inplace(values, path, g.path_lengths(path.vertices))
         fixed.append((path, grad))
+    values, _ = _resolve_intervals(g, v0, values)
     return SolverResult(values, inf_norm_of(g, values), len(fixed), tuple(fixed))
 
 
 #: Frames of the descent with at most this many vertices are solved by the
-#: dense kernel ``_fix_dense``, except undirected frames at alpha 0; larger
-#: ones take the sample / star search / pressure split loop. On 3000-vertex
-#: cube-kNN instances, when only split components went to the kernel, every
+#: dense kernel ``_fix_dense``; larger ones take the sample / star search /
+#: pressure split loop. On 3000-vertex cube-kNN instances, when only split components went to the kernel, every
 #: cutoff from 16 to 96 cut the solve by 37-47%, 48 by the most; at 128 the
 #: kernel's O(k^3) work per fix gave back much of the gain. At 48, on seed 0,
 #: 977 kernel calls take 1,758 of the 1,766 fixes and the general loop runs
@@ -202,9 +222,9 @@ class _Frame:
 
 
 def _fix_paths_above(g: Graph, v0: PartialAssignment, seed: int, tol: float) -> _FastState:
-    """The pressure descent at alpha 0: fix every free terminal path of g (on
-    a directed graph, of positive gradient), descending into each (weakly)
-    connected high-pressure component.
+    """The pressure descent at alpha 0: fix every free terminal path of g of
+    positive gradient, descending into each (weakly) connected high-pressure
+    component.
 
     The descent runs a round of ``_split_round`` on the top frame of an
     explicit work stack and pops the frame once a round returns False. A
@@ -228,26 +248,24 @@ def _split_round(frame: _Frame, stack: list[_Frame], state: _FastState) -> bool:
     The round works on its frame's graph without the edges between two fixed
     vertices. A split component is cut from such a graph; the root, and a
     frame whose last round fixed vertices or split, prune it here, once. A
-    started frame that is not undirected at alpha 0 then shrinks to the
-    vertices still steeper than alpha; with at most DENSE_MAX vertices it
-    goes to the dense kernel and ends. (At alpha 0 only the general loop
-    makes the flat walks that finish dangling free vertices.) Otherwise
-    sample a steepest path, and fix it if nothing is steeper, else push the
-    components of the pressure split above it."""
-    flat = frame.alpha <= 0.0 and not frame.g.directed
+    started frame below the root then shrinks to the vertices still steeper
+    than alpha; the root never shrinks. A frame of at most DENSE_MAX
+    vertices goes to the dense kernel and ends. Otherwise ``_sample_split``:
+    fix the sampled path if nothing is steeper and it slopes down, or else
+    push the components of the pressure split above it."""
     work = frame.g
     if frame.started or frame.depth == 0:
         local_vals = state.values[frame.orig]
         if not np.isnan(local_vals).any():
             return False
         work = frame.g.with_edge_mask(~_terminal_edge_mask(frame.g, local_vals))
-    if frame.started and not flat:
+    if frame.started and frame.depth > 0:
         shrink = high_pressure_subgraph(work, PartialAssignment(local_vals), frame.alpha, tol=state.tol)
         if shrink.graph.n == 0:
             return False
         frame.g = work = shrink.graph
         frame.orig = frame.orig[shrink.vertices]
-    if not flat and frame.g.n <= DENSE_MAX:
+    if frame.g.n <= DENSE_MAX:
         _fix_dense(frame.g, frame.orig, frame.alpha, state)
         return False
     frame.started = True
@@ -255,17 +273,9 @@ def _split_round(frame: _Frame, stack: list[_Frame], state: _FastState) -> bool:
     local_vals = state.values[orig]
     if not np.isnan(local_vals).any():
         return False
-    cur = PartialAssignment(local_vals)
-    if g.m == 0:
-        raise LexgraphError("free vertices left with no usable edges")
-    best = _sampled_steepest(g, cur, state.rng, state.tol)
-    if best is None:
-        raise LexgraphError("no terminal path found in a well-posed instance")
-    threshold = max(best.gradient, 0.0) if g.directed else best.gradient
-    hp = high_pressure_subgraph(g, cur, threshold, tol=state.tol)
+    best, hp = _sample_split(g, PartialAssignment(local_vals), state.rng, state.tol)
     if hp.graph.m == 0:
-        # a directed path is fixed only if it slopes down; else nothing does
-        if g.directed and not definitely_greater(best.gradient, 0.0, state.tol):
+        if best is None or not definitely_greater(best.gradient, 0.0, state.tol):
             return False
         mapped = TerminalPath(tuple(int(orig[v]) for v in best.vertices), best.length, best.gradient)
         grad = _fix_path_inplace(state.values, mapped, state.root.path_lengths(mapped.vertices))
@@ -275,7 +285,7 @@ def _split_round(frame: _Frame, stack: list[_Frame], state: _FastState) -> bool:
         hp_orig = orig[hp.vertices]
         for c in reversed(range(n_comp)):
             sub, local_ids = hp.graph.induced_subgraph(np.flatnonzero(comp_labels == c))
-            stack.append(_Frame(sub, hp_orig[local_ids], threshold, frame.depth + 1))
+            stack.append(_Frame(sub, hp_orig[local_ids], hp.alpha, frame.depth + 1))
     return True
 
 
@@ -290,15 +300,14 @@ def _fix_dense(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> N
     pair's shortest path runs through another terminal r, both halves have
     the pair's gradient (the mediant inequality is tight at the maximum), so
     ``_fix_path_inplace``'s consistency check holds. As in the general loop,
-    the first path is fixed without the alpha test (a directed one only if
-    it slopes down), so every undirected call progresses.
+    the first path is fixed if it slopes down, without the alpha test.
     """
     k = g.n
     lengths = np.full((k, k), np.inf)
     lengths[g.edge_u, g.edge_v] = g.edge_len
     if not g.directed:
         lengths[g.edge_v, g.edge_u] = g.edge_len
-    first = True
+    floor = 0.0
     while True:
         vals = state.values[orig]
         fixed = ~np.isnan(vals)
@@ -317,10 +326,7 @@ def _fix_dense(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> N
         grads[np.isinf(tdist)] = -np.inf
         i, j = divmod(int(np.argmax(grads)), terms.shape[0])
         grad = float(grads[i, j])
-        if first and not g.directed:
-            if grad == -np.inf:
-                raise LexgraphError("no terminal path found in a well-posed instance")
-        elif not definitely_greater(grad, 0.0 if first else alpha, state.tol):
+        if not definitely_greater(grad, floor, state.tol):
             return  # also when no terminal pair is joined (-inf)
         # walk back from t; the vertex before x minimizes dist(s, u) + len(u, x)
         s, walk = int(terms[i]), [int(terms[j])]
@@ -332,7 +338,7 @@ def _fix_dense(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> N
         path = TerminalPath(tuple(orig[walk].tolist()), float(tdist[i, j]), grad)
         steps = lengths[walk[:-1], walk[1:]].tolist()
         state.fixed.append((path, _fix_path_inplace(state.values, path, steps)))
-        first = False
+        floor = alpha
 
 
 def comp_fast_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL) -> SolverResult:
@@ -340,15 +346,17 @@ def comp_fast_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float
     comp_lex_min, much faster on large graphs.
 
     Each round samples a steepest path, splits off the connected components
-    whose pressure exceeds its gradient and descends into each, on an explicit
-    work stack. A frame of at most DENSE_MAX vertices above alpha 0 is
-    finished by the dense kernel on its all-pairs distances. ``fixed_order``
-    is in depth-first descent order, steepest first inside a dense frame."""
+    whose pressure exceeds max(its gradient, 0) and descends into each, on an
+    explicit work stack. Every frame of at most DENSE_MAX vertices, at any
+    alpha, is finished by the dense kernel on its all-pairs distances. The
+    leftovers, on no sloped path, get the value of the fixed vertices they
+    touch. ``fixed_order`` is in depth-first descent order, steepest first
+    inside a dense frame."""
     if g.directed:
         raise ValueError("comp_fast_lex_min handles undirected graphs; use directed_lex_min")
-    # at alpha 0 the undirected descent returns only once every vertex is fixed
     state = _fix_paths_above(g, v0, seed, tol)
-    return SolverResult(state.values, inf_norm_of(g, state.values), len(state.fixed), tuple(state.fixed))
+    values, _ = _resolve_intervals(g, v0, state.values)
+    return SolverResult(values, inf_norm_of(g, values), len(state.fixed), tuple(state.fixed))
 
 
 def directed_lex_min(
@@ -372,33 +380,38 @@ def directed_lex_min(
     if not g.directed:
         raise ValueError("directed_lex_min needs a directed graph")
     state = _fix_paths_above(g, v0, seed, tol)
-    values, fixed = state.values, state.fixed
-
-    fixed_mask = ~np.isnan(values)
-    ambiguous: list[AmbiguousVertex] = []
-    if not fixed_mask.all():
-        median = float(statistics.median(v0.values[v0.terminals()].tolist()))
-        values, ambiguous = _resolve_intervals(g, values, median)
-
+    fixed_mask = ~np.isnan(state.values)
+    values, ambiguous = _resolve_intervals(g, v0, state.values)
     grads = gradient_vector(g, values)
     outside = ~(fixed_mask[g.edge_u] & fixed_mask[g.edge_v])
     bad = np.flatnonzero(outside & definitely_greater(grads, 0.0, tol))
     violations = tuple(zip(bad.tolist(), grads[bad].tolist()))
-    result = SolverResult(values, inf_norm_of(g, values), len(fixed), tuple(fixed))
+    result = SolverResult(values, inf_norm_of(g, values), len(state.fixed), tuple(state.fixed))
     return DirectedLexResult(result, tuple(ambiguous), violations, fixed_mask)
 
 
-def _resolve_intervals(g: Graph, values: np.ndarray, median: float):
-    """Assign leftover free vertices. Constraints: along every remaining edge
-    (x, y) the completion must satisfy v(x) <= v(y), so a free vertex x gets
-    the interval [max fixed value with a free path into x, min fixed value
-    with a free path out of x]. Both bounds are shortest-path envelopes at
-    scale 0 from the fixed vertices, on the edges that do not enter (for the
-    lower bound) or leave (for the upper) a fixed vertex."""
+def _resolve_intervals(g: Graph, v0: PartialAssignment, values: np.ndarray):
+    """(values, ambiguous): assign the free vertices left in ``values``, in
+    place. Constraints: along every remaining edge (x, y) the completion must
+    satisfy v(x) <= v(y), so a free vertex x gets the interval [max fixed
+    value with a path into x, min fixed value with a path out of x], and the
+    value in it closest to the median of the labels of v0. Both bounds are
+    shortest-path envelopes at scale 0 from the fixed vertices. On a
+    directed graph they run on the edges that do not enter (for the lower
+    bound) or leave (for the upper) a fixed vertex. On an undirected graph
+    both run on the edges that do not join two fixed vertices; no sloped
+    path is left, so every fixed vertex a leftover reaches has one value."""
     fixed = ~np.isnan(values)
+    if fixed.all():
+        return values, []
+    median = float(statistics.median(v0.values[v0.terminals()].tolist()))
+    if g.directed:
+        low_edges, high_edges = ~fixed[g.edge_v], ~fixed[g.edge_u]
+    else:
+        low_edges = high_edges = ~(fixed[g.edge_u] & fixed[g.edge_v])
     src = np.flatnonzero(fixed)
-    lower = -_dijkstra(g.with_edge_mask(~fixed[g.edge_v]), src, -values[src], 0.0, False)[0]
-    upper = _dijkstra(g.with_edge_mask(~fixed[g.edge_u]), src, values[src], 0.0, True)[0]
+    lower = -_dijkstra(g.with_edge_mask(low_edges), src, -values[src], 0.0, False)[0]
+    upper = _dijkstra(g.with_edge_mask(high_edges), src, values[src], 0.0, True)[0]
     ambiguous = []
     for x in np.flatnonzero(~fixed):
         lo, hi = float(lower[x]), float(upper[x])

@@ -5,6 +5,11 @@ by random pivoting: compute the pivot's best partner, then keep only
 terminals that can still beat that gradient (an envelope threshold test) and
 recurse. Expected linear time, never wrong: ties and degenerate cases fall
 back to exhaustive scans.
+
+A vertex-steepest path joins two distinct terminals. ``_sample_split`` is
+the one step of the pressure descent, shared by ``steepest_path`` and the
+solvers: sample, then keep the subgraph whose pressure exceeds max(the
+sampled gradient, 0).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .core import (
     definitely_greater,
     single_source_distances,
 )
-from .envelopes import high_pressure_subgraph
+from .envelopes import PressureSubgraph, high_pressure_subgraph
 
 _BRUTE_PAIRS = 1024
 
@@ -212,13 +217,6 @@ def _vertex_steepest(
     if up.size == 0 or down.size == 0:
         return None
     hit = _two_sided_star(vals[up], dist_in[up], up, vals[down], dist_out[down], down, rng, tol)
-    common = up if not g.directed else np.intersect1d(up, down)
-    use_flat = common.size > 0 and (hit is None or definitely_greater(0.0, hit[2], tol))
-    if use_flat:
-        # flat walk t .. x .. t; the steepest option when every pair slopes down
-        t = int(common.min())
-        verts = _chain(par_in, t) + list(reversed(_chain(par_out, t)))[1:]
-        return TerminalPath(tuple(verts), float(dist_in[t] + dist_out[t]), 0.0)
     if hit is None:
         return None
     t1, t2 = int(up[hit[0]]), int(down[hit[1]])
@@ -230,7 +228,9 @@ def _vertex_steepest(
 def vertex_steepest_path(
     g: Graph, v0: PartialAssignment, x: int, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> TerminalPath:
-    """Steepest terminal path through x; its gradient equals the pressure of x."""
+    """Steepest terminal path through x; its gradient equals the pressure of
+    x. NoTerminalPathError if no path between two distinct terminals runs
+    through x, ValueError if x is not a vertex."""
     rng = np.random.default_rng(seed)
     path = _vertex_steepest(g, v0, x, rng, tol)
     if path is None:
@@ -249,12 +249,19 @@ def _steepest_through(g: Graph, v0: PartialAssignment, xs, rng, tol: float) -> O
     return best
 
 
-def _sampled_steepest(g: Graph, v0: PartialAssignment, rng, tol: float) -> Optional[TerminalPath]:
-    """``_steepest_through`` the endpoints of a random edge and a random
-    vertex; g must have an edge."""
+def _sample_split(g: Graph, v0: PartialAssignment, rng, tol: float) -> tuple[Optional[TerminalPath], PressureSubgraph]:
+    """One step of the pressure descent on g: the best of the vertex-steepest
+    paths through the ends of a random edge and a random vertex (None if
+    none joins two distinct terminals), and the subgraph whose pressure
+    exceeds max(its gradient, 0), 0 if it is None. NoTerminalPathError if g
+    has no edge."""
+    if g.m == 0:
+        raise NoTerminalPathError("no edge left to sample a terminal path")
     eid = int(rng.integers(g.m))
     x3 = int(rng.integers(g.n))
-    return _steepest_through(g, v0, dict.fromkeys((int(g.edge_u[eid]), int(g.edge_v[eid]), x3)), rng, tol)
+    best = _steepest_through(g, v0, dict.fromkeys((int(g.edge_u[eid]), int(g.edge_v[eid]), x3)), rng, tol)
+    threshold = 0.0 if best is None else max(best.gradient, 0.0)
+    return best, high_pressure_subgraph(g, v0, threshold, tol=tol)
 
 
 def steepest_path(
@@ -266,12 +273,14 @@ def steepest_path(
     """Steepest free terminal path of a well-posed instance with no
     terminal-terminal edges and at least one free vertex.
 
-    Sample an edge and a vertex, take the best of their vertex-steepest
-    paths, and recurse on the subgraph whose pressure exceeds that gradient
-    until it is empty. On directed graphs with no positive-gradient path the
-    returned path may not be the maximizer, but its gradient is <= 0, which
-    is all the callers need. Depth is capped; on breach an exhaustive scan
-    of every vertex-steepest path takes over.
+    Repeat ``_sample_split`` on the subgraph it leaves until that subgraph
+    has no edge, and return the last sampled path. When no path slopes down
+    (no vertex has pressure ``definitely_greater`` than 0), that path may not
+    be the maximizer, but its gradient is not definitely above 0; if the last
+    sample found no path between two distinct terminals, NoTerminalPathError
+    is raised instead, which callers read as "no sloped path left". Depth is
+    capped; on breach an exhaustive scan of every vertex-steepest path takes
+    over.
     """
     tmask = v0.terminal_mask()
     if tmask.all():
@@ -280,27 +289,16 @@ def steepest_path(
         raise ValueError("terminal-terminal edges must be removed before the search")
     rng = np.random.default_rng(seed)
     cap = int(8 * math.log2(max(g.m, 2)) + 16)
-
-    cur_g = g
-    cur_v0 = v0
     orig = np.arange(g.n, dtype=np.int64)
-    depth = 0
-    result = None
-    while True:
-        best = None if depth > cap or cur_g.m == 0 else _sampled_steepest(cur_g, cur_v0, rng, tol)
-        if best is None:
-            result = _steepest_through(cur_g, cur_v0, range(cur_g.n), rng, tol)
-            break
-        threshold = max(best.gradient, 0.0) if g.directed else best.gradient
-        hp = high_pressure_subgraph(cur_g, cur_v0, threshold, tol=tol)
+    for _ in range(cap + 1):
+        best, hp = _sample_split(g, v0, rng, tol)
         if hp.graph.m == 0:
-            result = best
             break
         orig = orig[hp.vertices]
-        cur_v0 = PartialAssignment(cur_v0.values[hp.vertices])
-        cur_g = hp.graph
-        depth += 1
-
-    if result is None:
+        v0 = PartialAssignment(v0.values[hp.vertices])
+        g = hp.graph
+    else:
+        best = _steepest_through(g, v0, range(g.n), rng, tol)
+    if best is None:
         raise NoTerminalPathError("no terminal path found")
-    return TerminalPath(tuple(int(orig[v]) for v in result.vertices), result.length, result.gradient)
+    return TerminalPath(tuple(int(orig[v]) for v in best.vertices), best.length, best.gradient)

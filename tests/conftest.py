@@ -148,14 +148,18 @@ def random_directed_instance(
 def reference_directed_fixing(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = 1e-9):
     """(values, fixed paths) of the whole-graph directed fixing loop that
     ``directed_lex_min`` ran before its pressure descent: one steepest path
-    of the whole graph per round, fixed while its gradient is positive
-    beyond tolerance. A test reference only; the library never calls it."""
+    of the whole graph per round, fixed while there is one and its gradient
+    is positive beyond tolerance. A test reference only; the library never
+    calls it."""
     rng = np.random.default_rng(seed)
     values = v0.values.copy()
     fixed = []
     while np.isnan(values).any():
         work = g.with_edge_mask(~_terminal_edge_mask(g, values))
-        path = steepest_path(work, PartialAssignment(values), seed=int(rng.integers(2**63)), tol=tol)
+        try:
+            path = steepest_path(work, PartialAssignment(values), seed=int(rng.integers(2**63)), tol=tol)
+        except NoTerminalPathError:
+            break
         if not definitely_greater(path.gradient, 0.0, tol):
             break
         fixed.append((path, _fix_path_inplace(values, path, g.path_lengths(path.vertices))))

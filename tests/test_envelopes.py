@@ -128,6 +128,15 @@ class TestModDijkstra:
         with pytest.raises(ValueError):
             mod_dijkstra(g, v0, -0.5)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, path3, alpha):
+        """nan and inf fail as a negative alpha does: not as an ill-posed
+        instance, and not as an empty pressure subgraph."""
+        g, v0 = path3
+        for call in (mod_dijkstra, comp_vhigh, high_pressure_subgraph):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                call(g, v0, alpha)
+
     def test_unreachable_vertex_raises(self):
         g = Graph(3, [(0, 1, 1.0)])
         with pytest.raises(NotWellPosedError):

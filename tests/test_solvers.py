@@ -71,6 +71,15 @@ class TestFixPath:
         with pytest.raises(NoTerminalPathError, match="not an edge"):
             fix_path(g, v0, TerminalPath((0, 2), 2.0, -0.5))
 
+    def test_one_vertex_path_rejected(self, path3):
+        """A one-vertex path has no edge to interpolate along: it raises,
+        without a 0/0 RuntimeWarning."""
+        g, v0 = path3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoTerminalPathError):
+                fix_path(g, v0, TerminalPath((0,), 0.0, 0.0))
+
     def test_inconsistent_revisit(self, path3):
         # 0 -> 1 -> 2 -> 1 -> 2 reaches 1 at 1/4 and again at 3/4 of its length
         g, v0 = path3
@@ -80,10 +89,10 @@ class TestFixPath:
 
 def _rounds_on_small_frames(monkeypatch, solve) -> list[bool]:
     """Run solve() with spies on the descent: one entry per general-loop
-    round (the sampling after the shrink), True if its frame has at most
-    DENSE_MAX vertices and is not undirected at alpha 0."""
+    round (the sample-and-split step after the shrink), True if its frame
+    has at most DENSE_MAX vertices."""
     frames, rounds = [], []
-    split_round, sampled = solvers._split_round, solvers._sampled_steepest
+    split_round, sampled = solvers._split_round, solvers._sample_split
 
     def spy_round(frame, *rest):
         frames.append(frame)
@@ -91,13 +100,70 @@ def _rounds_on_small_frames(monkeypatch, solve) -> list[bool]:
 
     def spy_sampled(*args):
         f = frames[-1]
-        rounds.append(f.g.n <= solvers.DENSE_MAX and (f.alpha > 0.0 or f.g.directed))
+        rounds.append(f.g.n <= solvers.DENSE_MAX)
         return sampled(*args)
 
     monkeypatch.setattr(solvers, "_split_round", spy_round)
-    monkeypatch.setattr(solvers, "_sampled_steepest", spy_sampled)
+    monkeypatch.setattr(solvers, "_sample_split", spy_sampled)
     solve()
     return rounds
+
+
+FLAT_CASES = {
+    # (graph, labels, assignment, sloped paths); a free vertex off the one
+    # sloped path of the T-graph lies on no path of positive gradient
+    "one_label_path": (Graph(3, [(0, 1, 1.0), (1, 2, 2.0)]), [None, 0.25, None], [0.25] * 3, 0),
+    "two_components": (
+        Graph(5, [(0, 1, 1.0), (1, 2, 3.0), (3, 4, 0.5)]),
+        [None, 0.75, None, -2.0, None],
+        [0.75, 0.75, 0.75, -2.0, -2.0],
+        0,
+    ),
+    "t_graph": (
+        Graph(5, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (3, 4, 1.0)]),
+        [0.0, None, 1.0, None, 0.5],
+        [0.0, 0.5, 1.0, 0.5, 0.5],
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("cutoff", [0, solvers.DENSE_MAX])
+@pytest.mark.parametrize("case", FLAT_CASES)
+def test_only_sloped_paths_are_fixed(monkeypatch, case, cutoff):
+    """A free vertex on no path of positive gradient takes the value of the
+    fixed vertices it touches (the lex solvers' interval fill, the inf
+    solver's envelopes); ``fixed_order`` holds the sloped paths only, and
+    ``iterations`` counts them."""
+    monkeypatch.setattr(solvers, "DENSE_MAX", cutoff)
+    g, labels, want, sloped = FLAT_CASES[case]
+    v0 = PartialAssignment(labels)
+    for solve in (comp_inf_min, comp_lex_min, comp_fast_lex_min):
+        res = solve(g, v0, seed=0)
+        assert np.array_equal(res.assignment, want), solve.__name__
+        assert all(grad > 0.0 for _, grad in res.fixed_order), solve.__name__
+        assert res.iterations == len(res.fixed_order) == sloped, solve.__name__
+
+
+@pytest.mark.parametrize("cutoff", [0, 48])
+def test_undirected_paths_within_tol_of_flat_stay_free(monkeypatch, cutoff):
+    """Six chains A - x - B of length 10 whose drops of 1.5e-9 .. 9e-9 give
+    gradients within tol of 0, and one steep chain: only the steep one is
+    fixed, by the general loop or the dense kernel, and the interval fill
+    gives a lex-minimizer to within the drops."""
+    monkeypatch.setattr(solvers, "DENSE_MAX", cutoff)
+    edges, vals = [(18, 19, 1.0), (19, 20, 1.0)], []
+    for i in range(6):
+        edges += [(3 * i, 3 * i + 1, 5.0), (3 * i + 1, 3 * i + 2, 5.0)]
+        vals += [0.5 + 1.5e-9 * (i + 1), None, 0.5]
+    g, v0 = Graph(21, edges), PartialAssignment(vals + [1.0, None, 0.0])
+    ref = brute_lex_min(g, v0)
+    for seed in range(10):
+        for solve in (comp_lex_min, comp_fast_lex_min):
+            res = solve(g, v0, seed=seed)
+            assert [path.vertices for path, _ in res.fixed_order] == [(18, 19, 20)]
+            assert verify_max_min(g, v0, res.assignment).ok
+            assert np.abs(res.assignment - ref).max() < 1e-8
 
 
 @pytest.mark.parametrize("case", ["cube_knn300", "digraph200"])
@@ -190,10 +256,8 @@ class TestCompLexMin:
         g = Graph(5, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (3, 4, 1.0)])
         res = comp_lex_min(g, PartialAssignment([0.0, None, 1.0, None, 0.5]), seed=0)
         assert np.allclose(res.assignment, [0.0, 0.5, 1.0, 0.5, 0.5])
-        grads = [round(grad, 9) for _, grad in res.fixed_order]
-        assert grads == sorted(grads, reverse=True)
-        assert grads[0] == pytest.approx(0.5)
-        assert grads[-1] == pytest.approx(0.0)
+        # the pendant is flat: only the path a-b-c is fixed, the interval fill sets d
+        assert [round(grad, 9) for _, grad in res.fixed_order] == [0.5]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_meta(self, seed):
@@ -264,27 +328,34 @@ class TestCompFastLexMin:
 
     def test_dense_and_general_paths_agree(self, monkeypatch):
         """DENSE_MAX 0 sends every frame through the general loop; 8 sends
-        the frames of at most 8 vertices, and 10**6 every frame, to the dense
-        kernel, except undirected frames at alpha 0 (the whole graph, and the
-        components of a split at gradient 0)."""
+        the frames of at most 8 vertices, and 10**6 every frame, the whole
+        graph included, at any alpha, to the dense kernel, so the sampling
+        step never runs."""
         instances = [random_instance(seed * 17 + 3) for seed in range(12)]
         refs = [comp_lex_min(g, v0, seed=0).assignment for g, v0 in instances]
-        calls = []
-        dense = solvers._fix_dense
+        calls, samples = [], []
+        dense, sample_split = solvers._fix_dense, solvers._sample_split
 
         def counting(*args):
             calls.append(args[0].n)
             return dense(*args)
 
+        def counting_samples(*args):
+            samples.append(args[0].n)
+            return sample_split(*args)
+
         monkeypatch.setattr(solvers, "_fix_dense", counting)
+        monkeypatch.setattr(solvers, "_sample_split", counting_samples)
         for cutoff in (0, 8, 10**6):
             monkeypatch.setattr(solvers, "DENSE_MAX", cutoff)
             calls.clear()
+            samples.clear()
             for seed, ((g, v0), ref) in enumerate(zip(instances, refs)):
                 out = comp_fast_lex_min(g, v0, seed=seed).assignment
                 assert np.abs(out - ref).max() < 1e-8
                 assert verify_max_min(g, v0, out).ok
             assert (len(calls) > 0) == (cutoff > 0)
+            assert (len(samples) > 0) == (cutoff < 10**6)
 
     def test_small_frames_skip_the_general_loop(self, monkeypatch):
         inst = synth.cube_knn(300, n_labels=20, seed=0)
@@ -296,8 +367,9 @@ class TestCompFastLexMin:
     @pytest.mark.parametrize("seed", [None, *range(6)], ids=["cube_knn300", *map(str, range(6))])
     def test_replay_through_fix_path(self, seed):
         """Re-fixing ``fixed_order`` from v0 with the public ``fix_path``,
-        which reads step lengths from the graph, gives the solver's bytes;
-        so the dense kernel's matrix lengths are the graph's own."""
+        which reads step lengths from the graph, then filling the leftovers
+        by ``_resolve_intervals``, gives the solver's bytes; so the dense
+        kernel's matrix lengths are the graph's own."""
         if seed is None:
             inst = synth.cube_knn(300, n_labels=20, seed=0)
             g, v0 = inst.graph, inst.assignment()
@@ -307,7 +379,8 @@ class TestCompFastLexMin:
         replay = v0
         for path, _ in res.fixed_order:
             replay = fix_path(g, replay, path)
-        assert np.array_equal(replay.values, res.assignment)
+        values, _ = solvers._resolve_intervals(g, v0, replay.values.copy())
+        assert np.array_equal(values, res.assignment)
 
     def test_leaves_recursion_limit_alone(self, monkeypatch):
         def refuse(limit):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -104,6 +106,25 @@ class TestVertexSteepest:
         g = Graph(3, [(0, 1, 1.0), (2, 1, 1.0)], directed=True)
         with pytest.raises(NoTerminalPathError):
             vertex_steepest_path(g, PartialAssignment([0.0, None, 1.0]), 1)
+
+    @pytest.mark.parametrize("x", [-1, 3, 5], ids=["minus1", "n", "n_plus_2"])
+    def test_vertex_out_of_range_raises(self, x):
+        """A vertex outside [0, n) raises ValueError in the Dijkstra and in
+        the public search. Run in a child process: a source outside the
+        range used to index past the kernel's arrays and crash the
+        interpreter."""
+        code = (
+            "import pytest\n"
+            "from lexgraph import Graph, PartialAssignment, vertex_steepest_path\n"
+            "from lexgraph.core import single_source_distances\n"
+            "g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])\n"
+            f"with pytest.raises(ValueError, match='vertex {x} out of range'):\n"
+            f"    single_source_distances(g, {x})\n"
+            f"with pytest.raises(ValueError, match='vertex {x} out of range'):\n"
+            f"    vertex_steepest_path(g, PartialAssignment([0.0, None, 1.0]), {x})\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 def prune_tt(g, v0):
