@@ -1,11 +1,10 @@
 """Inf- and lex-minimization solvers plus the averaging verifier.
 
-Every lex solver fixes only free terminal paths that slope down (gradient
-``definitely_greater`` than 0), steepest first, and then settles what no such
-path reaches by intervals. The reference lex solver fixes one steepest path
-per round; the fast solver fixes whole pressure plateaus per connected
-component before descending. Both produce the same (unique) extension on
-undirected graphs.
+Every lex solver fixes the free terminal paths that slope down
+(``steepest._slope_tol``), steepest first, then settles the rest by
+intervals. The reference lex solver fixes one steepest path per round; the
+fast solver fixes whole pressure plateaus per connected component before
+descending. Both produce the same (unique) extension on undirected graphs.
 
 The fast solver descends on an explicit work stack, not by recursion: each
 round works on the top frame, and a pressure split pushes its components. One
@@ -14,14 +13,15 @@ rule picks the kernel, in either orientation. A frame with at most
 a frame shrunk after a round) skips the sampling, star search and further
 splits: a dense kernel takes all-pairs distances on its k x k length matrix
 (Floyd-Warshall), fixes the path of the steepest terminal pair, and repeats
-until no pair is steeper than the frame's alpha. Every other frame takes the general loop. The
-directed solver runs the same descent on weakly connected components.
+until no pair is steeper than the frame's alpha. Every other frame takes
+the general loop. The directed solver runs the same descent on weakly
+connected components.
 
 A free vertex left over has no sloped path through it. ``_resolve_intervals``
 clamps it into [largest fixed value with a path into it, smallest with a
 path out of it], both envelopes at scale 0 of the one shortest-path kernel,
-``core._dijkstra``. On an undirected graph the two bounds agree, so it takes
-the value of the fixed vertices it touches.
+``core._dijkstra``. On an undirected graph the bounds agree, so it takes the
+value of the fixed vertices it touches.
 """
 
 from __future__ import annotations
@@ -47,16 +47,16 @@ from .core import (
     require_well_posed,
 )
 from .envelopes import envelope_pair, high_pressure_subgraph
-from .steepest import _sample_split, steepest_path
+from .steepest import _nearly_flat_path, _sample_split, _slope_tol, _slopes, steepest_path
 
 
 @dataclass(frozen=True)
 class SolverResult:
     """assignment extends the input labels; inf_norm is measured on the actual
-    output gradients. The inf and lex solvers list in fixed_order the sloped
-    paths (gradient ``definitely_greater`` than 0) they fixed (comp_inf_min:
-    its critical path, if it slopes), with gradients, and iterations is its
-    length; the l0 solvers fix no path and count their search steps."""
+    output gradients. The inf and lex solvers list in fixed_order the paths
+    they fixed, all sloped (comp_inf_min: its critical path, if it slopes),
+    with gradients, and iterations is its length; the l0 solvers fix no path
+    and count their search steps."""
 
     assignment: np.ndarray
     inf_norm: float
@@ -130,6 +130,16 @@ def _terminal_edge_mask(g: Graph, values: np.ndarray) -> np.ndarray:
     return fixed[g.edge_u] & fixed[g.edge_v]
 
 
+def _sloped_steepest(g: Graph, v0: PartialAssignment, seed: int, tol: float) -> TerminalPath | None:
+    """``steepest_path`` if it slopes down, else ``_nearly_flat_path``: None
+    is the one answer "no sloped path left"."""
+    try:
+        path = steepest_path(g, v0, seed=seed, tol=tol)
+    except NoTerminalPathError:
+        path = None
+    return path if _slopes(g, path, tol) else _nearly_flat_path(g, v0, np.random.default_rng(seed))
+
+
 def comp_inf_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL) -> SolverResult:
     """Inf-minimizer: the midpoint of the two extremal extensions at the
     critical gradient (max terminal-terminal edge gradient vs steepest free
@@ -141,14 +151,9 @@ def comp_inf_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DE
     alpha = inf_norm_of(g.with_edge_mask(tt), v0.values)  # over terminal-terminal edges
     pruned = g.with_edge_mask(~tt)
     fixed = ()
-    try:
-        path = steepest_path(pruned, v0, seed=seed, tol=tol)
-    except NoTerminalPathError:
-        pass  # no sloped path
-    else:
-        alpha = max(alpha, path.gradient)
-        if definitely_greater(path.gradient, 0.0, tol):
-            fixed = ((path, path.gradient),)
+    path = _sloped_steepest(pruned, v0, seed=seed, tol=tol)
+    if path is not None:
+        alpha, fixed = max(alpha, path.gradient), ((path, path.gradient),)
     vlow, vhigh = envelope_pair(pruned, v0, alpha)
     values = np.where(v0.terminal_mask(), v0.values, 0.5 * (vlow.values + vhigh.values))
     return SolverResult(values, inf_norm_of(g, values), len(fixed), fixed)
@@ -172,11 +177,8 @@ def comp_lex_min(
     grad_slack = 1e-7 * label_scale / min(1.0, float(g.edge_len.min())) if g.m else 0.0
     while np.isnan(values).any():
         work = g.with_edge_mask(~_terminal_edge_mask(g, values))
-        try:
-            path = steepest_path(work, PartialAssignment(values), seed=int(rng.integers(2**63)), tol=tol)
-        except NoTerminalPathError:
-            break  # no sloped path left
-        if not definitely_greater(path.gradient, 0.0, tol):
+        path = _sloped_steepest(work, PartialAssignment(values), seed=int(rng.integers(2**63)), tol=tol)
+        if path is None:
             break
         if path.gradient > prev + grad_slack:
             raise LexgraphError(
@@ -251,8 +253,9 @@ def _split_round(frame: _Frame, stack: list[_Frame], state: _FastState) -> bool:
     started frame below the root then shrinks to the vertices still steeper
     than alpha; the root never shrinks. A frame of at most DENSE_MAX
     vertices goes to the dense kernel and ends. Otherwise ``_sample_split``:
-    fix the sampled path if nothing is steeper and it slopes down, or else
-    push the components of the pressure split above it."""
+    fix the sampled path if nothing is steeper and it slopes down (if it
+    does not, the root fixes a ``_nearly_flat_path`` before it ends), or
+    else push the components of the pressure split above it."""
     work = frame.g
     if frame.started or frame.depth == 0:
         local_vals = state.values[frame.orig]
@@ -273,9 +276,12 @@ def _split_round(frame: _Frame, stack: list[_Frame], state: _FastState) -> bool:
     local_vals = state.values[orig]
     if not np.isnan(local_vals).any():
         return False
-    best, hp = _sample_split(g, PartialAssignment(local_vals), state.rng, state.tol)
+    cur = PartialAssignment(local_vals)
+    best, hp = _sample_split(g, cur, state.rng, state.tol)
     if hp.graph.m == 0:
-        if best is None or not definitely_greater(best.gradient, 0.0, state.tol):
+        if not _slopes(g, best, state.tol):
+            best = None if frame.depth else _nearly_flat_path(g, cur, state.rng)
+        if best is None:
             return False
         mapped = TerminalPath(tuple(int(orig[v]) for v in best.vertices), best.length, best.gradient)
         grad = _fix_path_inplace(state.values, mapped, state.root.path_lengths(mapped.vertices))
@@ -300,14 +306,15 @@ def _fix_dense(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> N
     pair's shortest path runs through another terminal r, both halves have
     the pair's gradient (the mediant inequality is tight at the maximum), so
     ``_fix_path_inplace``'s consistency check holds. As in the general loop,
-    the first path is fixed if it slopes down, without the alpha test.
+    the first path is fixed if it slopes down, without the alpha test, and
+    at alpha 0 so is every path.
     """
     k = g.n
     lengths = np.full((k, k), np.inf)
     lengths[g.edge_u, g.edge_v] = g.edge_len
     if not g.directed:
         lengths[g.edge_v, g.edge_u] = g.edge_len
-    floor = 0.0
+    floor, floor_tol = sloped = 0.0, _slope_tol(g, state.tol)
     while True:
         vals = state.values[orig]
         fixed = ~np.isnan(vals)
@@ -326,7 +333,7 @@ def _fix_dense(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> N
         grads[np.isinf(tdist)] = -np.inf
         i, j = divmod(int(np.argmax(grads)), terms.shape[0])
         grad = float(grads[i, j])
-        if not definitely_greater(grad, floor, state.tol):
+        if not definitely_greater(grad, floor, floor_tol):
             return  # also when no terminal pair is joined (-inf)
         # walk back from t; the vertex before x minimizes dist(s, u) + len(u, x)
         s, walk = int(terms[i]), [int(terms[j])]
@@ -338,7 +345,7 @@ def _fix_dense(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> N
         path = TerminalPath(tuple(orig[walk].tolist()), float(tdist[i, j]), grad)
         steps = lengths[walk[:-1], walk[1:]].tolist()
         state.fixed.append((path, _fix_path_inplace(state.values, path, steps)))
-        floor = alpha
+        floor, floor_tol = (alpha, state.tol) if alpha > 0 else sloped
 
 
 def comp_fast_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL) -> SolverResult:
@@ -346,12 +353,12 @@ def comp_fast_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float
     comp_lex_min, much faster on large graphs.
 
     Each round samples a steepest path, splits off the connected components
-    whose pressure exceeds max(its gradient, 0) and descends into each, on an
-    explicit work stack. Every frame of at most DENSE_MAX vertices, at any
-    alpha, is finished by the dense kernel on its all-pairs distances. The
-    leftovers, on no sloped path, get the value of the fixed vertices they
-    touch. ``fixed_order`` is in depth-first descent order, steepest first
-    inside a dense frame."""
+    whose pressure exceeds its gradient (0 if it does not slope down) and
+    descends into each, on an explicit work stack. Every frame of at most
+    DENSE_MAX vertices is finished by the dense kernel on its all-pairs
+    distances. Every path of positive gradient is fixed; a leftover gets the
+    value of the fixed vertices it touches. ``fixed_order`` is in depth-first
+    descent order, steepest first inside a dense frame."""
     if g.directed:
         raise ValueError("comp_fast_lex_min handles undirected graphs; use directed_lex_min")
     state = _fix_paths_above(g, v0, seed, tol)
@@ -367,9 +374,9 @@ def directed_lex_min(
     the leftover interval-constrained vertices.
 
     The descent splits on weakly connected high-pressure components at the
-    threshold max(gradient, 0), and every frame of at most DENSE_MAX
-    vertices, at any alpha, the whole graph included, goes to the dense
-    kernel on its asymmetric length matrix. ``fixed_order`` is in depth-first
+    sampled gradient if it is definitely above 0, else at tol, and every
+    frame of at most DENSE_MAX vertices goes to the dense kernel on its
+    asymmetric length matrix. ``fixed_order`` is in depth-first
     descent order, not non-increasing.
 
     Every edge outside the fixed set must end with directed gradient ~0; the
@@ -399,8 +406,8 @@ def _resolve_intervals(g: Graph, v0: PartialAssignment, values: np.ndarray):
     shortest-path envelopes at scale 0 from the fixed vertices. On a
     directed graph they run on the edges that do not enter (for the lower
     bound) or leave (for the upper) a fixed vertex. On an undirected graph
-    both run on the edges that do not join two fixed vertices; no sloped
-    path is left, so every fixed vertex a leftover reaches has one value."""
+    both run on the edges that do not join two fixed vertices, and agree
+    once no path of positive gradient is left."""
     fixed = ~np.isnan(values)
     if fixed.all():
         return values, []

@@ -8,8 +8,8 @@ back to exhaustive scans.
 
 A vertex-steepest path joins two distinct terminals. ``_sample_split`` is
 the one step of the pressure descent, shared by ``steepest_path`` and the
-solvers: sample, then keep the subgraph whose pressure exceeds max(the
-sampled gradient, 0).
+solvers: sample, then keep the subgraph whose pressure exceeds the sampled
+gradient if it slopes down (``_slope_tol``), else that tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .core import (
     definitely_greater,
     single_source_distances,
 )
-from .envelopes import PressureSubgraph, high_pressure_subgraph
+from .envelopes import PressureSubgraph, high_pressure_subgraph, pressure_exceeds
 
 _BRUTE_PAIRS = 1024
 
@@ -249,18 +249,43 @@ def _steepest_through(g: Graph, v0: PartialAssignment, xs, rng, tol: float) -> O
     return best
 
 
+def _slope_tol(g: Graph, tol: float) -> float:
+    """A path slopes down if its gradient is definitely_greater than 0 at this
+    tolerance, which floors every split threshold: 0 on an undirected graph,
+    whose lex-minimizer interpolates every path of positive gradient; tol on
+    a directed one, whose intervals take the paths within tol of flat."""
+    return tol if g.directed else 0.0
+
+
+def _slopes(g: Graph, path: Optional[TerminalPath], tol: float) -> bool:
+    return path is not None and bool(definitely_greater(path.gradient, 0.0, _slope_tol(g, tol)))
+
+
+def _nearly_flat_path(g: Graph, v0: PartialAssignment, rng) -> Optional[TerminalPath]:
+    """On an undirected graph, a path of positive gradient with a drop too
+    small for the pressure test at tol: the steepest through the first free
+    vertex whose envelopes at 0, which carry the labels exactly, differ, by a
+    search at tol 0. None if there is none, or if g is directed."""
+    if g.directed:
+        return None
+    xs = np.flatnonzero(pressure_exceeds(g, v0, 0.0, tol=0.0) & ~v0.terminal_mask())
+    path = _vertex_steepest(g, v0, int(xs[0]), rng, 0.0) if xs.size else None
+    return path if _slopes(g, path, 0.0) else None
+
+
 def _sample_split(g: Graph, v0: PartialAssignment, rng, tol: float) -> tuple[Optional[TerminalPath], PressureSubgraph]:
     """One step of the pressure descent on g: the best of the vertex-steepest
     paths through the ends of a random edge and a random vertex (None if
     none joins two distinct terminals), and the subgraph whose pressure
-    exceeds max(its gradient, 0), 0 if it is None. NoTerminalPathError if g
-    has no edge."""
+    exceeds its gradient if it slopes down, else ``_slope_tol``, so that
+    every split component holds a sloped path. NoTerminalPathError if g has
+    no edge."""
     if g.m == 0:
         raise NoTerminalPathError("no edge left to sample a terminal path")
     eid = int(rng.integers(g.m))
     x3 = int(rng.integers(g.n))
     best = _steepest_through(g, v0, dict.fromkeys((int(g.edge_u[eid]), int(g.edge_v[eid]), x3)), rng, tol)
-    threshold = 0.0 if best is None else max(best.gradient, 0.0)
+    threshold = best.gradient if _slopes(g, best, tol) else _slope_tol(g, tol)
     return best, high_pressure_subgraph(g, v0, threshold, tol=tol)
 
 
@@ -274,13 +299,11 @@ def steepest_path(
     terminal-terminal edges and at least one free vertex.
 
     Repeat ``_sample_split`` on the subgraph it leaves until that subgraph
-    has no edge, and return the last sampled path. When no path slopes down
-    (no vertex has pressure ``definitely_greater`` than 0), that path may not
-    be the maximizer, but its gradient is not definitely above 0; if the last
-    sample found no path between two distinct terminals, NoTerminalPathError
-    is raised instead, which callers read as "no sloped path left". Depth is
-    capped; on breach an exhaustive scan of every vertex-steepest path takes
-    over.
+    has no edge, and return the last sampled path. When no path slopes down,
+    that path may not be the maximizer, but does not slope down either; if
+    the last sample found no path between two distinct terminals,
+    NoTerminalPathError is raised instead. Depth is capped; on breach an
+    exhaustive scan of every vertex-steepest path takes over.
     """
     tmask = v0.terminal_mask()
     if tmask.all():

@@ -20,9 +20,8 @@ from lexgraph import (
     TerminalPath,
     check_well_posed,
 )
-from lexgraph.core import definitely_greater, sorted_distinct, terminal_gradient_matrix
-from lexgraph.solvers import AmbiguousVertex, _fix_path_inplace, _terminal_edge_mask
-from lexgraph.steepest import steepest_path
+from lexgraph.core import sorted_distinct, terminal_gradient_matrix
+from lexgraph.solvers import AmbiguousVertex, _fix_path_inplace, _sloped_steepest, _terminal_edge_mask
 
 
 def reference_graph_arrays(n: int, edges, directed: bool = False):
@@ -148,19 +147,16 @@ def random_directed_instance(
 def reference_directed_fixing(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = 1e-9):
     """(values, fixed paths) of the whole-graph directed fixing loop that
     ``directed_lex_min`` ran before its pressure descent: one steepest path
-    of the whole graph per round, fixed while there is one and its gradient
-    is positive beyond tolerance. A test reference only; the library never
+    of the whole graph per round, fixed while one slopes down (gradient
+    positive beyond tolerance). A test reference only; the library never
     calls it."""
     rng = np.random.default_rng(seed)
     values = v0.values.copy()
     fixed = []
     while np.isnan(values).any():
         work = g.with_edge_mask(~_terminal_edge_mask(g, values))
-        try:
-            path = steepest_path(work, PartialAssignment(values), seed=int(rng.integers(2**63)), tol=tol)
-        except NoTerminalPathError:
-            break
-        if not definitely_greater(path.gradient, 0.0, tol):
+        path = _sloped_steepest(work, PartialAssignment(values), seed=int(rng.integers(2**63)), tol=tol)
+        if path is None:
             break
         fixed.append((path, _fix_path_inplace(values, path, g.path_lengths(path.vertices))))
     return values, fixed

@@ -145,25 +145,105 @@ def test_only_sloped_paths_are_fixed(monkeypatch, case, cutoff):
         assert res.iterations == len(res.fixed_order) == sloped, solve.__name__
 
 
-@pytest.mark.parametrize("cutoff", [0, 48])
-def test_undirected_paths_within_tol_of_flat_stay_free(monkeypatch, cutoff):
+def _chains_within_tol_of_flat(directed: bool):
     """Six chains A - x - B of length 10 whose drops of 1.5e-9 .. 9e-9 give
-    gradients within tol of 0, and one steep chain: only the steep one is
-    fixed, by the general loop or the dense kernel, and the interval fill
-    gives a lex-minimizer to within the drops."""
-    monkeypatch.setattr(solvers, "DENSE_MAX", cutoff)
+    gradients 1.5e-10 .. 9e-10, within tol of 0, and one steep chain 18 - 19
+    - 20 (on a directed graph the chain's second step is a two-way arc)."""
     edges, vals = [(18, 19, 1.0), (19, 20, 1.0)], []
     for i in range(6):
         edges += [(3 * i, 3 * i + 1, 5.0), (3 * i + 1, 3 * i + 2, 5.0)]
+        edges += [(3 * i + 2, 3 * i + 1, 5.0)] if directed else []
         vals += [0.5 + 1.5e-9 * (i + 1), None, 0.5]
-    g, v0 = Graph(21, edges), PartialAssignment(vals + [1.0, None, 0.0])
+    return Graph(21, edges, directed=directed), PartialAssignment(vals + [1.0, None, 0.0])
+
+
+@pytest.mark.parametrize("cutoff", [0, 48])
+def test_undirected_paths_within_tol_of_flat_are_fixed(monkeypatch, cutoff):
+    """On an undirected graph every path of positive gradient slopes down,
+    however close to flat: all seven chains are fixed, by the general loop
+    or the dense kernel, the reference solver steepest first, and the output
+    is the lex-minimizer. Left to the interval fill, x would take the
+    smaller label of its chain."""
+    monkeypatch.setattr(solvers, "DENSE_MAX", cutoff)
+    g, v0 = _chains_within_tol_of_flat(directed=False)
     ref = brute_lex_min(g, v0)
+    chains = {(18, 19, 20), *((3 * i, 3 * i + 1, 3 * i + 2) for i in range(6))}
     for seed in range(10):
         for solve in (comp_lex_min, comp_fast_lex_min):
             res = solve(g, v0, seed=seed)
-            assert [path.vertices for path, _ in res.fixed_order] == [(18, 19, 20)]
+            assert {min(p.vertices, p.vertices[::-1]) for p, _ in res.fixed_order} == chains
             assert verify_max_min(g, v0, res.assignment).ok
-            assert np.abs(res.assignment - ref).max() < 1e-8
+            assert np.abs(res.assignment - ref).max() < 1e-15
+        grads = [grad for _, grad in comp_lex_min(g, v0, seed=seed).fixed_order]
+        assert grads == sorted(grads, reverse=True)
+
+
+@pytest.mark.parametrize("cutoff", [0, 48])
+@pytest.mark.parametrize(
+    "lengths, top", [((1.0, 999.0), 0.5 + 9.99e-7), ((1e-6, 1e3), 0.5 + 1e-6), ((1e-3, 1.0), 0.5 + 5e-10)]
+)
+def test_uneven_steps_within_tol_of_flat_are_interpolated(monkeypatch, cutoff, lengths, top):
+    """A path 0 - 1 - 2 whose gradient is within tol of 0 but whose short
+    step would carry the whole drop if vertex 1 took an end label: vertex 1
+    is interpolated, so the output passes ``verify_max_min`` and equals the
+    lex-minimizer."""
+    monkeypatch.setattr(solvers, "DENSE_MAX", cutoff)
+    g = Graph(3, [(0, 1, lengths[0]), (1, 2, lengths[1])])
+    v0 = PartialAssignment([top, None, 0.5])
+    ref = brute_lex_min(g, v0)
+    for solve in (comp_lex_min, comp_fast_lex_min):
+        res = solve(g, v0, seed=0)
+        assert res.iterations == 1
+        assert verify_max_min(g, v0, res.assignment).ok
+        assert np.abs(res.assignment - ref).max() < 1e-15
+        assert res.inf_norm < 1e-9
+
+
+@pytest.mark.parametrize("cutoff", [0, 48])
+def test_nearly_flat_path_beside_a_flat_region(monkeypatch, cutoff):
+    """A flat path of 61 vertices between two labels 0.5, beside a chain 61 -
+    62 - 63 whose drop of 5e-10 is too small for the pressure test at tol.
+    A sample on the flat path finds nothing that slopes down, so the root
+    (too large for the dense kernel) looks once more at the envelopes at 0,
+    which carry the labels exactly, and vertex 62 is interpolated. Left to
+    the interval fill, it would take 0.5, and its step of length 1e-3 would
+    carry a gradient of 5e-7."""
+    monkeypatch.setattr(solvers, "DENSE_MAX", cutoff)
+    edges = [(i, i + 1, 1.0) for i in range(60)] + [(61, 62, 1e-3), (62, 63, 1.0)]
+    g = Graph(64, edges)
+    v0 = PartialAssignment([0.5] + [None] * 59 + [0.5, 0.5 + 5e-10, None, 0.5])
+    want = np.full(64, 0.5)
+    want[61], want[62] = v0.values[61], v0.values[61] - 5e-10 / 1.001 * 1e-3
+    for seed in range(10):
+        for solve in (comp_inf_min, comp_lex_min, comp_fast_lex_min):
+            res = solve(g, v0, seed=seed)
+            assert np.abs(res.assignment - want).max() < 1e-15, solve.__name__
+            assert res.iterations == 1 and res.inf_norm < 1e-9, solve.__name__
+            assert verify_max_min(g, v0, res.assignment).ok
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_every_split_holds_a_sloped_path(monkeypatch, directed):
+    """The split threshold never falls below the slope tolerance, so every
+    split component holds a path that slopes down: each sampling call but
+    the last fixes a path or splits off components that each fix one. On
+    the chains within tol of flat, the directed descent never splits off
+    the six flat-within-tol chains, which it leaves to intervals."""
+    monkeypatch.setattr(solvers, "DENSE_MAX", 0)
+    g, v0 = _chains_within_tol_of_flat(directed)
+    calls = []
+    sample_split = solvers._sample_split
+
+    def counting(*args):
+        calls.append(args[0].n)
+        return sample_split(*args)
+
+    monkeypatch.setattr(solvers, "_sample_split", counting)
+    for seed in range(10):
+        calls.clear()
+        res = directed_lex_min(g, v0, seed=seed).result if directed else comp_fast_lex_min(g, v0, seed=seed)
+        assert res.iterations == (1 if directed else 7)
+        assert len(calls) <= 2 * res.iterations + 1, calls
 
 
 @pytest.mark.parametrize("case", ["cube_knn300", "digraph200"])
