@@ -332,7 +332,7 @@ tol_option = click.option(
     default=1e-9,
     show_default=True,
     callback=_check_finite_non_negative,
-    help="relative comparison tolerance",
+    help="comparison tolerance: relative for magnitudes above 1, absolute below 1",
 )
 POSITIVE = click.IntRange(min=1)
 out_option = click.option("--out", type=click.Path(dir_okay=False), default=None, help="output TSV (default: stdout)")

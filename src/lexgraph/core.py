@@ -47,9 +47,10 @@ class SizeGuardError(LexgraphError):
 
 @np.errstate(invalid="ignore")
 def definitely_greater(a, b, tol: float = DEFAULT_TOL):
-    """a > b strictly, beyond the shared relative tolerance: the one test of
-    "pressure exceeds alpha". Elementwise on arrays; never true where a or b
-    is infinite or NaN."""
+    """a > b strictly, by more than tol * max(|a|, |b|, 1): the one test of
+    "pressure exceeds alpha". The tolerance is relative for magnitudes above
+    1 and absolute below 1, as the scale is floored at 1.0. Elementwise on
+    arrays; never true where a or b is infinite or NaN."""
     return a - b > tol * np.maximum(np.maximum(abs(a), abs(b)), 1.0)
 
 
@@ -456,7 +457,8 @@ def terminal_gradient_matrix(g: Graph, v0: PartialAssignment) -> tuple[np.ndarra
 
 
 def sorted_distinct(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Sorted values, dropping each one within the relative ``tol`` of the last kept one.
+    """Sorted values, dropping each one within ``tol`` of the last kept one
+    (relative above magnitude 1, absolute below, as in ``definitely_greater``).
 
     A value farther than that from the next smaller distinct value is farther
     still from the last kept one, so it is kept; the sequential test runs

@@ -137,7 +137,7 @@ def _sloped_steepest(g: Graph, v0: PartialAssignment, seed: int, tol: float) -> 
         path = steepest_path(g, v0, seed=seed, tol=tol)
     except NoTerminalPathError:
         path = None
-    return path if _slopes(g, path, tol) else _nearly_flat_path(g, v0, np.random.default_rng(seed))
+    return path if _slopes(g, path, tol) else _nearly_flat_path(g, v0)
 
 
 def comp_inf_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL) -> SolverResult:
@@ -280,7 +280,7 @@ def _split_round(frame: _Frame, stack: list[_Frame], state: _FastState) -> bool:
     best, hp = _sample_split(g, cur, state.rng, state.tol)
     if hp.graph.m == 0:
         if not _slopes(g, best, state.tol):
-            best = None if frame.depth else _nearly_flat_path(g, cur, state.rng)
+            best = None if frame.depth else _nearly_flat_path(g, cur)
         if best is None:
             return False
         mapped = TerminalPath(tuple(int(orig[v]) for v in best.vertices), best.length, best.gradient)

@@ -1,15 +1,17 @@
-"""Randomized search for steepest terminal paths.
+"""Deterministic search for steepest terminal paths.
 
 The star search finds the pair maximizing (v(t1) - v(t2)) / (d(t1) + d(t2))
-by random pivoting: compute the pivot's best partner, then keep only
-terminals that can still beat that gradient (an envelope threshold test) and
-recurse. Expected linear time, never wrong: ties and degenerate cases fall
-back to exhaustive scans.
+by Dinkelbach's parametric iteration: at gradient lambda take the best pair
+for v(t1) - lambda d(t1) - v(t2) - lambda d(t2), move lambda to its gradient,
+and stop when lambda no longer rises. A vertex-steepest path joins two
+distinct terminals through one vertex, by a star search on the distances
+to and from it; neither search draws a random number.
 
-A vertex-steepest path joins two distinct terminals. ``_sample_split`` is
-the one step of the pressure descent, shared by ``steepest_path`` and the
-solvers: sample, then keep the subgraph whose pressure exceeds the sampled
-gradient if it slopes down (``_slope_tol``), else that tolerance.
+``_sample_split`` is the one step of the pressure descent, shared by
+``steepest_path`` and the solvers, and its random edge and vertex are the
+only random draws here: sample, then keep the subgraph whose pressure
+exceeds the sampled gradient if it slopes down (``_slope_tol``), else that
+tolerance.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from .core import (
 )
 from .envelopes import PressureSubgraph, high_pressure_subgraph, pressure_exceeds
 
-_BRUTE_PAIRS = 1024
-
 
 @dataclass(frozen=True)
 class StarInstance:
@@ -53,105 +53,82 @@ class StarInstance:
         return int(self.values.shape[0])
 
 
-def _brute_pair(va, da, ia, vb, db, ib, tol):
-    """Exhaustive max over id-distinct pairs with (id_a, id_b) tie-break."""
-    grads = (va[:, None] - vb[None, :]) / (da[:, None] + db[None, :])
-    same = ia[:, None] == ib[None, :]
-    grads = np.where(same, -np.inf, grads)
-    best = grads.max()
-    if not np.isfinite(best):
+def _ties(x, ids, tol):
+    """Indices of the entries of x within tol of its maximum, by increasing id."""
+    near = np.flatnonzero(~definitely_greater(x.max(), x, tol))
+    return near[np.argsort(ids[near])]
+
+
+def _best_pair(lhs, ia, rhs, ib, tol):
+    """Among the pairs (a, b) with ia[a] != ib[b] whose lhs[a] - rhs[b] is
+    within tol of the largest, the one of smallest (ia[a], ib[b]); None if
+    there is no such pair. If every near-maximum of lhs clashes with every
+    near-minimum of rhs, they are one pair (a0, b0) of one id, as ids are
+    unique within each side, and the best pair swaps a0 or b0 for a
+    runner-up."""
+    a_star, b_star = _ties(lhs, ia, tol), _ties(-rhs, ib, tol)
+    for a in a_star:
+        for b in b_star:
+            if ia[a] != ib[b]:
+                return int(a), int(b)
+    a0, b0 = int(a_star[0]), int(b_star[0])
+    rest_a, rest_b = np.flatnonzero(ia != ia[a0]), np.flatnonzero(ib != ib[b0])
+    pairs = []
+    if rest_a.size:
+        pairs.append((int(rest_a[_ties(lhs[rest_a], ia[rest_a], tol)[0]]), b0))
+    if rest_b.size:
+        pairs.append((a0, int(rest_b[_ties(-rhs[rest_b], ib[rest_b], tol)[0]])))
+    if not pairs:
         return None
-    scale = max(1.0, abs(best))
-    cand_a, cand_b = np.nonzero(grads >= best - tol * scale)
-    order = np.lexsort((ib[cand_b], ia[cand_a]))
-    a, b = int(cand_a[order[0]]), int(cand_b[order[0]])
-    return a, b, float(grads[a, b])
+    gains = [lhs[a] - rhs[b] for a, b in pairs]
+    tied = [p for p, gain in zip(pairs, gains) if not definitely_greater(max(gains), gain, tol)]
+    return min(tied, key=lambda p: (ia[p[0]], ib[p[1]]))
 
 
-def _two_sided_star(va, da, ia, vb, db, ib, rng, tol):
+def _dinkelbach_pair(lhs, ia, rhs, ib):
+    """One pass of the iteration: a pair (a, b) of largest lhs[a] - rhs[b]
+    with ia[a] != ib[b], or None if there is none; the argmax and the argmin
+    unless their ids clash."""
+    a, b = int(lhs.argmax()), int(rhs.argmin())
+    return (a, b) if ia[a] != ib[b] else _best_pair(lhs, ia, rhs, ib, 0.0)
+
+
+def _two_sided_star(va, da, ia, vb, db, ib, tol):
     """Maximize (va[a] - vb[b]) / (da[a] + db[b]) over pairs with ia[a] != ib[b].
 
     Returns (index into side A, index into side B, gradient) or None when no
     id-distinct pair exists. Side ids must be unique within each side.
+    Dinkelbach's iteration from lambda 0: the best pair for (va - lambda da)
+    - (vb + lambda db) has a gradient above lambda unless lambda is the
+    maximum, so lambda rises strictly over a finite set of pairs until it
+    stops. At the final lambda, the pair of smallest (ia, ib) within tol of
+    the best wins.
     """
-    nA, nB = va.shape[0], vb.shape[0]
-    if nA == 0 or nB == 0:
+    if va.size == 0 or vb.size == 0:
         return None
-    A = np.arange(nA)
-    B = np.arange(nB)
-    pos_a = {int(t): i for i, t in enumerate(ia)}
-    pos_b = {int(t): i for i, t in enumerate(ib)}
-    alpha = -np.inf
-    rounds_cap = 4 * int(math.ceil(math.log2(nA + nB + 2))) + 32
-
-    for _ in range(rounds_cap):
-        if A.size * B.size <= _BRUTE_PAIRS:
-            hit = _brute_pair(va[A], da[A], ia[A], vb[B], db[B], ib[B], tol)
-            if hit is not None and hit[2] > alpha:
-                alpha = hit[2]
+    alpha, lam = -np.inf, 0.0
+    while True:
+        pair = _dinkelbach_pair(va - lam * da, ia, vb + lam * db, ib)
+        if pair is None:
+            return None
+        grad = float((va[pair[0]] - vb[pair[1]]) / (da[pair[0]] + db[pair[1]]))
+        if grad <= alpha:
             break
-        k = int(rng.integers(A.size + B.size))
-        pid = int(ia[A[k]]) if k < A.size else int(ib[B[k - A.size]])
-        # pivot pressure: best gradient over pairs that involve the pivot id
-        p_alpha = -np.inf
-        if pid in pos_a:
-            i = pos_a[pid]
-            mask = ib[B] != pid
-            if mask.any():
-                cand = B[mask]
-                p_alpha = max(p_alpha, float(((va[i] - vb[cand]) / (da[i] + db[cand])).max()))
-        if pid in pos_b:
-            j = pos_b[pid]
-            mask = ia[A] != pid
-            if mask.any():
-                cand = A[mask]
-                p_alpha = max(p_alpha, float(((va[cand] - vb[j]) / (da[cand] + db[j])).max()))
-        alpha = max(alpha, p_alpha)
-        if not np.isfinite(alpha):
-            continue  # pivot had no usable partner; resample
-        # keep only terminals whose pressure can still exceed alpha
-        lhs = va[A] - alpha * da[A]
-        rhs = vb[B] + alpha * db[B]
-        lo = rhs.min()
-        hi = lhs.max()
-        A = A[definitely_greater(lhs, lo, tol)]
-        B = B[definitely_greater(hi, rhs, tol)]
-        if A.size == 0 or B.size == 0:
-            break
-    else:
-        # iteration cap: settle the remainder exhaustively
-        hit = _brute_pair(va[A], da[A], ia[A], vb[B], db[B], ib[B], tol)
-        if hit is not None and hit[2] > alpha:
-            alpha = hit[2]
-
-    if not np.isfinite(alpha):
-        return None
-    # deterministic tie-break over the full sides at the final gradient
-    lhs = va - alpha * da
-    rhs = vb + alpha * db
-    hi, lo = lhs.max(), rhs.min()
-    a_star = np.flatnonzero(lhs >= hi - tol * np.maximum(1.0, np.maximum(np.abs(lhs), abs(hi))))
-    b_star = np.flatnonzero(rhs <= lo + tol * np.maximum(1.0, np.maximum(np.abs(rhs), abs(lo))))
-    a_star = a_star[np.argsort(ia[a_star])]
-    b_star = b_star[np.argsort(ib[b_star])]
-    for a in a_star:
-        for b in b_star:
-            if ia[a] != ib[b]:
-                return int(a), int(b), float((va[a] - vb[b]) / (da[a] + db[b]))
-    return None
+        alpha = lam = grad
+    a, b = _best_pair(va - alpha * da, ia, vb + alpha * db, ib, tol)
+    return a, b, float((va[a] - vb[b]) / (da[a] + db[b]))
 
 
-def star_steepest_path(inst: StarInstance, seed: int = 0, tol: float = DEFAULT_TOL) -> tuple[int, int]:
+def star_steepest_path(inst: StarInstance, tol: float = DEFAULT_TOL) -> tuple[int, int]:
     """Indices (t1, t2) maximizing (v(t1) - v(t2)) / (d(t1) + d(t2)).
 
-    Random pivot plus pruning; among gradient ties the pair with the smallest
-    (t1, t2) indices wins.
+    Deterministic, by Dinkelbach's iteration in a few O(|T|) passes; among
+    gradient ties the pair with the smallest (t1, t2) indices wins.
     """
     if len(inst) < 2:
         raise ValueError("star search needs at least 2 terminals")
     ids = np.arange(len(inst), dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    hit = _two_sided_star(inst.values, inst.dists, ids, inst.values, inst.dists, ids, rng, tol)
+    hit = _two_sided_star(inst.values, inst.dists, ids, inst.values, inst.dists, ids, tol)
     assert hit is not None
     return hit[0], hit[1]
 
@@ -169,9 +146,7 @@ def _chain(parent: np.ndarray, v: int) -> list[int]:
     return out
 
 
-def _vertex_steepest(
-    g: Graph, v0: PartialAssignment, x: int, rng, tol: float
-) -> Optional[TerminalPath]:
+def _vertex_steepest(g: Graph, v0: PartialAssignment, x: int, tol: float) -> Optional[TerminalPath]:
     x = int(x)
     terminals = v0.terminals()
     if terminals.size == 0:
@@ -192,13 +167,10 @@ def _vertex_steepest(
             if reach.size == 0:
                 continue
             grads = (vals[x] - vals[reach]) / d[reach] if starts else (vals[reach] - vals[x]) / d[reach]
-            top = grads.max()
-            scale = max(1.0, abs(top))
-            tied = reach[grads >= top - tol * scale]
-            t = int(tied.min())
+            t = int(reach[_ties(grads, reach, tol)[0]])
             g_exact = float((vals[x] - vals[t]) / d[t]) if starts else float((vals[t] - vals[x]) / d[t])
-            if best is None or g_exact > best[0] + tol * max(1.0, abs(g_exact), abs(best[0])) or (
-                abs(g_exact - best[0]) <= tol * max(1.0, abs(g_exact), abs(best[0])) and t < best[1]
+            if best is None or definitely_greater(g_exact, best[0], tol) or (
+                not definitely_greater(best[0], g_exact, tol) and t < best[1]
             ):
                 best = (g_exact, t, starts)
         if best is None:
@@ -216,7 +188,7 @@ def _vertex_steepest(
     down = terminals[np.isfinite(dist_out[terminals])]
     if up.size == 0 or down.size == 0:
         return None
-    hit = _two_sided_star(vals[up], dist_in[up], up, vals[down], dist_out[down], down, rng, tol)
+    hit = _two_sided_star(vals[up], dist_in[up], up, vals[down], dist_out[down], down, tol)
     if hit is None:
         return None
     t1, t2 = int(up[hit[0]]), int(down[hit[1]])
@@ -225,25 +197,22 @@ def _vertex_steepest(
     return TerminalPath(tuple(verts), length, float((vals[t1] - vals[t2]) / length))
 
 
-def vertex_steepest_path(
-    g: Graph, v0: PartialAssignment, x: int, seed: int = 0, tol: float = DEFAULT_TOL
-) -> TerminalPath:
+def vertex_steepest_path(g: Graph, v0: PartialAssignment, x: int, tol: float = DEFAULT_TOL) -> TerminalPath:
     """Steepest terminal path through x; its gradient equals the pressure of
     x. NoTerminalPathError if no path between two distinct terminals runs
     through x, ValueError if x is not a vertex."""
-    rng = np.random.default_rng(seed)
-    path = _vertex_steepest(g, v0, x, rng, tol)
+    path = _vertex_steepest(g, v0, x, tol)
     if path is None:
         raise NoTerminalPathError(f"no terminal path passes through vertex {x}")
     return path
 
 
-def _steepest_through(g: Graph, v0: PartialAssignment, xs, rng, tol: float) -> Optional[TerminalPath]:
+def _steepest_through(g: Graph, v0: PartialAssignment, xs, tol: float) -> Optional[TerminalPath]:
     """The steepest of the vertex-steepest paths through the vertices xs, the
     first on ties; None if no terminal path passes through any of them."""
     best = None
     for x in xs:
-        path = _vertex_steepest(g, v0, x, rng, tol)
+        path = _vertex_steepest(g, v0, x, tol)
         if path is not None and (best is None or path.gradient > best.gradient):
             best = path
     return best
@@ -261,7 +230,7 @@ def _slopes(g: Graph, path: Optional[TerminalPath], tol: float) -> bool:
     return path is not None and bool(definitely_greater(path.gradient, 0.0, _slope_tol(g, tol)))
 
 
-def _nearly_flat_path(g: Graph, v0: PartialAssignment, rng) -> Optional[TerminalPath]:
+def _nearly_flat_path(g: Graph, v0: PartialAssignment) -> Optional[TerminalPath]:
     """On an undirected graph, a path of positive gradient with a drop too
     small for the pressure test at tol: the steepest through the first free
     vertex whose envelopes at 0, which carry the labels exactly, differ, by a
@@ -269,7 +238,7 @@ def _nearly_flat_path(g: Graph, v0: PartialAssignment, rng) -> Optional[Terminal
     if g.directed:
         return None
     xs = np.flatnonzero(pressure_exceeds(g, v0, 0.0, tol=0.0) & ~v0.terminal_mask())
-    path = _vertex_steepest(g, v0, int(xs[0]), rng, 0.0) if xs.size else None
+    path = _vertex_steepest(g, v0, int(xs[0]), 0.0) if xs.size else None
     return path if _slopes(g, path, 0.0) else None
 
 
@@ -284,7 +253,7 @@ def _sample_split(g: Graph, v0: PartialAssignment, rng, tol: float) -> tuple[Opt
         raise NoTerminalPathError("no edge left to sample a terminal path")
     eid = int(rng.integers(g.m))
     x3 = int(rng.integers(g.n))
-    best = _steepest_through(g, v0, dict.fromkeys((int(g.edge_u[eid]), int(g.edge_v[eid]), x3)), rng, tol)
+    best = _steepest_through(g, v0, dict.fromkeys((int(g.edge_u[eid]), int(g.edge_v[eid]), x3)), tol)
     threshold = best.gradient if _slopes(g, best, tol) else _slope_tol(g, tol)
     return best, high_pressure_subgraph(g, v0, threshold, tol=tol)
 
@@ -321,7 +290,7 @@ def steepest_path(
         v0 = PartialAssignment(v0.values[hp.vertices])
         g = hp.graph
     else:
-        best = _steepest_through(g, v0, range(g.n), rng, tol)
+        best = _steepest_through(g, v0, range(g.n), tol)
     if best is None:
         raise NoTerminalPathError("no terminal path found")
     return TerminalPath(tuple(int(orig[v]) for v in best.vertices), best.length, best.gradient)

@@ -66,6 +66,36 @@ def reference_edge_ids(g: Graph, u, v) -> list[int]:
     return [lookup.get((a, b), -1) for a, b in zip(np.asarray(u).tolist(), np.asarray(v).tolist())]
 
 
+def reference_two_sided_star(va, da, ia, vb, db, ib, tol: float = DEFAULT_TOL, rows: int = 256):
+    """(a, b, gradient) of the exhaustive scan the star search ran below its
+    pivot loop: the largest (va[a] - vb[b]) / (da[a] + db[b]) over pairs with
+    ia[a] != ib[b], and among the pairs within tol of it (scaled by the
+    maximum, floored at 1) the one of smallest (ia[a], ib[b]); None if no
+    pair is id-distinct. Scans ``rows`` rows of side A at a time, so memory
+    stays bounded on large sides. A test reference only; the library never
+    calls it."""
+
+    def blocks():
+        for lo in range(0, va.shape[0], rows):
+            sl = slice(lo, lo + rows)
+            grads = (va[sl, None] - vb[None, :]) / (da[sl, None] + db[None, :])
+            yield lo, np.where(ia[sl, None] == ib[None, :], -np.inf, grads)
+
+    best = max((float(grads.max()) for _, grads in blocks()), default=-np.inf)
+    if not np.isfinite(best):
+        return None
+    hits = []
+    for lo, grads in blocks():
+        near = grads >= best - tol * max(1.0, abs(best))
+        tied_rows = np.flatnonzero(near.any(axis=1))
+        if tied_rows.size:
+            r = int(tied_rows[np.argmin(ia[lo + tied_rows])])
+            cols = np.flatnonzero(near[r])
+            hits.append((lo + r, int(cols[np.argmin(ib[cols])])))
+    a, b = min(hits, key=lambda p: (ia[p[0]], ib[p[1]]))
+    return a, b, float((va[a] - vb[b]) / (da[a] + db[b]))
+
+
 def reference_repair_pairs(pairs: np.ndarray, rng) -> bool:
     """The per-pair loop ``synth._repair_pairs`` ran before it marked bad
     pairs with array masks: swap away self-loops and repeats of an earlier
@@ -298,8 +328,9 @@ class LexOrder(Enum):
 def lex_compare(a, b, tol: float = DEFAULT_TOL) -> LexOrder:
     """Compare two gradient vectors in the lexicographic order on sorted |values|.
 
-    Entries within the relative tolerance count as equal; EQUAL means the
-    sorted absolute values coincide as multisets.
+    Entries within tol count as equal, relative to magnitudes above 1 and
+    absolute below 1; EQUAL means the sorted absolute values coincide as
+    multisets.
     """
     a = np.abs(np.asarray(a, dtype=np.float64))
     b = np.abs(np.asarray(b, dtype=np.float64))

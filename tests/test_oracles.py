@@ -235,3 +235,19 @@ def test_graph_builds_no_dict():
         or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict")
     ]
     assert not found, found
+
+
+def test_only_the_sampling_draws_random_numbers():
+    """The star and vertex searches are deterministic: in steepest.py only
+    ``_sample_split``, which draws a random edge and vertex, and
+    ``steepest_path``, which seeds it, mention an ``rng`` or
+    ``default_rng``."""
+    path = Path(lexgraph.__file__).parent / "steepest.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    random_names = {"rng", "default_rng"}
+    found = set()
+    for node in tree.body:
+        names = set(_referenced_names(node)) | {arg.arg for arg in ast.walk(node) if isinstance(arg, ast.arg)}
+        if names & random_names:
+            found.add(getattr(node, "name", ast.unparse(node)[:40]))
+    assert found == {"_sample_split", "steepest_path"}, found

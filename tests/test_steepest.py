@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lexgraph import (
+    DEFAULT_TOL,
     Graph,
     NoTerminalPathError,
     PartialAssignment,
@@ -20,7 +21,7 @@ import lexgraph.oracles
 import lexgraph.steepest
 from lexgraph.oracles import apsp_floyd_warshall, brute_steepest_path
 
-from conftest import random_instance
+from conftest import random_instance, reference_two_sided_star
 
 
 def star_brute(inst: StarInstance):
@@ -38,35 +39,87 @@ def star_brute(inst: StarInstance):
 class TestStar:
     def test_two_terminals(self):
         inst = StarInstance.from_pairs([(0.0, 1.0), (1.0, 1.0)])
-        pair = star_steepest_path(inst, seed=0)
+        pair = star_steepest_path(inst)
         assert pair == (1, 0)
         assert star_gradient(inst, pair) == pytest.approx(0.5)
 
     def test_constant_values(self):
         inst = StarInstance.from_pairs([(0.3, 1.0)] * 5)
-        pair = star_steepest_path(inst, seed=1)
+        pair = star_steepest_path(inst)
         assert star_gradient(inst, pair) == 0.0
 
     def test_needs_two_terminals(self):
         with pytest.raises(ValueError):
-            star_steepest_path(StarInstance.from_pairs([(1.0, 1.0)]), seed=0)
+            star_steepest_path(StarInstance.from_pairs([(1.0, 1.0)]))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_quadratic_scan(self, seed):
         rng = np.random.default_rng(seed)
         pairs = [(float(rng.uniform(-2, 2)), float(rng.uniform(0.1, 3.0))) for _ in range(50)]
         inst = StarInstance.from_pairs(pairs)
-        pair = star_steepest_path(inst, seed=seed)
+        pair = star_steepest_path(inst)
         grad_ref = star_brute(inst)[0]
         assert star_gradient(inst, pair) == pytest.approx(grad_ref, abs=1e-9)
 
-    def test_gradient_seed_independent(self):
+    def test_repeated_calls_return_the_same_pair(self):
         rng = np.random.default_rng(77)
         inst = StarInstance.from_pairs(
             [(float(rng.uniform(-1, 1)), float(rng.uniform(0.1, 2.0))) for _ in range(200)]
         )
-        grads = {round(star_gradient(inst, star_steepest_path(inst, seed=s)), 10) for s in range(10)}
-        assert len(grads) == 1
+        assert len({star_steepest_path(inst) for _ in range(10)}) == 1
+
+
+def two_sided_case(seed: int):
+    """A two-sided star with integer values and lengths, so that gradients
+    tie exactly, and ids overlapping across the sides. On even seeds the id
+    of side A's largest value is also the id of side B's smallest, so the
+    argmax and the argmin clash at lambda 0. On odd seeds an id on both
+    sides has one value, as in a vertex-steepest search, where a clash can
+    beat every id-distinct pair at a negative gradient."""
+    rng = np.random.default_rng(seed)
+    n_a, n_b = (int(k) for k in rng.integers(1, 12, size=2))
+    pool = max(n_a, n_b) + int(rng.integers(0, 4))
+    ia, ib = rng.choice(pool, n_a, replace=False), rng.choice(pool, n_b, replace=False)
+    va, vb = rng.integers(-4, 5, n_a).astype(float), rng.integers(-4, 5, n_b).astype(float)
+    da, db = rng.integers(1, 4, n_a).astype(float), rng.integers(1, 4, n_b).astype(float)
+    if seed % 2 == 0:
+        a, b = int(va.argmax()), int(vb.argmin())
+        ib[ib == ia[a]] = ib[b]
+        ib[b] = ia[a]
+    else:
+        value = dict(zip(ia.tolist(), va.tolist()))
+        vb = np.array([value.get(t, v) for t, v in zip(ib.tolist(), vb.tolist())])
+    return va, da, ia, vb, db, ib
+
+
+class TestTwoSidedStar:
+    @pytest.mark.parametrize("block", range(10))
+    def test_matches_exhaustive_scan(self, block):
+        for seed in range(100 * block, 100 * (block + 1)):
+            case = two_sided_case(seed)
+            assert lexgraph.steepest._two_sided_star(*case, DEFAULT_TOL) == reference_two_sided_star(*case), seed
+
+    def test_iterations_bounded_when_every_pair_nearly_ties(self, monkeypatch):
+        """Side A at 3 + g d, side B at 3 - g d, with noise of at most 1e-12
+        and the same ids on both sides: every pair's gradient is within
+        1e-12 of g."""
+        n, g = 10_000, 0.7
+        rng = np.random.default_rng(5)
+        ids = rng.permutation(n)
+        da, db = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+        va = 3.0 + g * da + rng.uniform(-1e-12, 1e-12, n)
+        vb = 3.0 - g * db + rng.uniform(-1e-12, 1e-12, n)
+        passes = []
+        one_pass = lexgraph.steepest._dinkelbach_pair
+
+        def counted(*args):
+            passes.append(1)
+            return one_pass(*args)
+
+        monkeypatch.setattr(lexgraph.steepest, "_dinkelbach_pair", counted)
+        got = lexgraph.steepest._two_sided_star(va, da, ids, vb, db, ids, DEFAULT_TOL)
+        assert len(passes) <= 8
+        assert got == reference_two_sided_star(va, da, ids, vb, db, ids)
 
 
 def brute_pressure_at(g, v0, x):
@@ -98,9 +151,17 @@ class TestVertexSteepest:
     def test_gradient_equals_pressure(self, seed):
         g, v0 = random_instance(seed, n_range=(15, 15))
         for x in range(g.n):
-            p = vertex_steepest_path(g, v0, x, seed=seed)
+            p = vertex_steepest_path(g, v0, x)
             assert p.gradient == pytest.approx(brute_pressure_at(g, v0, x), abs=1e-9)
             assert v0.is_terminal(p.first) and v0.is_terminal(p.last)
+
+    def test_negative_pressure_on_a_digraph(self):
+        """Terminal 0 has arcs to and from vertex 1, terminal 2 an arc from
+        1 only: the one path between distinct terminals through 1 climbs,
+        and is found although the walk 0, 1, 0 beats it at its gradient."""
+        g = Graph(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)], directed=True)
+        p = vertex_steepest_path(g, PartialAssignment([0.0, None, 1.0]), 1)
+        assert p.vertices == (0, 1, 2) and p.gradient == pytest.approx(-0.5)
 
     def test_no_path_raises(self):
         g = Graph(3, [(0, 1, 1.0), (2, 1, 1.0)], directed=True)
