@@ -301,7 +301,7 @@ def _report_directed(directed: DirectedLexResult, names: list[str]) -> None:
         click.echo(f"warning: residual directed gradient {grad:.3e} on edge {eid}", err=True)
 
 
-def _solve_command(solver_name: str, graph_file: str, labels_file: str, seed: int, tol: float, out: str | None):
+def _solve_command(solver_name: str, graph_file: str, labels_file: str, seed: int, out: str | None):
     solver = {
         "infmin": comp_inf_min,
         "lexmin": comp_lex_min,
@@ -314,7 +314,7 @@ def _solve_command(solver_name: str, graph_file: str, labels_file: str, seed: in
             _fail("dirlexmin needs a '#directed' edge file", EXIT_ILL_POSED)
         if graph.directed and solver_name not in ("infmin", "dirlexmin"):
             _fail(f"{solver_name} needs an undirected graph; use dirlexmin", EXIT_ILL_POSED)
-        return solver(graph, v0, seed=seed, tol=tol)
+        return solver(graph, v0, seed=seed)
 
     _run_solver(graph_file, labels_file, out, solve, _report_directed if solver_name == "dirlexmin" else None)
 
@@ -325,14 +325,6 @@ seed_option = click.option(
     default=None,
     callback=_resolve_seed,
     help="RNG seed, a non-negative integer (default: $LEXGRAPH_SEED or 0)",
-)
-tol_option = click.option(
-    "--tol",
-    type=float,
-    default=1e-9,
-    show_default=True,
-    callback=_check_finite_non_negative,
-    help="comparison tolerance: relative for magnitudes above 1, absolute below 1",
 )
 POSITIVE = click.IntRange(min=1)
 out_option = click.option("--out", type=click.Path(dir_okay=False), default=None, help="output TSV (default: stdout)")
@@ -364,10 +356,9 @@ def _register_solver(name: str, doc: str) -> None:
     @click.argument("graph_file", type=click.Path(exists=False))
     @click.argument("labels_file", type=click.Path(exists=False))
     @seed_option
-    @tol_option
     @out_option
-    def _cmd(graph_file, labels_file, seed, tol, out, _name=name):
-        _solve_command(_name, graph_file, labels_file, seed, tol, out)
+    def _cmd(graph_file, labels_file, seed, out, _name=name):
+        _solve_command(_name, graph_file, labels_file, seed, out)
 
 
 _register_solver("infmin", "Minimize the maximum absolute edge gradient.")
@@ -381,9 +372,8 @@ _register_solver("dirlexmin", "Directed lex-minimal extension with ambiguity rep
 @click.argument("labels_file", type=click.Path(exists=False))
 @click.option("--k", type=click.IntRange(min=0), required=True, help="outlier budget")
 @click.option("--mode", type=click.Choice(["exact", "approx"]), default="exact", show_default=True)
-@tol_option
 @out_option
-def cmd_l0(graph_file, labels_file, k, mode, tol, out):
+def cmd_l0(graph_file, labels_file, k, mode, out):
     """Outlier-robust inf-minimization: drop up to k (exact) or 2k (approx) labels."""
     solver = outlier_exact if mode == "exact" else outlier_approx
 
@@ -396,14 +386,21 @@ def cmd_l0(graph_file, labels_file, k, mode, tol, out):
             for line in meta_lines:
                 click.echo(line, err=True)
 
-    _run_solver(graph_file, labels_file, out, lambda graph, v0: solver(graph, v0, k, tol=tol), report)
+    _run_solver(graph_file, labels_file, out, lambda graph, v0: solver(graph, v0, k), report)
 
 
 @main.command(name="verify")
 @click.argument("graph_file", type=click.Path(exists=False))
 @click.argument("labels_file", type=click.Path(exists=False))
 @click.argument("assignment_file", type=click.Path(exists=False))
-@click.option("--tol", type=float, default=1e-7, show_default=True, callback=_check_finite_non_negative)
+@click.option(
+    "--tol",
+    type=float,
+    default=1e-7,
+    show_default=True,
+    callback=_check_finite_non_negative,
+    help="comparison tolerance: relative for magnitudes above 1, absolute below 1",
+)
 def cmd_verify(graph_file, labels_file, assignment_file, tol):
     """Check the max-min gradient averaging characterization of the lex-minimizer."""
     graph, names, v0, values = _load(graph_file, labels_file, assignment_file)

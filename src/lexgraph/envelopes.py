@@ -88,12 +88,10 @@ def comp_vhigh(g: Graph, v0: PartialAssignment, alpha: float, **kw) -> Envelope:
     return Envelope(np.negative(env.values), env.parent, float(alpha))
 
 
-def envelope_pair(
-    g: Graph, v0: PartialAssignment, alpha: float, require_complete: bool = True
-) -> tuple[Envelope, Envelope]:
-    vlow = comp_vlow(g, v0, alpha, require_complete=require_complete)
-    vhigh = comp_vhigh(g, v0, alpha, require_complete=require_complete)
-    return vlow, vhigh
+def envelope_pair(g: Graph, v0: PartialAssignment, alpha: float) -> tuple[Envelope, Envelope]:
+    """Both envelopes; a vertex that one of them does not reach carries +inf
+    (low) or -inf (high) there."""
+    return comp_vlow(g, v0, alpha, require_complete=False), comp_vhigh(g, v0, alpha, require_complete=False)
 
 
 def pressure_exceeds(g: Graph, v0: PartialAssignment, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -103,13 +101,47 @@ def pressure_exceeds(g: Graph, v0: PartialAssignment, alpha: float, tol: float =
     with no terminal path through them (possible on directed graphs) report
     False for every alpha >= 0.
     """
-    vlow, vhigh = envelope_pair(g, v0, alpha, require_complete=False)
+    vlow, vhigh = envelope_pair(g, v0, alpha)
     return definitely_greater(vhigh.values, vlow.values, tol)
 
 
-def high_pressure_subgraph(g: Graph, v0: PartialAssignment, alpha: float, tol: float = DEFAULT_TOL) -> PressureSubgraph:
+def high_pressure_subgraph(g: Graph, v0: PartialAssignment, alpha: float) -> PressureSubgraph:
     """Induced subgraph on {x : pressure(x) > alpha}; may be empty."""
-    mask = pressure_exceeds(g, v0, alpha, tol=tol)
-    vertices = np.flatnonzero(mask)
+    vertices = np.flatnonzero(pressure_exceeds(g, v0, alpha))
     sub, orig = g.induced_subgraph(vertices)
     return PressureSubgraph(sub, orig, float(alpha))
+
+
+def _sweep_extend(g: Graph, v0: PartialAssignment, alpha: float) -> np.ndarray:
+    """Feasible completion with max gradient <= alpha, that of
+    ``comp_inf_min`` and of both l0 solvers, robust to instances whose
+    label removal stranded some vertices: the envelope midpoint where
+    both envelopes are finite; elsewhere the one finite bound (else 0),
+    repaired by two sloped envelopes of the shortest-path kernel. The
+    vertices that reach no terminal are raised to the max over u of
+    value(u) - alpha * dist(u -> x), on paths whose later vertices lie in
+    that set; then those that no terminal reaches are lowered likewise to
+    the min of value(u) + alpha * dist(x -> u)."""
+    if v0.terminals().size == 0:
+        return np.zeros(g.n)  # every label dropped: any constant has gradient 0
+    vlow, vhigh = envelope_pair(g, v0, alpha)
+    # the high envelope is the pointwise lower bound on feasible values,
+    # the low envelope the upper bound; both are finite at terminals
+    lo, hi = vhigh.values, vlow.values
+    raise_set = ~np.isfinite(hi)  # unbounded above: can only be pushed up
+    lower_set = ~np.isfinite(lo) & ~raise_set
+    lo_safe, hi_safe = np.where(np.isfinite(lo), lo, 0.0), np.where(raise_set, 0.0, hi)
+    values = np.select(
+        [v0.terminal_mask(), raise_set, lower_set], [v0.values, lo_safe, hi], 0.5 * (lo_safe + hi_safe)
+    )
+    if not (raise_set.any() or lower_set.any()):
+        return values
+    # only the two sets take the envelopes: at alpha > 0 the kernel shifts
+    # its start values, so a label passed through it can move by an ulp (and
+    # 0 come back as -0, which 0.0 - x, unlike -x, turns into 0)
+    every = np.arange(g.n)
+    up = _dijkstra(g.with_edge_mask(raise_set[g.edge_v]), every, -values, alpha, False)[0]
+    values[raise_set] = 0.0 - up[raise_set]
+    down = _dijkstra(g.with_edge_mask(lower_set[g.edge_u]), every, values, alpha, True)[0]
+    values[lower_set] = down[lower_set]
+    return values

@@ -17,18 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
     Graph,
     LexgraphError,
     PartialAssignment,
-    _dijkstra,
     definitely_greater,
     inf_norm_of,
     require_well_posed,
     sorted_distinct,
     terminal_gradient_matrix,
 )
-from .envelopes import envelope_pair
+from .envelopes import _sweep_extend
 from .solvers import SolverResult
 
 
@@ -68,15 +66,13 @@ class PressureGraph:
         return not (two_step & ~adj).any()
 
 
-def term_pressure_graph(
-    g: Graph, v0: PartialAssignment, alpha: float, tol: float = DEFAULT_TOL
-) -> PressureGraph:
+def term_pressure_graph(g: Graph, v0: PartialAssignment, alpha: float) -> PressureGraph:
     """Arc (s, t) iff the shortest-path gradient from s to t exceeds alpha.
 
     Shortest paths may run through other terminals.
     """
     terminals, grad = terminal_gradient_matrix(g, v0)
-    rows, cols = np.nonzero(definitely_greater(grad, alpha, tol))
+    rows, cols = np.nonzero(definitely_greater(grad, alpha))
     arcs = frozenset(zip(terminals[rows].tolist(), terminals[cols].tolist()))
     return PressureGraph(tuple(terminals.tolist()), arcs, float(alpha))
 
@@ -158,40 +154,6 @@ class OutlierResult:
     alpha: float
 
 
-def _sweep_extend(g: Graph, v0: PartialAssignment, alpha: float) -> np.ndarray:
-    """Feasible completion with max gradient <= alpha, robust to instances
-    whose label removal stranded some vertices: the envelope midpoint where
-    both envelopes are finite; elsewhere the one finite bound (else 0),
-    repaired by two sloped envelopes of the shortest-path kernel. The
-    vertices that reach no terminal are raised to the max over u of
-    value(u) - alpha * dist(u -> x), on paths whose later vertices lie in
-    that set; then those that no terminal reaches are lowered likewise to
-    the min of value(u) + alpha * dist(x -> u)."""
-    if v0.terminals().size == 0:
-        return np.zeros(g.n)  # every label dropped: any constant has gradient 0
-    vlow, vhigh = envelope_pair(g, v0, alpha, require_complete=False)
-    # the high envelope is the pointwise lower bound on feasible values,
-    # the low envelope the upper bound; both are finite at terminals
-    lo, hi = vhigh.values, vlow.values
-    raise_set = ~np.isfinite(hi)  # unbounded above: can only be pushed up
-    lower_set = ~np.isfinite(lo) & ~raise_set
-    lo_safe, hi_safe = np.where(np.isfinite(lo), lo, 0.0), np.where(raise_set, 0.0, hi)
-    values = np.select(
-        [v0.terminal_mask(), raise_set, lower_set], [v0.values, lo_safe, hi], 0.5 * (lo_safe + hi_safe)
-    )
-    if not (raise_set.any() or lower_set.any()):
-        return values
-    # only the two sets take the envelopes: at alpha > 0 the kernel shifts
-    # its start values, so a label passed through it can move by an ulp (and
-    # 0 come back as -0, which 0.0 - x, unlike -x, turns into 0)
-    every = np.arange(g.n)
-    up = _dijkstra(g.with_edge_mask(raise_set[g.edge_v]), every, -values, alpha, False)[0]
-    values[raise_set] = 0.0 - up[raise_set]
-    down = _dijkstra(g.with_edge_mask(lower_set[g.edge_u]), every, values, alpha, True)[0]
-    values[lower_set] = down[lower_set]
-    return values
-
-
 def _complete(g, v0, terminals, grad, drop, iterations, alpha=None) -> OutlierResult:
     """Free the labels of ``terminals[drop]`` and extend at the largest
     gradient left between kept terminals (at least 0), which is also the
@@ -204,7 +166,7 @@ def _complete(g, v0, terminals, grad, drop, iterations, alpha=None) -> OutlierRe
     return OutlierResult(result, frozenset(terminals[drop].tolist()), residual if alpha is None else alpha)
 
 
-def outlier_exact(g: Graph, v0: PartialAssignment, k: int, tol: float = DEFAULT_TOL) -> OutlierResult:
+def outlier_exact(g: Graph, v0: PartialAssignment, k: int) -> OutlierResult:
     """Exact l0 label regularization: the smallest achievable max gradient
     when up to k labels may be dropped, found by binary search over the
     terminal-pair gradients with a minimum-vertex-cover feasibility test."""
@@ -215,7 +177,7 @@ def outlier_exact(g: Graph, v0: PartialAssignment, k: int, tol: float = DEFAULT_
     candidates = sorted_distinct(np.concatenate([[0.0], grad[grad > 0]]))
 
     def cover_at(alpha: float) -> np.ndarray:
-        return _min_cover(definitely_greater(grad, alpha, tol))
+        return _min_cover(definitely_greater(grad, alpha))
 
     lo, hi = 0, len(candidates) - 1
     best_cover = cover_at(candidates[hi])
@@ -234,7 +196,7 @@ def outlier_exact(g: Graph, v0: PartialAssignment, k: int, tol: float = DEFAULT_
     return _complete(g, v0, terminals, grad, best_cover, evaluations, float(candidates[hi]))
 
 
-def outlier_approx(g: Graph, v0: PartialAssignment, k: int, tol: float = DEFAULT_TOL) -> OutlierResult:
+def outlier_approx(g: Graph, v0: PartialAssignment, k: int) -> OutlierResult:
     """Greedy 2k-removal approximation: up to k rounds, each dropping both
     ends of the steepest pair of kept terminals (the row-major first on
     ties), then the completion of ``outlier_exact``. Stops early once no
@@ -250,7 +212,7 @@ def outlier_approx(g: Graph, v0: PartialAssignment, k: int, tol: float = DEFAULT
         kept = np.flatnonzero(~drop)
         sub = grad[np.ix_(kept, kept)]
         i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        if not definitely_greater(float(sub[i, j]), 0.0, tol):
+        if not definitely_greater(float(sub[i, j]), 0.0):
             break
         drop[kept[[i, j]]] = True
         rounds += 1

@@ -19,9 +19,9 @@ connected components.
 
 A free vertex left over has no sloped path through it. ``_resolve_intervals``
 clamps it into [largest fixed value with a path into it, smallest with a
-path out of it], both envelopes at scale 0 of the one shortest-path kernel,
-``core._dijkstra``. On an undirected graph the bounds agree, so it takes the
-value of the fixed vertices it touches.
+path out of it], the high and the low envelope at alpha 0. On an undirected
+graph the bounds agree, so it takes the value of the fixed vertices it
+touches. Every comparison is at the one tolerance ``core.DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -40,13 +40,12 @@ from .core import (
     PartialAssignment,
     TerminalPath,
     _component_labels,
-    _dijkstra,
     definitely_greater,
     gradient_vector,
     inf_norm_of,
     require_well_posed,
 )
-from .envelopes import envelope_pair, high_pressure_subgraph
+from .envelopes import _sweep_extend, comp_vhigh, comp_vlow, high_pressure_subgraph
 from .steepest import _nearly_flat_path, _sample_split, _slope_tol, _slopes, steepest_path
 
 
@@ -130,17 +129,17 @@ def _terminal_edge_mask(g: Graph, values: np.ndarray) -> np.ndarray:
     return fixed[g.edge_u] & fixed[g.edge_v]
 
 
-def _sloped_steepest(g: Graph, v0: PartialAssignment, seed: int, tol: float) -> TerminalPath | None:
+def _sloped_steepest(g: Graph, v0: PartialAssignment, seed: int) -> TerminalPath | None:
     """``steepest_path`` if it slopes down, else ``_nearly_flat_path``: None
     is the one answer "no sloped path left"."""
     try:
-        path = steepest_path(g, v0, seed=seed, tol=tol)
+        path = steepest_path(g, v0, seed=seed)
     except NoTerminalPathError:
         path = None
-    return path if _slopes(g, path, tol) else _nearly_flat_path(g, v0)
+    return path if _slopes(g, path) else _nearly_flat_path(g, v0)
 
 
-def comp_inf_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL) -> SolverResult:
+def comp_inf_min(g: Graph, v0: PartialAssignment, seed: int = 0) -> SolverResult:
     """Inf-minimizer: the midpoint of the two extremal extensions at the
     critical gradient (max terminal-terminal edge gradient vs steepest free
     terminal path)."""
@@ -151,17 +150,14 @@ def comp_inf_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DE
     alpha = inf_norm_of(g.with_edge_mask(tt), v0.values)  # over terminal-terminal edges
     pruned = g.with_edge_mask(~tt)
     fixed = ()
-    path = _sloped_steepest(pruned, v0, seed=seed, tol=tol)
+    path = _sloped_steepest(pruned, v0, seed=seed)
     if path is not None:
         alpha, fixed = max(alpha, path.gradient), ((path, path.gradient),)
-    vlow, vhigh = envelope_pair(pruned, v0, alpha)
-    values = np.where(v0.terminal_mask(), v0.values, 0.5 * (vlow.values + vhigh.values))
+    values = _sweep_extend(pruned, v0, alpha)
     return SolverResult(values, inf_norm_of(g, values), len(fixed), fixed)
 
 
-def comp_lex_min(
-    g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL
-) -> SolverResult:
+def comp_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0) -> SolverResult:
     """Reference lex-minimizer: fix one steepest free terminal path per round
     while one slopes down, then resolve the leftovers by intervals."""
     if g.directed:
@@ -171,13 +167,13 @@ def comp_lex_min(
     values = v0.values.copy()
     fixed: list[tuple[TerminalPath, float]] = []
     prev = math.inf
-    # the pressure test resolves gradients no finer than tol * value scale /
-    # path length, so the ordering check gets the same slack
+    # the pressure test resolves gradients no finer than DEFAULT_TOL * value
+    # scale / path length, so the ordering check gets the same slack
     label_scale = float(np.nanmax(np.abs(v0.values), initial=1.0))
     grad_slack = 1e-7 * label_scale / min(1.0, float(g.edge_len.min())) if g.m else 0.0
     while np.isnan(values).any():
         work = g.with_edge_mask(~_terminal_edge_mask(g, values))
-        path = _sloped_steepest(work, PartialAssignment(values), seed=int(rng.integers(2**63)), tol=tol)
+        path = _sloped_steepest(work, PartialAssignment(values), seed=int(rng.integers(2**63)))
         if path is None:
             break
         if path.gradient > prev + grad_slack:
@@ -206,7 +202,6 @@ class _FastState:
     root: Graph
     values: np.ndarray
     rng: np.random.Generator
-    tol: float
     fixed: list[tuple[TerminalPath, float]] = field(default_factory=list)
 
 
@@ -223,7 +218,7 @@ class _Frame:
     started: bool = False
 
 
-def _fix_paths_above(g: Graph, v0: PartialAssignment, seed: int, tol: float) -> _FastState:
+def _fix_paths_above(g: Graph, v0: PartialAssignment, seed: int) -> _FastState:
     """The pressure descent at alpha 0: fix every free terminal path of g of
     positive gradient, descending into each (weakly) connected high-pressure
     component.
@@ -233,7 +228,7 @@ def _fix_paths_above(g: Graph, v0: PartialAssignment, seed: int, tol: float) -> 
     split pushes its components onto the stack, so a component is finished
     before its next sibling starts."""
     require_well_posed(g, v0)
-    state = _FastState(g, v0.values.copy(), np.random.default_rng(seed), tol)
+    state = _FastState(g, v0.values.copy(), np.random.default_rng(seed))
     stack = [_Frame(g, np.arange(g.n, dtype=np.int64), 0.0)]
     while stack:
         frame = stack[-1]
@@ -263,7 +258,7 @@ def _split_round(frame: _Frame, stack: list[_Frame], state: _FastState) -> bool:
             return False
         work = frame.g.with_edge_mask(~_terminal_edge_mask(frame.g, local_vals))
     if frame.started and frame.depth > 0:
-        shrink = high_pressure_subgraph(work, PartialAssignment(local_vals), frame.alpha, tol=state.tol)
+        shrink = high_pressure_subgraph(work, PartialAssignment(local_vals), frame.alpha)
         if shrink.graph.n == 0:
             return False
         frame.g = work = shrink.graph
@@ -277,9 +272,9 @@ def _split_round(frame: _Frame, stack: list[_Frame], state: _FastState) -> bool:
     if not np.isnan(local_vals).any():
         return False
     cur = PartialAssignment(local_vals)
-    best, hp = _sample_split(g, cur, state.rng, state.tol)
+    best, hp = _sample_split(g, cur, state.rng)
     if hp.graph.m == 0:
-        if not _slopes(g, best, state.tol):
+        if not _slopes(g, best):
             best = None if frame.depth else _nearly_flat_path(g, cur)
         if best is None:
             return False
@@ -314,7 +309,7 @@ def _fix_dense(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> N
     lengths[g.edge_u, g.edge_v] = g.edge_len
     if not g.directed:
         lengths[g.edge_v, g.edge_u] = g.edge_len
-    floor, floor_tol = sloped = 0.0, _slope_tol(g, state.tol)
+    floor, floor_tol = sloped = 0.0, _slope_tol(g)
     while True:
         vals = state.values[orig]
         fixed = ~np.isnan(vals)
@@ -345,10 +340,10 @@ def _fix_dense(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> N
         path = TerminalPath(tuple(orig[walk].tolist()), float(tdist[i, j]), grad)
         steps = lengths[walk[:-1], walk[1:]].tolist()
         state.fixed.append((path, _fix_path_inplace(state.values, path, steps)))
-        floor, floor_tol = (alpha, state.tol) if alpha > 0 else sloped
+        floor, floor_tol = (alpha, DEFAULT_TOL) if alpha > 0 else sloped
 
 
-def comp_fast_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL) -> SolverResult:
+def comp_fast_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0) -> SolverResult:
     """Lex-minimizer via per-component pressure descent; same output as
     comp_lex_min, much faster on large graphs.
 
@@ -361,20 +356,18 @@ def comp_fast_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float
     descent order, steepest first inside a dense frame."""
     if g.directed:
         raise ValueError("comp_fast_lex_min handles undirected graphs; use directed_lex_min")
-    state = _fix_paths_above(g, v0, seed, tol)
+    state = _fix_paths_above(g, v0, seed)
     values, _ = _resolve_intervals(g, v0, state.values)
     return SolverResult(values, inf_norm_of(g, values), len(state.fixed), tuple(state.fixed))
 
 
-def directed_lex_min(
-    g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = DEFAULT_TOL
-) -> DirectedLexResult:
+def directed_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0) -> DirectedLexResult:
     """Directed lex-minimization: fix every free terminal path of positive
     gradient by the pressure descent of ``comp_fast_lex_min``, then resolve
     the leftover interval-constrained vertices.
 
     The descent splits on weakly connected high-pressure components at the
-    sampled gradient if it is definitely above 0, else at tol, and every
+    sampled gradient if it is definitely above 0, else at DEFAULT_TOL, and every
     frame of at most DENSE_MAX vertices goes to the dense kernel on its
     asymmetric length matrix. ``fixed_order`` is in depth-first
     descent order, not non-increasing.
@@ -386,12 +379,12 @@ def directed_lex_min(
     """
     if not g.directed:
         raise ValueError("directed_lex_min needs a directed graph")
-    state = _fix_paths_above(g, v0, seed, tol)
+    state = _fix_paths_above(g, v0, seed)
     fixed_mask = ~np.isnan(state.values)
     values, ambiguous = _resolve_intervals(g, v0, state.values)
     grads = gradient_vector(g, values)
     outside = ~(fixed_mask[g.edge_u] & fixed_mask[g.edge_v])
-    bad = np.flatnonzero(outside & definitely_greater(grads, 0.0, tol))
+    bad = np.flatnonzero(outside & definitely_greater(grads, 0.0))
     violations = tuple(zip(bad.tolist(), grads[bad].tolist()))
     result = SolverResult(values, inf_norm_of(g, values), len(state.fixed), tuple(state.fixed))
     return DirectedLexResult(result, tuple(ambiguous), violations, fixed_mask)
@@ -402,8 +395,8 @@ def _resolve_intervals(g: Graph, v0: PartialAssignment, values: np.ndarray):
     place. Constraints: along every remaining edge (x, y) the completion must
     satisfy v(x) <= v(y), so a free vertex x gets the interval [max fixed
     value with a path into x, min fixed value with a path out of x], and the
-    value in it closest to the median of the labels of v0. Both bounds are
-    shortest-path envelopes at scale 0 from the fixed vertices. On a
+    value in it closest to the median of the labels of v0. The bounds are
+    the high and the low envelope at alpha 0 of the fixed vertices. On a
     directed graph they run on the edges that do not enter (for the lower
     bound) or leave (for the upper) a fixed vertex. On an undirected graph
     both run on the edges that do not join two fixed vertices, and agree
@@ -416,22 +409,15 @@ def _resolve_intervals(g: Graph, v0: PartialAssignment, values: np.ndarray):
         low_edges, high_edges = ~fixed[g.edge_v], ~fixed[g.edge_u]
     else:
         low_edges = high_edges = ~(fixed[g.edge_u] & fixed[g.edge_v])
-    src = np.flatnonzero(fixed)
-    lower = -_dijkstra(g.with_edge_mask(low_edges), src, -values[src], 0.0, False)[0]
-    upper = _dijkstra(g.with_edge_mask(high_edges), src, values[src], 0.0, True)[0]
-    ambiguous = []
-    for x in np.flatnonzero(~fixed):
-        lo, hi = float(lower[x]), float(upper[x])
-        if math.isinf(lo) and math.isinf(hi):
-            val = median
-        elif math.isinf(lo):
-            val = hi
-        elif math.isinf(hi):
-            val = lo
-        else:
-            val = min(max(median, lo), hi)
-        values[x] = val
-        ambiguous.append(AmbiguousVertex(int(x), lo, hi, float(val)))
+    v_fixed = PartialAssignment(values)
+    free = np.flatnonzero(~fixed)
+    lo = comp_vhigh(g.with_edge_mask(low_edges), v_fixed, 0.0, require_complete=False).values[free]
+    hi = comp_vlow(g.with_edge_mask(high_edges), v_fixed, 0.0, require_complete=False).values[free]
+    lo_inf, hi_inf = np.isinf(lo), np.isinf(hi)
+    values[free] = np.select(
+        [lo_inf & hi_inf, lo_inf, hi_inf], [median, hi, lo], np.minimum(np.maximum(median, lo), hi)
+    )
+    ambiguous = list(map(AmbiguousVertex, free.tolist(), lo.tolist(), hi.tolist(), values[free].tolist()))
     return values, ambiguous
 
 

@@ -11,7 +11,8 @@ to and from it; neither search draws a random number.
 ``steepest_path`` and the solvers, and its random edge and vertex are the
 only random draws here: sample, then keep the subgraph whose pressure
 exceeds the sampled gradient if it slopes down (``_slope_tol``), else that
-tolerance.
+tolerance. The pressure test and the star and vertex searches compare at
+``core.DEFAULT_TOL``, except in ``_nearly_flat_path``, which compares at 0.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _two_sided_star(va, da, ia, vb, db, ib, tol):
     return a, b, float((va[a] - vb[b]) / (da[a] + db[b]))
 
 
-def star_steepest_path(inst: StarInstance, tol: float = DEFAULT_TOL) -> tuple[int, int]:
+def star_steepest_path(inst: StarInstance) -> tuple[int, int]:
     """Indices (t1, t2) maximizing (v(t1) - v(t2)) / (d(t1) + d(t2)).
 
     Deterministic, by Dinkelbach's iteration in a few O(|T|) passes; among
@@ -128,7 +129,7 @@ def star_steepest_path(inst: StarInstance, tol: float = DEFAULT_TOL) -> tuple[in
     if len(inst) < 2:
         raise ValueError("star search needs at least 2 terminals")
     ids = np.arange(len(inst), dtype=np.int64)
-    hit = _two_sided_star(inst.values, inst.dists, ids, inst.values, inst.dists, ids, tol)
+    hit = _two_sided_star(inst.values, inst.dists, ids, inst.values, inst.dists, ids, DEFAULT_TOL)
     assert hit is not None
     return hit[0], hit[1]
 
@@ -197,52 +198,54 @@ def _vertex_steepest(g: Graph, v0: PartialAssignment, x: int, tol: float) -> Opt
     return TerminalPath(tuple(verts), length, float((vals[t1] - vals[t2]) / length))
 
 
-def vertex_steepest_path(g: Graph, v0: PartialAssignment, x: int, tol: float = DEFAULT_TOL) -> TerminalPath:
+def vertex_steepest_path(g: Graph, v0: PartialAssignment, x: int) -> TerminalPath:
     """Steepest terminal path through x; its gradient equals the pressure of
     x. NoTerminalPathError if no path between two distinct terminals runs
     through x, ValueError if x is not a vertex."""
-    path = _vertex_steepest(g, v0, x, tol)
+    path = _vertex_steepest(g, v0, x, DEFAULT_TOL)
     if path is None:
         raise NoTerminalPathError(f"no terminal path passes through vertex {x}")
     return path
 
 
-def _steepest_through(g: Graph, v0: PartialAssignment, xs, tol: float) -> Optional[TerminalPath]:
+def _steepest_through(g: Graph, v0: PartialAssignment, xs) -> Optional[TerminalPath]:
     """The steepest of the vertex-steepest paths through the vertices xs, the
     first on ties; None if no terminal path passes through any of them."""
     best = None
     for x in xs:
-        path = _vertex_steepest(g, v0, x, tol)
+        path = _vertex_steepest(g, v0, x, DEFAULT_TOL)
         if path is not None and (best is None or path.gradient > best.gradient):
             best = path
     return best
 
 
-def _slope_tol(g: Graph, tol: float) -> float:
+def _slope_tol(g: Graph) -> float:
     """A path slopes down if its gradient is definitely_greater than 0 at this
     tolerance, which floors every split threshold: 0 on an undirected graph,
-    whose lex-minimizer interpolates every path of positive gradient; tol on
-    a directed one, whose intervals take the paths within tol of flat."""
-    return tol if g.directed else 0.0
+    whose lex-minimizer interpolates every path of positive gradient;
+    DEFAULT_TOL on a directed one, whose intervals take the paths within it
+    of flat."""
+    return DEFAULT_TOL if g.directed else 0.0
 
 
-def _slopes(g: Graph, path: Optional[TerminalPath], tol: float) -> bool:
-    return path is not None and bool(definitely_greater(path.gradient, 0.0, _slope_tol(g, tol)))
+def _slopes(g: Graph, path: Optional[TerminalPath]) -> bool:
+    return path is not None and bool(definitely_greater(path.gradient, 0.0, _slope_tol(g)))
 
 
 def _nearly_flat_path(g: Graph, v0: PartialAssignment) -> Optional[TerminalPath]:
     """On an undirected graph, a path of positive gradient with a drop too
-    small for the pressure test at tol: the steepest through the first free
-    vertex whose envelopes at 0, which carry the labels exactly, differ, by a
-    search at tol 0. None if there is none, or if g is directed."""
+    small for the pressure test at DEFAULT_TOL: the steepest through the
+    first free vertex whose envelopes at 0, which carry the labels exactly,
+    differ, by a search at tolerance 0. None if there is none, or if g is
+    directed."""
     if g.directed:
         return None
     xs = np.flatnonzero(pressure_exceeds(g, v0, 0.0, tol=0.0) & ~v0.terminal_mask())
     path = _vertex_steepest(g, v0, int(xs[0]), 0.0) if xs.size else None
-    return path if _slopes(g, path, 0.0) else None
+    return path if _slopes(g, path) else None
 
 
-def _sample_split(g: Graph, v0: PartialAssignment, rng, tol: float) -> tuple[Optional[TerminalPath], PressureSubgraph]:
+def _sample_split(g: Graph, v0: PartialAssignment, rng) -> tuple[Optional[TerminalPath], PressureSubgraph]:
     """One step of the pressure descent on g: the best of the vertex-steepest
     paths through the ends of a random edge and a random vertex (None if
     none joins two distinct terminals), and the subgraph whose pressure
@@ -253,17 +256,12 @@ def _sample_split(g: Graph, v0: PartialAssignment, rng, tol: float) -> tuple[Opt
         raise NoTerminalPathError("no edge left to sample a terminal path")
     eid = int(rng.integers(g.m))
     x3 = int(rng.integers(g.n))
-    best = _steepest_through(g, v0, dict.fromkeys((int(g.edge_u[eid]), int(g.edge_v[eid]), x3)), tol)
-    threshold = best.gradient if _slopes(g, best, tol) else _slope_tol(g, tol)
-    return best, high_pressure_subgraph(g, v0, threshold, tol=tol)
+    best = _steepest_through(g, v0, dict.fromkeys((int(g.edge_u[eid]), int(g.edge_v[eid]), x3)))
+    threshold = best.gradient if _slopes(g, best) else _slope_tol(g)
+    return best, high_pressure_subgraph(g, v0, threshold)
 
 
-def steepest_path(
-    g: Graph,
-    v0: PartialAssignment,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> TerminalPath:
+def steepest_path(g: Graph, v0: PartialAssignment, seed: int = 0) -> TerminalPath:
     """Steepest free terminal path of a well-posed instance with no
     terminal-terminal edges and at least one free vertex.
 
@@ -283,14 +281,14 @@ def steepest_path(
     cap = int(8 * math.log2(max(g.m, 2)) + 16)
     orig = np.arange(g.n, dtype=np.int64)
     for _ in range(cap + 1):
-        best, hp = _sample_split(g, v0, rng, tol)
+        best, hp = _sample_split(g, v0, rng)
         if hp.graph.m == 0:
             break
         orig = orig[hp.vertices]
         v0 = PartialAssignment(v0.values[hp.vertices])
         g = hp.graph
     else:
-        best = _steepest_through(g, v0, range(g.n), tol)
+        best = _steepest_through(g, v0, range(g.n))
     if best is None:
         raise NoTerminalPathError("no terminal path found")
     return TerminalPath(tuple(int(orig[v]) for v in best.vertices), best.length, best.gradient)

@@ -174,7 +174,7 @@ def random_directed_instance(
     return g, v0
 
 
-def reference_directed_fixing(g: Graph, v0: PartialAssignment, seed: int = 0, tol: float = 1e-9):
+def reference_directed_fixing(g: Graph, v0: PartialAssignment, seed: int = 0):
     """(values, fixed paths) of the whole-graph directed fixing loop that
     ``directed_lex_min`` ran before its pressure descent: one steepest path
     of the whole graph per round, fixed while one slopes down (gradient
@@ -185,7 +185,7 @@ def reference_directed_fixing(g: Graph, v0: PartialAssignment, seed: int = 0, to
     fixed = []
     while np.isnan(values).any():
         work = g.with_edge_mask(~_terminal_edge_mask(g, values))
-        path = _sloped_steepest(work, PartialAssignment(values), seed=int(rng.integers(2**63)), tol=tol)
+        path = _sloped_steepest(work, PartialAssignment(values), seed=int(rng.integers(2**63)))
         if path is None:
             break
         fixed.append((path, _fix_path_inplace(values, path, g.path_lengths(path.vertices))))

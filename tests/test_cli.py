@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_instance
+
 
 def cli_env(**overrides):
     """The caller's environment without LEXGRAPH_SEED, plus ``overrides``.
@@ -313,7 +315,23 @@ class TestBadInput:
 
     def test_negative_tol_exits_3(self, path_fixture):
         edges, labels = path_fixture
-        line = _assert_one_line_error(run_cli("lexmin", str(edges), str(labels), "--tol", "-1"), 3)
+        line = _assert_one_line_error(run_cli("verify", str(edges), str(labels), str(labels), "--tol", "-1"), 3)
+        assert "--tol" in line
+
+    @pytest.mark.parametrize("tol", ["0", "0.01"])
+    @pytest.mark.parametrize("cmd", ["lexmin", "fastlexmin"])
+    def test_solver_takes_no_tol(self, cmd, tol, tmp_path):
+        """The solvers compare at the one tolerance ``core.DEFAULT_TOL``. With
+        ``--tol 0`` or ``--tol 0.01``, lexmin ended in a traceback on this
+        instance; now the option is a usage error that names it."""
+        g, v0 = random_instance(1)
+        edges, labels = tmp_path / "r.edges.tsv", tmp_path / "r.labels.tsv"
+        rows = zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_len.tolist())
+        edges.write_text("#undirected\n" + "".join(f"{u}\t{v}\t{w!r}\n" for u, v, w in rows))
+        terminals = v0.terminals()
+        labels.write_text("".join(f"{t}\t{x!r}\n" for t, x in zip(terminals.tolist(), v0.values[terminals].tolist())))
+        assert run_cli(cmd, str(edges), str(labels)).returncode == 0
+        line = _assert_one_line_error(run_cli(cmd, str(edges), str(labels), "--tol", tol), 3)
         assert "--tol" in line
 
     @pytest.mark.parametrize("cmd", UNWRITABLE_COMMANDS, ids=lambda c: c[0])
@@ -366,7 +384,7 @@ class TestUsageErrors:
         [
             ("l0", "{edges}", "{labels}", "--k", "abc"),
             ("l0", "{edges}", "{labels}", "--k", "-1"),
-            ("infmin", "{edges}", "{labels}", "--tol", "abc"),
+            ("verify", "{edges}", "{labels}", "{labels}", "--tol", "abc"),
             ("bench", "--sizes", "x"),
         ],
         ids=lambda a: " ".join(a[-2:]),

@@ -17,8 +17,9 @@ from lexgraph import (
     outlier_exact,
     term_pressure_graph,
 )
-from lexgraph import l0reg
-from lexgraph.l0reg import NotADagError, _sweep_extend
+from lexgraph import envelopes
+from lexgraph.envelopes import _sweep_extend
+from lexgraph.l0reg import NotADagError
 from lexgraph.oracles import apsp_floyd_warshall, brute_min_vc, brute_outlier
 
 from conftest import heap_dijkstra, random_dag, random_directed_instance, random_instance, transitive_closure
@@ -200,7 +201,7 @@ class TestOutlierExact:
         the other component must come out exactly as given, both on the
         reference heap Dijkstra and on the kernel, which shifts start values
         by their minimum."""
-        monkeypatch.setattr(l0reg, "_dijkstra", kernel)
+        monkeypatch.setattr(envelopes, "_dijkstra", kernel)
         g = Graph(8, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (5, 6, 1.0), (6, 7, 1.0)])
         v0 = PartialAssignment([0.1, None, 0.7, None, -0.3, None, None, None])
         values = _sweep_extend(g, v0, 1.0)
@@ -216,7 +217,7 @@ class TestOutlierExact:
         it with slope alpha. The chain's arcs run against id order, where a
         sweep over the edge list moves one step per pass. The label stays
         exact on the reference heap Dijkstra and on the kernel."""
-        monkeypatch.setattr(l0reg, "_dijkstra", kernel)
+        monkeypatch.setattr(envelopes, "_dijkstra", kernel)
         k = 40
         lengths = 0.5 + 0.25 * (np.arange(k) % 3)
         chain = [1, k + 1, *range(k, 1, -1)]

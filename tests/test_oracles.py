@@ -1,4 +1,5 @@
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import lexgraph
+import lexgraph.cli
 from lexgraph import Graph, PartialAssignment, SizeGuardError, verify_max_min
 from lexgraph.oracles import (
     apsp_floyd_warshall,
@@ -251,3 +253,28 @@ def test_only_the_sampling_draws_random_numbers():
         if names & random_names:
             found.add(getattr(node, "name", ast.unparse(node)[:40]))
     assert found == {"_sample_split", "steepest_path"}, found
+
+
+def test_only_the_checks_take_a_tolerance():
+    """The solvers, searches and l0 entry points compare at the one tolerance
+    ``core.DEFAULT_TOL``: of the public callables only the pressure test,
+    which ``_nearly_flat_path`` runs at 0, and the max-min check take a
+    ``tol``, and no solver command has a ``--tol``."""
+    takes_tol = set()
+    for name in lexgraph.__all__:
+        obj = getattr(lexgraph, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # the exception classes inherit a builtin __init__
+            continue
+        if "tol" in params:
+            takes_tol.add(name)
+    assert takes_tol == {"pressure_exceeds", "verify_max_min"}
+    commands = lexgraph.cli.main.commands
+    solvers = set(commands) - {"verify", "synth", "bench"}
+    assert solvers == {"infmin", "lexmin", "fastlexmin", "dirlexmin", "l0"}
+    with_tol = [name for name in solvers for param in commands[name].params if "--tol" in param.opts]
+    assert not with_tol, with_tol
+    assert any("--tol" in param.opts for param in commands["verify"].params)

@@ -652,7 +652,7 @@ class TestDirectedLexMin:
         4 is the arc 2 -> 4, which has no reverse arc, while 4's only out-arc
         leads to 3: read along out-arcs, the walk back from 4 goes astray."""
         g = Graph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 4, 1.0), (4, 3, 0.5), (3, 2, 0.5)], directed=True)
-        state = solvers._FastState(g, np.array([2.0, np.nan, np.nan, np.nan, 0.0]), np.random.default_rng(0), 1e-9)
+        state = solvers._FastState(g, np.array([2.0, np.nan, np.nan, np.nan, 0.0]), np.random.default_rng(0))
         solvers._fix_dense(g, np.arange(5), 0.0, state)
         assert [path.vertices for path, _ in state.fixed] == [(0, 1, 2, 4)]
         np.testing.assert_allclose(state.values[:3], [2.0, 4.0 / 3.0, 2.0 / 3.0])

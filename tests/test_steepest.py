@@ -199,8 +199,8 @@ def spy_descents(monkeypatch, split=lexgraph.steepest.high_pressure_subgraph) ->
     its length after a search is the search's recursion depth."""
     descents = []
 
-    def counted(g, v0, alpha, tol):
-        hp = split(g, v0, alpha, tol=tol)
+    def counted(g, v0, alpha):
+        hp = split(g, v0, alpha)
         if hp.graph.m:
             descents.append(hp.graph.n)
         return hp
@@ -270,7 +270,7 @@ class TestSteepestPath:
         work = prune_tt(g, v0)
         ref = brute_steepest_path(work, v0)
 
-        def keep_everything(g, v0, alpha, tol):
+        def keep_everything(g, v0, alpha):
             return PressureSubgraph(g, np.arange(g.n), alpha)
 
         def oracle_called(*args, **kwargs):
