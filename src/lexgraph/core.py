@@ -335,8 +335,8 @@ def check_well_posed(g: Graph, v0: PartialAssignment) -> WellPosednessReport:
         # reachability is a finite distance at scale 0, from and to the terminals
         ok = v0.terminal_mask()
         if terminals.size:
-            start = np.zeros(terminals.shape[0])
-            reach = [np.isfinite(_dijkstra(g, terminals, start, 0.0, rev)[0]) for rev in (False, True)]
+            run = [(terminals, np.zeros(terminals.shape[0]))]
+            reach = [np.isfinite(_dijkstra(g, run, 0.0, rev)[0][0]) for rev in (False, True)]
             ok |= reach[0] & reach[1]
         bad = tuple(np.flatnonzero(~ok).tolist())
         return WellPosednessReport(not bad, stranded_vertices=bad)
@@ -359,45 +359,58 @@ def require_well_posed(g: Graph, v0: PartialAssignment) -> None:
 
 
 def _dijkstra(
-    g: Graph, sources: Sequence[int], start: Sequence[float], scale: float, reverse: bool
+    g: Graph, runs: Sequence[tuple[Sequence[int], Sequence[float]]], scale: float, reverse: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(value, parent) with value(x) = min over sources s of start[s] + scale * dist(s -> x).
+    """(value, parent), one row per run (sources, start), with value[r, x] =
+    min over the run's sources s of start[s] + scale * dist(s -> x).
 
-    The one shortest-path kernel: scipy's Dijkstra from a super-source row
-    appended to the cached CSR, whose edges to the sources carry the start
-    offsets. Distances follow edge orientation (``reverse`` flips it on
-    directed graphs). parent[x] is the predecessor on a minimizing path; it
-    is -1 where the value is a source's own start and at unreached vertices,
-    which get +inf. At scale 0 the offsets are the ranks of the distinct
-    starts, so every reached vertex gets exactly the start of the source its
-    parent chain leads to; at other scales they are the starts less their
-    minimum, which can move a value by an ulp.
+    The one shortest-path kernel: one scipy Dijkstra call from one
+    super-source row per run, appended to the cached CSR, whose edges to the
+    run's sources carry its start offsets. Each row is what the run gives
+    alone. Distances follow edge orientation (``reverse`` flips it on
+    directed graphs). parent[r, x] is the predecessor on a minimizing path;
+    it is -1 where the value is a source's own start and at unreached
+    vertices, which get +inf. At scale 0 the offsets are the ranks of the
+    run's distinct starts, so every reached vertex gets exactly the start of
+    the source its parent chain leads to; at other scales they are the
+    starts less their minimum, which can move a value by an ulp. A source
+    outside [0, n) raises ValueError.
     """
     scale = float(scale)
-    sources = np.asarray(sources, dtype=np.int32)
-    start = np.asarray(start, dtype=np.float64)
-    if scale == 0.0:
-        starts, rank = np.unique(start, return_inverse=True)
-        offsets = rank.astype(np.float64)
-    else:
-        base = float(start.min())
-        offsets = start - base
+    sources = np.concatenate([np.asarray(src, dtype=np.int64) for src, _ in runs])
+    outside = sources[(sources < 0) | (sources >= g.n)]
+    if outside.size:
+        raise ValueError(f"source vertex {outside[0]} out of range for n={g.n}")
+    offsets, restore = [], []
+    for _, start in runs:
+        start = np.asarray(start, dtype=np.float64)
+        if scale == 0.0:
+            starts, rank = np.unique(start, return_inverse=True)
+            offsets.append(rank.astype(np.float64))
+            restore.append(starts)
+        else:
+            base = float(start.min())
+            offsets.append(start - base)
+            restore.append(base)
     indptr, indices, lengths = g._csr(reverse)
+    counts = np.cumsum([offset.shape[0] for offset in offsets])
     dist, pred = _scipy_dijkstra(
-        np.concatenate([indptr, [indptr[-1] + sources.shape[0]]], dtype=np.int32),
-        np.concatenate([indices, sources]),
-        np.concatenate([scale * lengths, offsets]),
-        g.n,
+        np.concatenate([indptr, indptr[-1] + counts], dtype=np.int32),
+        np.concatenate([indices, sources], dtype=np.int32),
+        np.concatenate([scale * lengths, *offsets]),
+        np.arange(g.n, g.n + len(runs)),
         predecessors=True,
     )
-    dist = dist[: g.n]
-    parent = pred[: g.n].astype(np.int64)
-    parent[(parent == g.n) | (parent < 0)] = -1
-    if scale == 0.0:
-        reached = np.isfinite(dist)
-        dist[reached] = starts[dist[reached].astype(np.int64)]
-        return dist, parent
-    return dist + base, parent
+    dist = dist[:, : g.n]
+    parent = pred[:, : g.n].astype(np.int64)
+    parent[(parent >= g.n) | (parent < 0)] = -1
+    for row, back in zip(dist, restore):
+        if scale == 0.0:
+            reached = np.isfinite(row)
+            row[reached] = back[row[reached].astype(np.int64)]
+        else:
+            row += back
+    return dist, parent
 
 
 def _scipy_dijkstra(indptr, indices, data, sources, predecessors: bool = False):
@@ -418,16 +431,17 @@ def single_source_distances(
     Unreachable vertices get +inf; parents are -1 at the source and there.
     A source outside [0, n) raises ValueError.
     """
-    if not 0 <= source < g.n:
-        raise ValueError(f"source vertex {source} out of range for n={g.n}")
-    dist, parent = _dijkstra(g, [int(source)], [0.0], 1.0, reverse)
+    dist, parent = _dijkstra(g, [([source], [0.0])], 1.0, reverse)
+    dist, parent = dist[0], parent[0]
     if with_parents:
         return dist, parent
     return dist
 
 
-#: Bytes of scipy distance rows that ``terminal_pair_distances`` holds at once.
-PAIR_DISTANCE_BYTES = 32 << 20
+#: Bytes of distances that one batch holds at once: the scipy rows of
+#: ``terminal_pair_distances`` and of a search through many vertices, and the
+#: length matrices of one dense-kernel batch of the pressure descent.
+PAIR_DISTANCE_BYTES = 4 << 20
 
 
 def terminal_pair_distances(g: Graph, v0: PartialAssignment) -> tuple[np.ndarray, np.ndarray]:

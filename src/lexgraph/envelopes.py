@@ -48,50 +48,58 @@ class PressureSubgraph:
     alpha: float
 
 
-def mod_dijkstra(
-    g: Graph,
-    v0: PartialAssignment,
-    alpha: float,
-    reverse: bool = False,
-    require_complete: bool = True,
-) -> Envelope:
-    """Envelope value(x) = min over terminals t of v0(t) + alpha * dist(t -> x).
-
-    Distances follow edge orientation toward x (``reverse`` flips it). This
-    is the kernel ``core._dijkstra`` with the terminals as sources, starting
-    at their labels, and lengths scaled by alpha, which must be finite and
-    nonnegative (else ValueError). With ``require_complete`` a vertex
-    unreachable from every terminal raises NotWellPosedError; otherwise it
-    carries +inf and parent -1.
-    """
+def _terminals(g: Graph, v0: PartialAssignment, alpha: float) -> np.ndarray:
+    """The sources of an envelope: v0's terminals. ValueError unless alpha is
+    finite and nonnegative; NotWellPosedError if there is no terminal."""
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
     terminals = v0.terminals()
     if terminals.size == 0:
         raise NotWellPosedError(WellPosednessReport(False, stranded_vertices=tuple(range(g.n))))
-    values, parent = _dijkstra(g, terminals, v0.values[terminals], alpha, reverse)
-    if require_complete and not np.isfinite(values).all():
-        bad = tuple(int(x) for x in np.flatnonzero(~np.isfinite(values)))
-        raise NotWellPosedError(WellPosednessReport(False, stranded_vertices=bad))
-    return Envelope(values, parent, float(alpha))
+    return terminals
 
 
-def comp_vlow(g: Graph, v0: PartialAssignment, alpha: float, **kw) -> Envelope:
-    """Low envelope: min_t {v0(t) + alpha * dist(x -> t)} (x-to-terminal distances)."""
-    return mod_dijkstra(g, v0, alpha, reverse=g.directed, **kw)
+def mod_dijkstra(g: Graph, v0: PartialAssignment, alpha: float, reverse: bool = False) -> Envelope:
+    """Envelope value(x) = min over terminals t of v0(t) + alpha * dist(t -> x).
+
+    Distances follow edge orientation toward x (``reverse`` flips it). This
+    is the kernel ``core._dijkstra`` with the terminals as sources, starting
+    at their labels, and lengths scaled by alpha, which must be finite and
+    nonnegative (else ValueError). A vertex that no terminal reaches carries
+    +inf and parent -1; an assignment with no terminal raises
+    NotWellPosedError.
+    """
+    terminals = _terminals(g, v0, alpha)
+    values, parent = _dijkstra(g, [(terminals, v0.values[terminals])], alpha, reverse)
+    return Envelope(values[0], parent[0], float(alpha))
 
 
-def comp_vhigh(g: Graph, v0: PartialAssignment, alpha: float, **kw) -> Envelope:
-    """High envelope: max_t {v0(t) - alpha * dist(t -> x)} via negated labels."""
+def comp_vlow(g: Graph, v0: PartialAssignment, alpha: float) -> Envelope:
+    """Low envelope: min_t {v0(t) + alpha * dist(x -> t)} (x-to-terminal
+    distances); +inf where x reaches no terminal."""
+    return mod_dijkstra(g, v0, alpha, reverse=g.directed)
+
+
+def comp_vhigh(g: Graph, v0: PartialAssignment, alpha: float) -> Envelope:
+    """High envelope: max_t {v0(t) - alpha * dist(t -> x)} via negated labels;
+    -inf where no terminal reaches x."""
     neg = PartialAssignment(np.negative(v0.values))
-    env = mod_dijkstra(g, neg, alpha, reverse=False, **kw)
+    env = mod_dijkstra(g, neg, alpha, reverse=False)
     return Envelope(np.negative(env.values), env.parent, float(alpha))
 
 
 def envelope_pair(g: Graph, v0: PartialAssignment, alpha: float) -> tuple[Envelope, Envelope]:
-    """Both envelopes; a vertex that one of them does not reach carries +inf
-    (low) or -inf (high) there."""
-    return comp_vlow(g, v0, alpha, require_complete=False), comp_vhigh(g, v0, alpha, require_complete=False)
+    """(low, high) envelopes; a vertex that one of them does not reach carries
+    +inf (low) or -inf (high) there. On an undirected graph both come from
+    one kernel call, the labels one run and the negated labels the other;
+    on a directed graph they run on opposite orientations, one call each."""
+    if g.directed:
+        return comp_vlow(g, v0, alpha), comp_vhigh(g, v0, alpha)
+    terminals = _terminals(g, v0, alpha)
+    start = v0.values[terminals]
+    values, parent = _dijkstra(g, [(terminals, start), (terminals, np.negative(start))], alpha, False)
+    alpha = float(alpha)
+    return Envelope(values[0], parent[0], alpha), Envelope(np.negative(values[1]), parent[1], alpha)
 
 
 def pressure_exceeds(g: Graph, v0: PartialAssignment, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -140,8 +148,8 @@ def _sweep_extend(g: Graph, v0: PartialAssignment, alpha: float) -> np.ndarray:
     # its start values, so a label passed through it can move by an ulp (and
     # 0 come back as -0, which 0.0 - x, unlike -x, turns into 0)
     every = np.arange(g.n)
-    up = _dijkstra(g.with_edge_mask(raise_set[g.edge_v]), every, -values, alpha, False)[0]
+    up = _dijkstra(g.with_edge_mask(raise_set[g.edge_v]), [(every, -values)], alpha, False)[0][0]
     values[raise_set] = 0.0 - up[raise_set]
-    down = _dijkstra(g.with_edge_mask(lower_set[g.edge_u]), every, values, alpha, True)[0]
+    down = _dijkstra(g.with_edge_mask(lower_set[g.edge_u]), [(every, values)], alpha, True)[0][0]
     values[lower_set] = down[lower_set]
     return values

@@ -7,15 +7,18 @@ fast solver fixes whole pressure plateaus per connected component before
 descending. Both produce the same (unique) extension on undirected graphs.
 
 The fast solver descends on an explicit work stack, not by recursion: each
-round works on the top frame, and a pressure split pushes its components. One
-rule picks the kernel, in either orientation. A frame with at most
-``DENSE_MAX`` vertices (the whole graph, a component fresh from a split, or
-a frame shrunk after a round) skips the sampling, star search and further
-splits: a dense kernel takes all-pairs distances on its k x k length matrix
-(Floyd-Warshall), fixes the path of the steepest terminal pair, and repeats
-until no pair is steeper than the frame's alpha. Every other frame takes
-the general loop. The directed solver runs the same descent on weakly
-connected components.
+round works on the top frame. One rule picks the kernel, in either
+orientation. A component with at most ``DENSE_MAX`` vertices (the whole
+graph, a component fresh from a split, or a frame shrunk after a round)
+skips the sampling, star search and further splits: a dense kernel takes
+all-pairs distances on its k x k length matrix (Floyd-Warshall), fixes the
+path of the steepest terminal pair, and repeats until no pair is steeper
+than the component's alpha. A pressure split sends all its small
+components to that kernel at once, in one batch per power-of-two size, and
+pushes the larger ones as frames for the general loop. So ``fixed_order``
+lists a split's small components first, in component order, each steepest
+first, then its larger components depth-first. The directed solver runs the
+same descent on weakly connected components.
 
 A free vertex left over has no sloped path through it. ``_resolve_intervals``
 clamps it into [largest fixed value with a path into it, smallest with a
@@ -34,6 +37,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    PAIR_DISTANCE_BYTES,
     Graph,
     LexgraphError,
     NoTerminalPathError,
@@ -187,13 +191,15 @@ def comp_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0) -> SolverResult
     return SolverResult(values, inf_norm_of(g, values), len(fixed), tuple(fixed))
 
 
-#: Frames of the descent with at most this many vertices are solved by the
-#: dense kernel ``_fix_dense``; larger ones take the sample / star search /
-#: pressure split loop. On 3000-vertex cube-kNN instances, when only split components went to the kernel, every
-#: cutoff from 16 to 96 cut the solve by 37-47%, 48 by the most; at 128 the
-#: kernel's O(k^3) work per fix gave back much of the gain. At 48, on seed 0,
-#: 977 kernel calls take 1,758 of the 1,766 fixes and the general loop runs
-#: 113 rounds.
+#: Components of the descent with at most this many vertices are solved by
+#: the dense kernel ``_fix_dense``; larger ones take the sample / star search
+#: / pressure split loop. A split's small components go in batches padded to
+#: the next power of two, capped here. Measured with the batched kernel on
+#: 3000-vertex cube-kNN instances (seeds 0-2, process time, 9 alternating
+#: repetitions): 32, 48 and 64 lie within 4% of each other, 32 ahead by 1%,
+#: which is within the noise; 16 and 96 are 35-60% slower. At 48, on seed 0,
+#: 252 kernel calls fix 998 components and take 1,760 of the 1,766 fixes, and
+#: the general loop runs 95 rounds.
 DENSE_MAX = 48
 
 
@@ -225,8 +231,8 @@ def _fix_paths_above(g: Graph, v0: PartialAssignment, seed: int) -> _FastState:
 
     The descent runs a round of ``_split_round`` on the top frame of an
     explicit work stack and pops the frame once a round returns False. A
-    split pushes its components onto the stack, so a component is finished
-    before its next sibling starts."""
+    split fixes its small components at once and pushes the others onto the
+    stack, so a component is finished before its next sibling starts."""
     require_well_posed(g, v0)
     state = _FastState(g, v0.values.copy(), np.random.default_rng(seed))
     stack = [_Frame(g, np.arange(g.n, dtype=np.int64), 0.0)]
@@ -247,10 +253,11 @@ def _split_round(frame: _Frame, stack: list[_Frame], state: _FastState) -> bool:
     frame whose last round fixed vertices or split, prune it here, once. A
     started frame below the root then shrinks to the vertices still steeper
     than alpha; the root never shrinks. A frame of at most DENSE_MAX
-    vertices goes to the dense kernel and ends. Otherwise ``_sample_split``:
-    fix the sampled path if nothing is steeper and it slopes down (if it
-    does not, the root fixes a ``_nearly_flat_path`` before it ends), or
-    else push the components of the pressure split above it."""
+    vertices goes to the dense kernel, as a batch of one, and ends.
+    Otherwise ``_sample_split``: fix the sampled path if nothing is steeper
+    and it slopes down (if it does not, the root fixes a
+    ``_nearly_flat_path`` before it ends), or else ``_split`` on the
+    pressure subgraph above it."""
     work = frame.g
     if frame.started or frame.depth == 0:
         local_vals = state.values[frame.orig]
@@ -264,7 +271,9 @@ def _split_round(frame: _Frame, stack: list[_Frame], state: _FastState) -> bool:
         frame.g = work = shrink.graph
         frame.orig = frame.orig[shrink.vertices]
     if frame.g.n <= DENSE_MAX:
-        _fix_dense(frame.g, frame.orig, frame.alpha, state)
+        g = frame.g
+        batch = _dense_batch(g, np.zeros(g.n, dtype=np.int64), np.arange(g.n), frame.orig, [0], g.n)
+        _fix_dense(*batch, frame.alpha, state)
         return False
     frame.started = True
     g, orig = work, frame.orig
@@ -282,65 +291,136 @@ def _split_round(frame: _Frame, stack: list[_Frame], state: _FastState) -> bool:
         grad = _fix_path_inplace(state.values, mapped, state.root.path_lengths(mapped.vertices))
         state.fixed.append((mapped, grad))
     else:
-        n_comp, comp_labels = _component_labels(hp.graph)
-        hp_orig = orig[hp.vertices]
-        for c in reversed(range(n_comp)):
-            sub, local_ids = hp.graph.induced_subgraph(np.flatnonzero(comp_labels == c))
-            stack.append(_Frame(sub, hp_orig[local_ids], hp.alpha, frame.depth + 1))
+        _split(hp.graph, orig[hp.vertices], hp.alpha, frame.depth + 1, stack, state)
     return True
 
 
-def _fix_dense(g: Graph, orig: np.ndarray, alpha: float, state: _FastState) -> None:
-    """The dense kernel: fix the free terminal paths of the small component g
-    steeper than alpha, steepest first, from all-pairs distances on its
-    k x k length matrix (asymmetric on a directed graph), recomputed after
-    every fix.
+def _split(g: Graph, orig: np.ndarray, alpha: float, depth: int, stack: list[_Frame], state: _FastState) -> None:
+    """The children of a pressure split: the (weakly) connected components of
+    the high-pressure subgraph g (vertex ids ``orig`` in the root graph),
+    from one stable argsort of the component labels of the vertices, and
+    one of the edges (by ``edge_u``) if a child is large. Every child of at
+    most DENSE_MAX vertices is fixed here by the dense kernel, one batch per
+    power-of-two size (split further only to keep a batch within
+    ``PAIR_DISTANCE_BYTES``), in component order; every larger child is
+    pushed as a frame, the first component on top."""
+    n_comp, labels = _component_labels(g)
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=n_comp)
+    starts = np.cumsum(sizes) - sizes
+    local = np.empty(g.n, dtype=np.int64)  # position inside the component, in id order
+    local[order] = np.arange(g.n) - np.repeat(starts, sizes)
+    pad = np.minimum(2 ** np.ceil(np.log2(sizes)).astype(np.int64), DENSE_MAX)
+    small = sizes <= DENSE_MAX
+    for k in np.unique(pad[small]).tolist():
+        comps = np.flatnonzero(small & (pad == k))
+        per_call = max(1, PAIR_DISTANCE_BYTES // (8 * k * k))
+        for a in range(0, comps.shape[0], per_call):
+            _fix_dense(*_dense_batch(g, labels, local, orig, comps[a : a + per_call], k), alpha, state)
+    large = np.flatnonzero(~small)
+    if large.size == 0:
+        return
+    edge_comp = labels[g.edge_u]
+    edge_order = np.argsort(edge_comp, kind="stable")
+    edge_starts = np.concatenate([[0], np.cumsum(np.bincount(edge_comp, minlength=n_comp))])
+    for c in reversed(large.tolist()):
+        edges = edge_order[edge_starts[c] : edge_starts[c + 1]]
+        u, v = local[g.edge_u[edges]], local[g.edge_v[edges]]
+        sub = Graph._from_arrays(int(sizes[c]), u, v, g.edge_len[edges], g.directed)
+        stack.append(_Frame(sub, orig[order[starts[c] : starts[c] + sizes[c]]], alpha, depth))
 
-    Paths steeper than alpha stay inside the high-pressure component g, so
+
+def _dense_batch(g: Graph, labels: np.ndarray, local: np.ndarray, orig: np.ndarray, comps, k: int):
+    """(orig, lengths) of the components ``comps`` of g, each padded to k
+    vertices, for ``_fix_dense``: vertex x of g lies in component labels[x]
+    at position local[x] and has id orig[x] in the root graph. The batch
+    holds the ids, -1 on padding, and the k x k length matrices, inf where
+    there is no edge (asymmetric on a directed graph)."""
+    slot = np.full(int(labels.max()) + 1, -1, dtype=np.int64)
+    slot[comps] = np.arange(len(comps))
+    frame = slot[labels]
+    inside = frame >= 0
+    batch_orig = np.full((len(comps), k), -1, dtype=np.int64)
+    batch_orig[frame[inside], local[inside]] = orig[inside]
+    edges = inside[g.edge_u]
+    f, u, v = frame[g.edge_u[edges]], local[g.edge_u[edges]], local[g.edge_v[edges]]
+    lengths = np.full((len(comps), k, k), np.inf)
+    lengths[f, u, v] = g.edge_len[edges]
+    if not g.directed:
+        lengths[f, v, u] = g.edge_len[edges]
+    return batch_orig, lengths
+
+
+def _fix_dense(orig: np.ndarray, lengths: np.ndarray, alpha: float, state: _FastState) -> None:
+    """The dense kernel, on a batch of B small components padded to k
+    vertices (``_dense_batch``): in each, fix the free terminal paths steeper
+    than alpha, steepest first, from all-pairs distances on its k x k length
+    matrix (asymmetric on a directed graph), recomputed after every fix.
+    Floyd-Warshall, the argmax, the stop rule and the walk-back run over
+    every component still active at once; ``_fix_path_inplace`` runs once
+    per path, and ``state.fixed`` gets each component's paths in batch
+    order. Padding (id -1) has no edges and never holds a terminal.
+
+    Paths steeper than alpha stay inside the high-pressure component, so
     stopping at alpha hands the rest back to the caller. If the steepest
     pair's shortest path runs through another terminal r, both halves have
     the pair's gradient (the mediant inequality is tight at the maximum), so
     ``_fix_path_inplace``'s consistency check holds. As in the general loop,
-    the first path is fixed if it slopes down, without the alpha test, and
-    at alpha 0 so is every path.
+    a component's first path is fixed if it slopes down, without the alpha
+    test, and at alpha 0 so is every path.
     """
-    k = g.n
-    lengths = np.full((k, k), np.inf)
-    lengths[g.edge_u, g.edge_v] = g.edge_len
-    if not g.directed:
-        lengths[g.edge_v, g.edge_u] = g.edge_len
-    floor, floor_tol = sloped = 0.0, _slope_tol(g)
-    while True:
-        vals = state.values[orig]
+    n_frames = orig.shape[0]
+    sizes = (orig >= 0).sum(axis=1)
+    slope_tol = _slope_tol(state.root)
+    fixed_once = np.zeros(n_frames, dtype=bool)
+    found: list[list[tuple[TerminalPath, float]]] = [[] for _ in range(n_frames)]
+    active = np.arange(n_frames)
+    while active.size:
+        ids = orig[active]
+        vals = np.where(ids >= 0, state.values[ids], np.nan)
         fixed = ~np.isnan(vals)
-        if fixed.all():
-            return
+        still = (~fixed & (ids >= 0)).any(axis=1)
+        active = active[still]
+        if not active.size:
+            break
+        # padding follows the vertices, so the largest active component bounds the work
+        k = int(sizes[active].max())
+        diag = np.arange(k)
+        vals, fixed = vals[still, :k], fixed[still, :k]
         # an edge between two fixed vertices carries no free path
-        usable = np.where(fixed[:, None] & fixed[None, :], np.inf, lengths)
+        both = fixed[:, :, None] & fixed[:, None, :]
+        usable = np.where(both, np.inf, lengths[active, :k, :k])
         dist = usable.copy()
-        np.fill_diagonal(dist, 0.0)
-        for m in range(k):  # Floyd-Warshall
-            np.minimum(dist, dist[:, m, None] + dist[m], out=dist)
-        terms = np.flatnonzero(fixed)
-        tdist = dist[np.ix_(terms, terms)]
-        np.fill_diagonal(tdist, np.inf)
-        grads = (vals[terms, None] - vals[None, terms]) / tdist
-        grads[np.isinf(tdist)] = -np.inf
-        i, j = divmod(int(np.argmax(grads)), terms.shape[0])
-        grad = float(grads[i, j])
-        if not definitely_greater(grad, floor, floor_tol):
-            return  # also when no terminal pair is joined (-inf)
-        # walk back from t; the vertex before x minimizes dist(s, u) + len(u, x)
-        s, walk = int(terms[i]), [int(terms[j])]
-        while walk[-1] != s:
-            if len(walk) > k:
-                raise LexgraphError("shortest-path walk does not reach its source")
-            walk.append(int(np.argmin(dist[s] + usable[:, walk[-1]])))
-        walk = np.array(walk[::-1])
-        path = TerminalPath(tuple(orig[walk].tolist()), float(tdist[i, j]), grad)
-        steps = lengths[walk[:-1], walk[1:]].tolist()
-        state.fixed.append((path, _fix_path_inplace(state.values, path, steps)))
-        floor, floor_tol = (alpha, DEFAULT_TOL) if alpha > 0 else sloped
+        dist[:, diag, diag] = 0.0
+        # Floyd-Warshall; a vertex with no usable edge in or no usable edge
+        # out in every component is on no path, so its step changes nothing
+        gone = np.isinf(usable)
+        for m in np.flatnonzero(~(gone.all(axis=1) | gone.all(axis=2)).all(axis=0)).tolist():
+            np.minimum(dist, dist[:, :, m, None] + dist[:, None, m, :], out=dist)
+        tdist = dist.copy()
+        tdist[:, diag, diag] = np.inf
+        grads = np.where(both & np.isfinite(tdist), (vals[:, :, None] - vals[:, None, :]) / tdist, -np.inf)
+        s, t = np.divmod(grads.reshape(active.size, k * k).argmax(axis=1), k)
+        grad = grads[np.arange(active.size), s, t]
+        later = fixed_once[active] & (alpha > 0)
+        go = definitely_greater(grad, np.where(later, alpha, 0.0), np.where(later, DEFAULT_TOL, slope_tol))
+        # also stopped: a component with no joined terminal pair (-inf)
+        rows, active = np.flatnonzero(go), active[go]
+        # the vertex before x on a shortest path from s minimizes dist(s, u) + len(u, x)
+        before = np.argmin(dist[rows, s[rows], :, None] + usable[rows], axis=1).tolist()
+        for a, (r, f) in enumerate(zip(rows.tolist(), active.tolist())):
+            source, walk = int(s[r]), [int(t[r])]
+            while walk[-1] != source:  # walk back from t
+                if len(walk) > k:
+                    raise LexgraphError("shortest-path walk does not reach its source")
+                walk.append(before[a][walk[-1]])
+            walk.reverse()
+            path = TerminalPath(tuple(orig[f, walk].tolist()), float(dist[r, source, walk[-1]]), float(grad[r]))
+            steps = lengths[f, walk[:-1], walk[1:]].tolist()
+            found[f].append((path, _fix_path_inplace(state.values, path, steps)))
+        fixed_once[active] = True
+    for paths in found:
+        state.fixed.extend(paths)
 
 
 def comp_fast_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0) -> SolverResult:
@@ -351,9 +431,11 @@ def comp_fast_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0) -> SolverR
     whose pressure exceeds its gradient (0 if it does not slope down) and
     descends into each, on an explicit work stack. Every frame of at most
     DENSE_MAX vertices is finished by the dense kernel on its all-pairs
-    distances. Every path of positive gradient is fixed; a leftover gets the
-    value of the fixed vertices it touches. ``fixed_order`` is in depth-first
-    descent order, steepest first inside a dense frame."""
+    distances, a split's small components in batches. Every path of
+    positive gradient is fixed; a leftover gets the value of the fixed
+    vertices it touches. ``fixed_order`` is in descent order: at each split
+    its small components first, in component order, then its larger ones
+    depth-first; steepest first inside a dense component."""
     if g.directed:
         raise ValueError("comp_fast_lex_min handles undirected graphs; use directed_lex_min")
     state = _fix_paths_above(g, v0, seed)
@@ -368,9 +450,10 @@ def directed_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0) -> Directed
 
     The descent splits on weakly connected high-pressure components at the
     sampled gradient if it is definitely above 0, else at DEFAULT_TOL, and every
-    frame of at most DENSE_MAX vertices goes to the dense kernel on its
-    asymmetric length matrix. ``fixed_order`` is in depth-first
-    descent order, not non-increasing.
+    component of at most DENSE_MAX vertices goes to the dense kernel on its
+    asymmetric length matrix. ``fixed_order`` is in the descent order of
+    ``comp_fast_lex_min`` (a split's small components first, in component
+    order, then its larger ones depth-first), not non-increasing.
 
     Every edge outside the fixed set must end with directed gradient ~0; the
     chosen completion (interval endpoint, or the value closest to the median
@@ -411,8 +494,8 @@ def _resolve_intervals(g: Graph, v0: PartialAssignment, values: np.ndarray):
         low_edges = high_edges = ~(fixed[g.edge_u] & fixed[g.edge_v])
     v_fixed = PartialAssignment(values)
     free = np.flatnonzero(~fixed)
-    lo = comp_vhigh(g.with_edge_mask(low_edges), v_fixed, 0.0, require_complete=False).values[free]
-    hi = comp_vlow(g.with_edge_mask(high_edges), v_fixed, 0.0, require_complete=False).values[free]
+    lo = comp_vhigh(g.with_edge_mask(low_edges), v_fixed, 0.0).values[free]
+    hi = comp_vlow(g.with_edge_mask(high_edges), v_fixed, 0.0).values[free]
     lo_inf, hi_inf = np.isinf(lo), np.isinf(hi)
     values[free] = np.select(
         [lo_inf & hi_inf, lo_inf, hi_inf], [median, hi, lo], np.minimum(np.maximum(median, lo), hi)

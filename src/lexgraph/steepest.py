@@ -5,7 +5,8 @@ by Dinkelbach's parametric iteration: at gradient lambda take the best pair
 for v(t1) - lambda d(t1) - v(t2) - lambda d(t2), move lambda to its gradient,
 and stop when lambda no longer rises. A vertex-steepest path joins two
 distinct terminals through one vertex, by a star search on the distances
-to and from it; neither search draws a random number.
+to and from it, whose rows come from one kernel call per orientation for
+all the vertices searched at once; neither search draws a random number.
 
 ``_sample_split`` is the one step of the pressure descent, shared by
 ``steepest_path`` and the solvers, and its random edge and vertex are the
@@ -25,10 +26,12 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    PAIR_DISTANCE_BYTES,
     Graph,
     NoTerminalPathError,
     PartialAssignment,
     TerminalPath,
+    _dijkstra,
     definitely_greater,
     single_source_distances,
 )
@@ -147,17 +150,16 @@ def _chain(parent: np.ndarray, v: int) -> list[int]:
     return out
 
 
-def _vertex_steepest(g: Graph, v0: PartialAssignment, x: int, tol: float) -> Optional[TerminalPath]:
+def _vertex_steepest(v0: PartialAssignment, x: int, tol: float, out, into) -> Optional[TerminalPath]:
+    """The steepest terminal path through x, from the (distance, parent) rows
+    of the Dijkstras out of x and into x (the same rows on an undirected
+    graph); None if no path between two distinct terminals runs through x."""
     x = int(x)
     terminals = v0.terminals()
     if terminals.size == 0:
         return None
     vals = v0.values
-    dist_out, par_out = single_source_distances(g, x, with_parents=True)
-    if g.directed:
-        dist_in, par_in = single_source_distances(g, x, reverse=True, with_parents=True)
-    else:
-        dist_in, par_in = dist_out, par_out
+    (dist_out, par_out), (dist_in, par_in) = out, into
 
     if v0.is_terminal(x):
         others = terminals[terminals != x]
@@ -202,20 +204,33 @@ def vertex_steepest_path(g: Graph, v0: PartialAssignment, x: int) -> TerminalPat
     """Steepest terminal path through x; its gradient equals the pressure of
     x. NoTerminalPathError if no path between two distinct terminals runs
     through x, ValueError if x is not a vertex."""
-    path = _vertex_steepest(g, v0, x, DEFAULT_TOL)
+    out = single_source_distances(g, x, with_parents=True)
+    into = single_source_distances(g, x, reverse=True, with_parents=True) if g.directed else out
+    path = _vertex_steepest(v0, x, DEFAULT_TOL, out, into)
     if path is None:
         raise NoTerminalPathError(f"no terminal path passes through vertex {x}")
     return path
 
 
-def _steepest_through(g: Graph, v0: PartialAssignment, xs) -> Optional[TerminalPath]:
+def _steepest_through(g: Graph, v0: PartialAssignment, xs, tol: float = DEFAULT_TOL) -> Optional[TerminalPath]:
     """The steepest of the vertex-steepest paths through the vertices xs, the
-    first on ties; None if no terminal path passes through any of them."""
+    first on ties; None if no terminal path passes through any of them.
+
+    The distance rows out of every vertex of xs come from one kernel call,
+    and on a digraph the rows into them from one more; xs runs in chunks of
+    ``PAIR_DISTANCE_BYTES`` of rows."""
+    xs = [int(x) for x in xs]
+    rows = max(1, PAIR_DISTANCE_BYTES // (8 * max(g.n, 1)))
     best = None
-    for x in xs:
-        path = _vertex_steepest(g, v0, x, DEFAULT_TOL)
-        if path is not None and (best is None or path.gradient > best.gradient):
-            best = path
+    for a in range(0, len(xs), rows):
+        chunk = xs[a : a + rows]
+        runs = [([x], [0.0]) for x in chunk]
+        out = _dijkstra(g, runs, 1.0, False)
+        into = _dijkstra(g, runs, 1.0, True) if g.directed else out
+        for i, x in enumerate(chunk):
+            path = _vertex_steepest(v0, x, tol, (out[0][i], out[1][i]), (into[0][i], into[1][i]))
+            if path is not None and (best is None or path.gradient > best.gradient):
+                best = path
     return best
 
 
@@ -241,7 +256,7 @@ def _nearly_flat_path(g: Graph, v0: PartialAssignment) -> Optional[TerminalPath]
     if g.directed:
         return None
     xs = np.flatnonzero(pressure_exceeds(g, v0, 0.0, tol=0.0) & ~v0.terminal_mask())
-    path = _vertex_steepest(g, v0, int(xs[0]), 0.0) if xs.size else None
+    path = _steepest_through(g, v0, xs[:1], 0.0)
     return path if _slopes(g, path) else None
 
 

@@ -259,33 +259,37 @@ def reference_resolve_intervals(g: Graph, values: np.ndarray, median: float):
     return values, ambiguous
 
 
-def heap_dijkstra(g: Graph, sources, start, scale: float, reverse: bool):
-    """Reference for ``core._dijkstra``: a textbook heap Dijkstra that adds
-    start + scale * length edge by edge, with no shift of the start values.
-    Returns (value, parent) in the kernel's conventions."""
+def heap_dijkstra(g: Graph, runs, scale: float, reverse: bool):
+    """Reference for ``core._dijkstra``: a textbook heap Dijkstra per run
+    (sources, start) that adds start + scale * length edge by edge, with no
+    shift of the start values. Returns (value, parent), one row per run, in
+    the kernel's conventions."""
     indptr, indices, lengths = g._csr(reverse)
-    dist = [math.inf] * g.n
-    parent = [-1] * g.n
-    done = [False] * g.n
-    heap = []
-    for s, d in zip(np.asarray(sources).tolist(), np.asarray(start, dtype=np.float64).tolist()):
-        if d < dist[s]:
-            dist[s] = d
-            heap.append((d, s))
-    heapq.heapify(heap)
-    while heap:
-        d, x = heapq.heappop(heap)
-        if done[x]:
-            continue
-        done[x] = True
-        for k in range(indptr[x], indptr[x + 1]):
-            y = int(indices[k])
-            nd = d + float(scale) * float(lengths[k])
-            if nd < dist[y]:
-                dist[y] = nd
-                parent[y] = x
-                heapq.heappush(heap, (nd, y))
-    return np.array(dist, dtype=np.float64), np.array(parent, dtype=np.int64)
+    rows = []
+    for sources, start in runs:
+        dist = [math.inf] * g.n
+        parent = [-1] * g.n
+        done = [False] * g.n
+        heap = []
+        for s, d in zip(np.asarray(sources).tolist(), np.asarray(start, dtype=np.float64).tolist()):
+            if d < dist[s]:
+                dist[s] = d
+                heap.append((d, s))
+        heapq.heapify(heap)
+        while heap:
+            d, x = heapq.heappop(heap)
+            if done[x]:
+                continue
+            done[x] = True
+            for k in range(indptr[x], indptr[x + 1]):
+                y = int(indices[k])
+                nd = d + float(scale) * float(lengths[k])
+                if nd < dist[y]:
+                    dist[y] = nd
+                    parent[y] = x
+                    heapq.heappush(heap, (nd, y))
+        rows.append((dist, parent))
+    return np.array([r[0] for r in rows], dtype=np.float64), np.array([r[1] for r in rows], dtype=np.int64)
 
 
 def random_dag(seed: int, n_range: tuple[int, int] = (2, 14), density: float = 0.3):

@@ -13,6 +13,7 @@ from lexgraph import (
     pressure_exceeds,
 )
 from lexgraph import core
+from lexgraph.envelopes import envelope_pair
 from lexgraph.oracles import apsp_floyd_warshall
 
 from conftest import random_directed_instance, random_instance
@@ -79,29 +80,34 @@ class TestModDijkstra:
         """``core._dijkstra`` equals min over sources of start + scale * dist
         from the all-pairs oracle, both orientations; exactly at scale 0. The
         copies without the edges into terminals leave each vertex only some
-        sources, or none."""
+        sources, or none. One call with every run as a row gives each row
+        bitwise as the run alone, values and parents."""
         instances = [random_instance(seed, n_range=(12, 25)) for seed in range(5)]
         instances += [random_directed_instance(seed, n_range=(12, 25)) for seed in range(5)]
         instances += [(g.with_edge_mask(~v0.terminal_mask()[g.edge_v]), v0) for g, v0 in instances]
         for g, v0 in instances:
             dist = apsp_floyd_warshall(g)
             terms = v0.terminals()
-            calls = [(terms, v0.values[terms], alpha) for alpha in (0.0, 0.3, 1.7)]
-            calls.append((terms, -v0.values[terms], 0.0))
+            runs = [(terms, v0.values[terms]), (terms, -v0.values[terms])]
             # one start far below the rest, which a shift by the minimum rounds
-            calls.append((terms, v0.values[terms] - 3.0 * (terms == terms[0]), 0.0))
-            calls.append(([int(np.flatnonzero(~v0.terminal_mask())[0])], [0.0], 1.0))
-            for sources, start, scale in calls:
+            runs.append((terms, v0.values[terms] - 3.0 * (terms == terms[0])))
+            runs.append(([int(np.flatnonzero(~v0.terminal_mask())[0])], [0.0]))
+            for scale in (0.0, 0.3, 1.0, 1.7):
                 for reverse in (False, True):
-                    d = dist[:, sources].T if reverse and g.directed else dist[sources]
-                    with np.errstate(invalid="ignore"):
-                        paths = np.where(np.isfinite(d), np.asarray(start)[:, None] + scale * d, np.inf)
-                    values, parent = core._dijkstra(g, sources, start, scale, reverse)
-                    if scale == 0.0:
-                        assert np.array_equal(values, paths.min(axis=0))
-                    else:
-                        np.testing.assert_allclose(values, paths.min(axis=0), rtol=0, atol=1e-12)
-                    _check_parents(g, values, parent, dict(zip(sources, start)), scale, reverse)
+                    batch = core._dijkstra(g, runs, scale, reverse)
+                    assert batch[0].shape == batch[1].shape == (len(runs), g.n)
+                    for r, (sources, start) in enumerate(runs):
+                        d = dist[:, sources].T if reverse and g.directed else dist[sources]
+                        with np.errstate(invalid="ignore"):
+                            paths = np.where(np.isfinite(d), np.asarray(start)[:, None] + scale * d, np.inf)
+                        (values,), (parent,) = core._dijkstra(g, [(sources, start)], scale, reverse)
+                        if scale == 0.0:
+                            assert np.array_equal(values, paths.min(axis=0))
+                        else:
+                            np.testing.assert_allclose(values, paths.min(axis=0), rtol=0, atol=1e-12)
+                        _check_parents(g, values, parent, dict(zip(sources, start)), scale, reverse)
+                        assert values.tobytes() == batch[0][r].tobytes()
+                        assert np.array_equal(parent, batch[1][r])
 
     def test_parent_recurrence(self):
         g, v0 = random_instance(4, n_range=(15, 15))
@@ -137,10 +143,25 @@ class TestModDijkstra:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 call(g, v0, alpha)
 
-    def test_unreachable_vertex_raises(self):
-        g = Graph(3, [(0, 1, 1.0)])
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_unreached_vertex_is_infinite(self, directed):
+        """A vertex that no terminal reaches gets +inf in the low envelope,
+        -inf in the high one, and parent -1 in both; only an assignment with
+        no terminal at all is not well-posed."""
+        g = Graph(4, [(0, 1, 1.0), (2, 3, 1.0)], directed=directed)
+        v0 = PartialAssignment([0.5, None, None, None])
+        inf = np.inf
+        env = mod_dijkstra(g, v0, 1.0)
+        assert env.values.tolist() == [0.5, 1.5, inf, inf] and env.parent.tolist() == [-1, 0, -1, -1]
+        low, high = envelope_pair(g, v0, 1.0)
+        # along the arcs, vertex 1 of the digraph reaches no terminal
+        assert low.values.tolist() == [0.5, inf if directed else 1.5, inf, inf]
+        assert low.parent.tolist() == [-1, -1 if directed else 0, -1, -1]
+        assert high.values.tolist() == [0.5, -0.5, -inf, -inf] and high.parent.tolist() == [-1, 0, -1, -1]
+        assert comp_vlow(g, v0, 1.0).values.tolist() == low.values.tolist()
+        assert comp_vhigh(g, v0, 1.0).values.tolist() == high.values.tolist()
         with pytest.raises(NotWellPosedError):
-            mod_dijkstra(g, PartialAssignment([0.0, None, None]), 1.0)
+            mod_dijkstra(g, PartialAssignment([None] * 4), 1.0)
 
 
 class TestEnvelopes:

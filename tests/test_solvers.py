@@ -21,7 +21,7 @@ from lexgraph import (
     gradient_vector,
     verify_max_min,
 )
-from lexgraph import solvers, synth
+from lexgraph import core, solvers, steepest, synth
 from lexgraph.oracles import apsp_floyd_warshall, brute_lex_min
 
 from conftest import (
@@ -269,6 +269,71 @@ def test_descent_rounds_prune_no_pruned_graph(monkeypatch, case):
     assert keeps_all and not any(keeps_all), keeps_all
 
 
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("alpha", [0.0, 0.05])
+def test_dense_batch_matches_each_component_alone(directed, alpha):
+    """Seven components of 4 to 20 vertices, padded to 32 in one batch of the
+    dense kernel, get the values and the fixed paths they get one at a time,
+    each in a batch of one at its own size, with the paths listed component
+    by component."""
+    make = random_directed_instance if directed else random_instance
+    parts = [make(seed, n_range=(4, 20)) for seed in range(7)]
+    sizes = [g.n for g, _ in parts]
+    first = np.cumsum(sizes) - sizes
+    edges = np.concatenate([np.column_stack([g.edge_u + a, g.edge_v + a, g.edge_len])
+                            for (g, _), a in zip(parts, first)])
+    root = Graph(sum(sizes), edges, directed=directed)
+    labels = np.repeat(np.arange(len(parts)), sizes)
+    local, ids = np.arange(root.n) - first[labels], np.arange(root.n)
+    values = np.concatenate([v0.values for _, v0 in parts])
+
+    batch = solvers._FastState(root, values.copy(), np.random.default_rng(0))
+    solvers._fix_dense(*solvers._dense_batch(root, labels, local, ids, range(len(parts)), 32), alpha, batch)
+    alone = solvers._FastState(root, values.copy(), np.random.default_rng(0))
+    for c, k in enumerate(sizes):
+        solvers._fix_dense(*solvers._dense_batch(root, labels, local, ids, [c], k), alpha, alone)
+    assert batch.values.tobytes() == alone.values.tobytes()
+    assert batch.fixed == alone.fixed
+    assert len({labels[path.first] for path, _ in batch.fixed}) >= 5
+
+
+def test_batches_split_to_the_byte_budget(monkeypatch):
+    """Below the bytes of one distance row or one k x k matrix, every dense
+    batch holds one component and every sampled vertex gets its own kernel
+    call; the output and ``fixed_order`` stay the same."""
+    inst = synth.cube_knn(300, n_labels=20, seed=0)
+    want = comp_fast_lex_min(inst.graph, inst.assignment(), seed=0)
+    batches, dense = [], solvers._fix_dense
+    monkeypatch.setattr(solvers, "_fix_dense", lambda *args: (batches.append(args[0].shape[0]), dense(*args))[1])
+    for module in (solvers, steepest):
+        monkeypatch.setattr(module, "PAIR_DISTANCE_BYTES", 1)
+    got = comp_fast_lex_min(inst.graph, inst.assignment(), seed=0)
+    assert set(batches) == {1}
+    assert got.assignment.tobytes() == want.assignment.tobytes()
+    assert got.fixed_order == want.fixed_order
+
+
+def test_kernel_calls_per_solve(monkeypatch):
+    """Work counts of two seeded solves, which hold on any host: the scipy
+    Dijkstra calls and the fixed paths. A sampled split takes its distance
+    rows from one call per orientation, and an undirected pressure test its
+    two envelopes from one call, so a change that adds a kernel call to the
+    descent moves these counts."""
+    scipy_dijkstra, calls = core._scipy_dijkstra, []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return scipy_dijkstra(*args, **kw)
+
+    knn, digraph = synth.cube_knn(300, n_labels=20, seed=0), synth.random_digraph(2000, 50, seed=0)
+    monkeypatch.setattr(core, "_scipy_dijkstra", counted)
+    assert comp_fast_lex_min(knn.graph, knn.assignment(), seed=0).iterations == 189
+    assert len(calls) == 81
+    calls.clear()
+    assert directed_lex_min(digraph.graph, digraph.assignment(), seed=0).result.iterations == 852
+    assert len(calls) == 456
+
+
 def test_empty_instance_solves_to_empty():
     """No vertices and no labels: every solver returns an empty assignment."""
     v0 = PartialAssignment([])
@@ -408,16 +473,16 @@ class TestCompFastLexMin:
 
     def test_dense_and_general_paths_agree(self, monkeypatch):
         """DENSE_MAX 0 sends every frame through the general loop; 8 sends
-        the frames of at most 8 vertices, and 10**6 every frame, the whole
-        graph included, at any alpha, to the dense kernel, so the sampling
-        step never runs."""
+        the split children of at most 8 vertices, in batches, and 10**6 every
+        frame, the whole graph included, at any alpha, to the dense kernel,
+        so the sampling step never runs."""
         instances = [random_instance(seed * 17 + 3) for seed in range(12)]
         refs = [comp_lex_min(g, v0, seed=0).assignment for g, v0 in instances]
         calls, samples = [], []
         dense, sample_split = solvers._fix_dense, solvers._sample_split
 
         def counting(*args):
-            calls.append(args[0].n)
+            calls.append(args[0].shape[0])  # components in the batch
             return dense(*args)
 
         def counting_samples(*args):
@@ -436,6 +501,9 @@ class TestCompFastLexMin:
                 assert verify_max_min(g, v0, out).ok
             assert (len(calls) > 0) == (cutoff > 0)
             assert (len(samples) > 0) == (cutoff < 10**6)
+            # a split sends its small children in one batch; the whole graph is a batch of one
+            assert cutoff != 8 or max(calls) > 1
+            assert cutoff != 10**6 or set(calls) == {1}
 
     def test_small_frames_skip_the_general_loop(self, monkeypatch):
         inst = synth.cube_knn(300, n_labels=20, seed=0)
@@ -603,15 +671,16 @@ class TestDirectedLexMin:
 
     def test_dense_and_general_paths_agree(self, monkeypatch):
         """DENSE_MAX 0 sends every directed frame through the general loop; 8
-        sends the frames of at most 8 vertices, and 10**6 every frame, the
-        whole graph included, at any alpha, to the dense kernel."""
+        sends the split children of at most 8 vertices, in batches, and 10**6
+        every frame, the whole graph included, at any alpha, to the dense
+        kernel."""
         instances = [random_directed_instance(seed + 300, n_range=(20, 60)) for seed in range(12)]
         refs = [grad_plus_vector(g, directed_lex_min(g, v0).result.assignment) for g, v0 in instances]
         calls = []
         dense = solvers._fix_dense
 
         def counting(*args):
-            calls.append(args[2])
+            calls.append(args[0].shape[0])  # components in the batch
             return dense(*args)
 
         monkeypatch.setattr(solvers, "_fix_dense", counting)
@@ -623,6 +692,8 @@ class TestDirectedLexMin:
                 assert np.abs(grad_plus_vector(g, res.result.assignment) - ref).max() < 1e-9
                 assert not res.violations
             assert (len(calls) > 0) == (cutoff > 0)
+            assert cutoff != 8 or max(calls) > 1
+            assert cutoff != 10**6 or set(calls) == {1}
 
     def test_small_frames_skip_the_general_loop(self, monkeypatch):
         inst = synth.random_digraph(200, 20, seed=0)
@@ -653,7 +724,8 @@ class TestDirectedLexMin:
         leads to 3: read along out-arcs, the walk back from 4 goes astray."""
         g = Graph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 4, 1.0), (4, 3, 0.5), (3, 2, 0.5)], directed=True)
         state = solvers._FastState(g, np.array([2.0, np.nan, np.nan, np.nan, 0.0]), np.random.default_rng(0))
-        solvers._fix_dense(g, np.arange(5), 0.0, state)
+        batch = solvers._dense_batch(g, np.zeros(5, dtype=np.int64), np.arange(5), np.arange(5), [0], 5)
+        solvers._fix_dense(*batch, 0.0, state)
         assert [path.vertices for path, _ in state.fixed] == [(0, 1, 2, 4)]
         np.testing.assert_allclose(state.values[:3], [2.0, 4.0 / 3.0, 2.0 / 3.0])
         assert np.isnan(state.values[3])  # only flat or uphill walks pass through 3
