@@ -8,6 +8,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -45,12 +46,30 @@ class SizeGuardError(LexgraphError):
     """A desk-scale oracle was invoked beyond its size guard."""
 
 
-@np.errstate(invalid="ignore")
 def definitely_greater(a, b, tol: float = DEFAULT_TOL):
     """a > b strictly, by more than tol * max(|a|, |b|, 1): the one test of
     "pressure exceeds alpha". The tolerance is relative for magnitudes above
     1 and absolute below 1, as the scale is floored at 1.0. Elementwise on
-    arrays; never true where a or b is infinite or NaN."""
+    arrays; never true where a or b is infinite or NaN.
+
+    Only inf - inf and 0 * inf are invalid operations. Python floats never
+    warn on them, and a finite scalar on either side with a positive scalar
+    tol rules both out, so only other inputs pay for numpy's error-state
+    context."""
+    if type(a) is float and type(b) is float and type(tol) is float:
+        return a - b > tol * max(abs(a), abs(b), 1.0)
+    if isinstance(tol, float) and tol > 0.0 and (_finite_scalar(a) or _finite_scalar(b)):
+        return a - b > tol * np.maximum(np.maximum(abs(a), abs(b)), 1.0)
+    return _greater_ignoring_invalid(a, b, tol)
+
+
+def _finite_scalar(x) -> bool:
+    """A finite Python or numpy float64 scalar."""
+    return isinstance(x, float) and math.isfinite(x)
+
+
+@np.errstate(invalid="ignore")
+def _greater_ignoring_invalid(a, b, tol):
     return a - b > tol * np.maximum(np.maximum(abs(a), abs(b)), 1.0)
 
 
@@ -413,14 +432,16 @@ def _dijkstra(
     return dist, parent
 
 
-def _scipy_dijkstra(indptr, indices, data, sources, predecessors: bool = False):
-    """scipy's Dijkstra on raw CSR arrays of a square graph."""
+def _scipy_dijkstra(indptr, indices, data, sources, predecessors: bool = False, limit: float = np.inf):
+    """scipy's Dijkstra on raw CSR arrays of a square graph. Each search
+    stops at distance ``limit``: farther vertices read inf, nearer ones as
+    without a limit."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
     n = indptr.shape[0] - 1
     mat = csr_matrix((data, indices, indptr), shape=(n, n))
-    return dijkstra(mat, directed=True, indices=sources, return_predecessors=predecessors)
+    return dijkstra(mat, directed=True, indices=sources, return_predecessors=predecessors, limit=limit)
 
 
 def single_source_distances(
@@ -444,33 +465,76 @@ def single_source_distances(
 PAIR_DISTANCE_BYTES = 4 << 20
 
 
-def terminal_pair_distances(g: Graph, v0: PartialAssignment) -> tuple[np.ndarray, np.ndarray]:
-    """(terminals, dist) with dist[i, j] = shortest distance terminal i -> terminal j.
+def terminal_pair_distances(g: Graph, v0: PartialAssignment, limit: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """(terminals, dist) with dist[i, j] = shortest distance terminal i -> terminal j,
+    or inf where it exceeds ``limit``.
 
     Paths may run through other terminals. scipy runs over chunks of
-    terminals sized to ``PAIR_DISTANCE_BYTES``, so no |T| x n matrix is kept.
+    terminals sized to ``PAIR_DISTANCE_BYTES``, so no |T| x n matrix is kept;
+    each search stops at ``limit``, and every entry within it is bitwise the
+    unbounded one.
     """
     terminals = v0.terminals()
     dist = np.empty((terminals.shape[0], terminals.shape[0]))
     rows = max(1, PAIR_DISTANCE_BYTES // (8 * max(g.n, 1)))
     csr = g._csr()
     for a in range(0, terminals.shape[0], rows):
-        dist[a : a + rows] = _scipy_dijkstra(*csr, terminals[a : a + rows])[:, terminals]
+        dist[a : a + rows] = _scipy_dijkstra(*csr, terminals[a : a + rows], limit=limit)[:, terminals]
     return terminals, dist
 
 
-def terminal_gradient_matrix(g: Graph, v0: PartialAssignment) -> tuple[np.ndarray, np.ndarray]:
+#: Relative slack on a cut-off radius, far above the rounding of the
+#: gradients and radii it compares.
+_RADIUS_SLACK = 1e-9
+
+
+def terminal_gradient_matrix(g: Graph, v0: PartialAssignment, above: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(terminals, grad) with grad[i, j] = (v0(t_i) - v0(t_j)) / dist(t_i -> t_j),
-    and -inf on the diagonal and where that distance is infinite or zero."""
-    terminals, dist = terminal_pair_distances(g, v0)
-    vals = v0.values[terminals]
+    and -inf on the diagonal and where that distance is infinite or zero.
+
+    With ``above`` > 0 the searches stop at the radius (max v0 - min v0) /
+    above, which every gradient of at least ``above`` lies within: those
+    entries are exact, and the others read exact or -inf."""
+    vals = v0.values[v0.terminals()]
+    limit = np.inf
+    if above > 0.0 and vals.size:
+        limit = (vals.max() - vals.min()) / above * (1.0 + _RADIUS_SLACK)
+    terminals, dist = terminal_pair_distances(g, v0, limit)
     usable = np.isfinite(dist) & (dist > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         grad = np.where(usable, (vals[:, None] - vals[None, :]) / dist, -np.inf)
     return terminals, grad
 
 
-def sorted_distinct(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def top_terminal_gradient(g: Graph, v0: PartialAssignment) -> float:
+    """The largest terminal-pair gradient, at least 0: the optimum with no
+    label dropped. Searches run from the highest label down, in chunks that
+    double up to the rows of ``PAIR_DISTANCE_BYTES``; each stops at the
+    distance beyond which no terminal beats the best so far from the
+    chunk's first source: (v0(s) - min v0) / best."""
+    terminals = v0.terminals()
+    vals = v0.values[terminals]
+    lowest, best = vals.min(initial=np.inf), 0.0
+    order = np.argsort(-vals, kind="stable")
+    order = order[vals[order] > lowest]
+    rows = max(1, PAIR_DISTANCE_BYTES // (8 * max(g.n, 1)))
+    csr = g._csr()
+    a, size = 0, 1
+    while a < order.shape[0]:
+        chunk = order[a : a + size]
+        limit = (vals[chunk[0]] - lowest) / best * (1.0 + _RADIUS_SLACK) if best > 0.0 else np.inf
+        dist = _scipy_dijkstra(*csr, terminals[chunk], limit=limit)[:, terminals]
+        dist[np.arange(chunk.shape[0]), chunk] = np.inf
+        best = max(best, float(((vals[chunk, None] - vals) / dist).max()))
+        a, size = a + size, min(2 * size, rows)
+    return best
+
+
+#: Tolerance of ``sorted_distinct``: the gradients closer than this are one candidate threshold.
+DISTINCT_TOL = 1e-12
+
+
+def sorted_distinct(values: np.ndarray, tol: float = DISTINCT_TOL) -> np.ndarray:
     """Sorted values, dropping each one within ``tol`` of the last kept one
     (relative above magnitude 1, absolute below, as in ``definitely_greater``).
 

@@ -20,7 +20,7 @@ from lexgraph import (
     TerminalPath,
     check_well_posed,
 )
-from lexgraph.core import sorted_distinct, terminal_gradient_matrix
+from lexgraph.core import definitely_greater, require_well_posed, sorted_distinct, terminal_gradient_matrix
 from lexgraph.solvers import AmbiguousVertex, _fix_path_inplace, _sloped_steepest, _terminal_edge_mask
 
 
@@ -352,6 +352,44 @@ def enumerate_terminal_gradients(g: Graph, v0: PartialAssignment, dedup_tol: flo
     pairs with finite distance."""
     _, grad = terminal_gradient_matrix(g, v0)
     return sorted_distinct(grad[np.isfinite(grad)], dedup_tol)
+
+
+def reference_outlier(g: Graph, v0: PartialAssignment, k: int, exact: bool = True):
+    """``outlier_exact`` (or with ``exact`` off ``outlier_approx``) as it ran
+    on the whole unbounded terminal gradient matrix, before the cut-off
+    rounds: binary search over every distinct positive gradient, or the
+    greedy over every kept pair. A test reference only; the library never
+    calls it."""
+    from lexgraph.l0reg import _complete, _min_cover
+
+    require_well_posed(g, v0)
+    terminals, grad = terminal_gradient_matrix(g, v0)
+    if not exact:
+        drop = np.zeros(terminals.shape[0], dtype=bool)
+        rounds = 0
+        while rounds < k and drop.size - drop.sum() >= 2:
+            kept = np.flatnonzero(~drop)
+            sub = grad[np.ix_(kept, kept)]
+            i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
+            if not definitely_greater(float(sub[i, j]), 0.0):
+                break
+            drop[kept[[i, j]]] = True
+            rounds += 1
+        return _complete(g, v0, terminals, grad, drop, rounds)
+    candidates = sorted_distinct(np.concatenate([[0.0], grad[grad > 0]]))
+    lo, hi = 0, len(candidates) - 1
+    best_cover = _min_cover(definitely_greater(grad, candidates[hi]))
+    evaluations = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        cover = _min_cover(definitely_greater(grad, candidates[mid]))
+        evaluations += 1
+        if cover.sum() <= k:
+            hi = mid
+            best_cover = cover
+        else:
+            lo = mid + 1
+    return _complete(g, v0, terminals, grad, best_cover, evaluations, float(candidates[hi]))
 
 
 def terminal_path(g: Graph, v0: PartialAssignment, vertices) -> TerminalPath:

@@ -330,6 +330,22 @@ class TestTerminalPairDistances:
             assert np.array_equal(chunked, whole)
             calls.clear()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_limit_keeps_entries_within_it_bitwise(self, seed, monkeypatch):
+        """Each search stops at the limit: an entry at most the limit is the
+        unbounded one bit for bit, and every farther one reads inf, in one
+        call and in one-row chunks alike."""
+        for g, v0 in (random_instance(seed, terminal_range=(3, 8)), random_directed_instance(seed + 700)):
+            _, whole = core.terminal_pair_distances(g, v0)
+            finite = np.unique(whole[np.isfinite(whole) & (whole > 0)])
+            for limit in (0.0, *finite[[0, finite.shape[0] // 2, -1]], 0.5 * (finite[0] + finite[-1])):
+                expected = np.where(whole <= limit, whole, np.inf)
+                for budget in (1 << 40, 1):
+                    monkeypatch.setattr(core, "PAIR_DISTANCE_BYTES", budget)
+                    _, cut = core.terminal_pair_distances(g, v0, limit)
+                    assert np.array_equal(cut, expected), (limit, budget)
+                    assert np.array_equal(cut.view(np.int64), expected.view(np.int64))
+
 
 class TestEnumerateTerminalGradients:
     def test_single_terminal_empty(self):
@@ -362,6 +378,32 @@ def _sequential_distinct(values, tol=1e-12):
         if not keep or x - keep[-1] > tol * max(1.0, abs(x), abs(keep[-1])):
             keep.append(x)
     return np.asarray(keep, dtype=np.float64)
+
+
+class TestDefinitelyGreater:
+    VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-12, 0.5, -0.5, 1.0, 1.0 + 1e-9, 3.0, -7e5]
+
+    @staticmethod
+    def _numpy(a, b, tol):
+        """The test in numpy, under the error-state context it ran in on every call."""
+        with np.errstate(invalid="ignore"):
+            return np.asarray(a) - b > tol * np.maximum(np.maximum(abs(np.asarray(a)), abs(b)), 1.0)
+
+    @pytest.mark.parametrize("tol", [core.DEFAULT_TOL, 1e-12, 0.0])
+    def test_every_input_kind_agrees_without_warnings(self, tol):
+        """Python floats, numpy scalars and arrays, with finite, infinite and
+        NaN values on either side and tol 0, give the numpy answer; a
+        RuntimeWarning would fail the test."""
+        grid = np.array(self.VALUES)
+        for b in self.VALUES:
+            expected = self._numpy(grid, b, tol)
+            assert np.array_equal(core.definitely_greater(grid, b, tol), expected)
+            assert np.array_equal(core.definitely_greater(grid, np.full_like(grid, b), tol), expected)
+            assert np.array_equal(core.definitely_greater(np.float64(b), grid, tol), self._numpy(b, grid, tol))
+            for a, want in zip(self.VALUES, expected.tolist()):
+                assert core.definitely_greater(a, b, tol) == want, (a, b)
+                assert core.definitely_greater(np.float64(a), b, tol) == want, (a, b)
+                assert core.definitely_greater(a, np.float64(b), tol) == want, (a, b)
 
 
 class TestSortedDistinct:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -17,12 +19,19 @@ from lexgraph import (
     outlier_exact,
     term_pressure_graph,
 )
-from lexgraph import envelopes
+from lexgraph import envelopes, l0reg, synth
 from lexgraph.envelopes import _sweep_extend
 from lexgraph.l0reg import NotADagError
 from lexgraph.oracles import apsp_floyd_warshall, brute_min_vc, brute_outlier
 
-from conftest import heap_dijkstra, random_dag, random_directed_instance, random_instance, transitive_closure
+from conftest import (
+    heap_dijkstra,
+    random_dag,
+    random_directed_instance,
+    random_instance,
+    reference_outlier,
+    transitive_closure,
+)
 
 
 class TestTermPressureGraph:
@@ -288,3 +297,164 @@ class TestOutlierApprox:
                         kept = [x for x in kept if x not in best[1:]]
                         removed |= {int(terminals[best[1]]), int(terminals[best[2]])}
                     assert outlier_approx(g, v0, k).removed == removed, (make.__name__, seed, k)
+
+
+def _same_outcome(got, ref) -> bool:
+    return (
+        got.alpha == ref.alpha
+        and got.removed == ref.removed
+        and got.result.assignment.tobytes() == ref.result.assignment.tobytes()
+    )
+
+
+def _pair_chain(gradients) -> tuple[Graph, PartialAssignment]:
+    """One unit edge per gradient, its ends labeled the gradient and 0: no
+    path joins two pairs, so every terminal gradient is one of these or
+    -inf."""
+    k = len(gradients)
+    edges = [(2 * i, 2 * i + 1, 1.0) for i in range(k)]
+    labels = np.zeros(2 * k)
+    labels[0::2] = gradients
+    return Graph(2 * k, edges), PartialAssignment(labels)
+
+
+class TestCutOffRounds:
+    """Both l0 solvers and ``term_pressure_graph`` read gradient matrices cut
+    off at a shrinking threshold; they must give what the whole matrix gives."""
+
+    def _radii(self, monkeypatch):
+        """The threshold each gradient matrix of a solve is cut off at, 0
+        for the unbounded one, recorded by a wrapper."""
+        aboves, matrix = [], l0reg.terminal_gradient_matrix
+
+        def recorded(g, v0, above=0.0):
+            aboves.append(above)
+            return matrix(g, v0, above)
+
+        monkeypatch.setattr(l0reg, "terminal_gradient_matrix", recorded)
+        return aboves
+
+    @pytest.mark.parametrize("reached", [l0reg.REACHED, 1.0], ids=["reached", "every-round"])
+    @pytest.mark.parametrize("make", [random_instance, random_directed_instance])
+    def test_solvers_match_full_matrix_reference(self, make, reached, monkeypatch):
+        """100 seeds, k in 0..3 and, on every tenth seed, k at |T| / 2 and
+        |T| - 1, where the optimum is 0. A good share of the solves must be
+        settled by a cut-off matrix, not by the unbounded one; more of them
+        when no round ends the cut-off rounds early, as ``REACHED`` does on
+        these small graphs."""
+        monkeypatch.setattr(l0reg, "REACHED", reached)
+        aboves = self._radii(monkeypatch)
+        settled_cut_off = solves = 0
+        for seed in range(100):
+            g, v0 = make(seed)
+            size = v0.terminals().shape[0]
+            budgets = [0, 1, 2, 3] + ([size // 2, size - 1] if seed % 10 == 0 else [])
+            for k in budgets:
+                for solver, exact in ((outlier_exact, True), (outlier_approx, False)):
+                    aboves.clear()
+                    got = solver(g, v0, k)
+                    assert _same_outcome(got, reference_outlier(g, v0, k, exact)), (seed, k, exact)
+                    settled_cut_off += aboves[-1] > 0.0
+                    solves += 1
+        assert settled_cut_off >= solves // (6 if reached < 1.0 else 3)
+
+    @pytest.mark.parametrize("make", [random_instance, random_directed_instance])
+    def test_pressure_graph_matches_full_matrix(self, make):
+        for seed in range(60):
+            g, v0 = make(seed)
+            terminals, grad = core.terminal_gradient_matrix(g, v0)
+            top = max(float(grad.max(initial=0.0)), 0.0)
+            for alpha in (-0.5, 0.0, 0.3 * top, 0.8 * top, top):
+                rows, cols = np.nonzero(core.definitely_greater(grad, alpha))
+                arcs = frozenset(zip(terminals[rows].tolist(), terminals[cols].tolist()))
+                assert term_pressure_graph(g, v0, alpha).arcs == arcs, (seed, alpha)
+
+    def test_top_gradient_is_the_matrix_maximum(self):
+        for make in (random_instance, random_directed_instance):
+            for seed in range(60):
+                g, v0 = make(seed)
+                _, grad = core.terminal_gradient_matrix(g, v0)
+                assert core.top_terminal_gradient(g, v0) == max(float(grad.max(initial=0.0)), 0.0)
+
+    def test_constant_labels(self, monkeypatch):
+        aboves = self._radii(monkeypatch)
+        g = Graph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0), (3, 4, 0.5)])
+        v0 = PartialAssignment([0.25, None, 0.25, 0.25, None])
+        for k in range(3):
+            for solver, exact in ((outlier_exact, True), (outlier_approx, False)):
+                got = solver(g, v0, k)
+                assert got.alpha == 0.0 and got.removed == frozenset()
+                assert _same_outcome(got, reference_outlier(g, v0, k, exact))
+        assert aboves == [0.0] * 6  # no positive gradient: no cut-off round
+
+    def test_digraph_pairs_without_a_path(self):
+        """Terminal 3 reaches no terminal and no terminal reaches 0 or 4, so
+        those pairs have no path and read -inf at every radius."""
+        g = Graph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (4, 2, 0.5)], directed=True)
+        v0 = PartialAssignment([2.0, None, 0.5, 0.0, 1.5])
+        assert np.isneginf(core.terminal_gradient_matrix(g, v0)[1]).sum() == 4 + 7
+        for k in range(4):
+            for solver, exact in ((outlier_exact, True), (outlier_approx, False)):
+                assert _same_outcome(solver(g, v0, k), reference_outlier(g, v0, k, exact)), (k, exact)
+
+    def test_near_tie_chain_across_a_shrink_step(self, monkeypatch):
+        """Gradients step by 0.4e-12 across the first round's floor, 0.8 of
+        the top gradient 1: ``sorted_distinct`` keeps every third of them,
+        counted from the chain's bottom. The first round must not start its
+        candidates inside the chain, whose representatives it cannot see; the
+        optimum at k = 2 is the chain's bottom, below that floor, and the
+        second round, which sees the gradient 0.7 below the chain, finds it."""
+        floor = l0reg.SHRINK * 1.0
+        chain = floor + 0.4e-12 * np.arange(-4, 5)
+        assert not core.definitely_greater(chain[1:], chain[:-1], core.DISTINCT_TOL).any()
+        g, v0 = _pair_chain([1.0, 0.9, *chain, 0.7, 0.3])
+        full = core.sorted_distinct(np.concatenate([[0.0, 0.3, 0.7], chain, [0.9, 1.0]]))
+        _, grad = core.terminal_gradient_matrix(g, v0, floor)
+        cut = l0reg._candidates(grad, floor)
+        assert np.array_equal(cut, [0.9, 1.0])
+        # what a list started at the floor would keep is not the whole list's
+        above = core.sorted_distinct(chain[chain >= floor])
+        assert not np.isin(above, full).all()
+        aboves = self._radii(monkeypatch)
+        for k in range(5):
+            for solver, exact in ((outlier_exact, True), (outlier_approx, False)):
+                aboves.clear()
+                got = solver(g, v0, k)
+                assert _same_outcome(got, reference_outlier(g, v0, k, exact)), (k, exact)
+                if exact and k == 2:
+                    assert got.alpha == chain[0] and aboves == [floor, floor * l0reg.SHRINK]
+
+
+def test_l0_search_calls_are_cut_off(monkeypatch):
+    """Work counts of seeded l0 solves, which hold on any host: the scipy
+    Dijkstra calls of the search, one row of the top-gradient search
+    unbounded (no gradient is known before it) and every later one stopped
+    at a finite radius. A solve that fell back to the unbounded matrix would
+    add an unbounded call."""
+    scipy_dijkstra, calls = core._scipy_dijkstra, []
+
+    def counted(indptr, indices, data, sources, predecessors=False, limit=np.inf):
+        if not predecessors:  # the completion's envelopes ask for parents
+            calls.append((len(sources), limit))
+        return scipy_dijkstra(indptr, indices, data, sources, predecessors, limit)
+
+    inst = synth.random_regular(2000, 4, 100, seed=0)
+    g, v0 = inst.graph, inst.assignment()
+    monkeypatch.setattr(core, "_scipy_dijkstra", counted)
+    for solver, rounds in ((outlier_exact, 4), (outlier_approx, 3)):
+        calls.clear()
+        solver(g, v0, 10)
+        top_search = [1, 2, 4, 8, 16, 32, 36]  # the 99 labels above the lowest
+        assert [n for n, _ in calls] == top_search + [100] * rounds
+        assert calls[0][1] == np.inf
+        assert all(np.isfinite(limit) for _, limit in calls[1:])
+
+
+@pytest.mark.slow
+def test_l0_thousand_terminals_within_a_second():
+    inst = synth.random_regular(20000, 4, 1000, seed=0)
+    g, v0 = inst.graph, inst.assignment()
+    for solver in (outlier_exact, outlier_approx):
+        t0 = time.perf_counter()
+        solver(g, v0, 10)
+        assert time.perf_counter() - t0 <= 1.0, solver.__name__
