@@ -16,9 +16,10 @@ path of the steepest terminal pair, and repeats until no pair is steeper
 than the component's alpha. A pressure split sends all its small
 components to that kernel at once, in one batch per power-of-two size, and
 pushes the larger ones as frames for the general loop. So ``fixed_order``
-lists a split's small components first, in component order, each steepest
-first, then its larger components depth-first. The directed solver runs the
-same descent on weakly connected components.
+lists a split's small components first, by padded size, smallest first, and
+in component order within a size, each steepest first, then its larger
+components depth-first. The directed solver runs the same descent on weakly
+connected components.
 
 A free vertex left over has no sloped path through it. ``_resolve_intervals``
 clamps it into [largest fixed value with a path into it, smallest with a
@@ -194,19 +195,20 @@ def comp_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0) -> SolverResult
 #: Components of the descent with at most this many vertices are solved by
 #: the dense kernel ``_fix_dense``; larger ones take the sample / star search
 #: / pressure split loop. A split's small components go in batches padded to
-#: the next power of two, capped here. Measured with the batched kernel on
-#: 3000-vertex cube-kNN instances (seeds 0-2, process time, 9 alternating
-#: repetitions): 32, 48 and 64 lie within 4% of each other, 32 ahead by 1%,
-#: which is within the noise; 16 and 96 are 35-60% slower. At 48, on seed 0,
-#: 252 kernel calls fix 998 components and take 1,760 of the 1,766 fixes, and
-#: the general loop runs 95 rounds.
+#: the next power of two, capped here. Measured with the free-vertex kernel
+#: on 3000-vertex cube-kNN instances (seeds 0-2, process time, 15 alternating
+#: repetitions): 48 is ahead, 64 behind it by 5% in the median and 32 by 14%;
+#: 64 is within the host's noise of 48. At 48, on seed 0, 252 kernel calls
+#: fix 998 components and take 1,760 of the 1,766 fixes, and the general
+#: loop runs 95 rounds (32: 304 calls, 1,739 fixes, 152 rounds; 64: 250
+#: calls, 1,763 fixes, 93 rounds).
 DENSE_MAX = 48
 
 
 @dataclass(slots=True)
 class _FastState:
     root: Graph
-    values: np.ndarray
+    values: np.ndarray  # the root's values, then one NaN slot that padding (id -1) reads
     rng: np.random.Generator
     fixed: list[tuple[TerminalPath, float]] = field(default_factory=list)
 
@@ -234,7 +236,7 @@ def _fix_paths_above(g: Graph, v0: PartialAssignment, seed: int) -> _FastState:
     split fixes its small components at once and pushes the others onto the
     stack, so a component is finished before its next sibling starts."""
     require_well_posed(g, v0)
-    state = _FastState(g, v0.values.copy(), np.random.default_rng(seed))
+    state = _FastState(g, np.append(v0.values, np.nan), np.random.default_rng(seed))
     stack = [_Frame(g, np.arange(g.n, dtype=np.int64), 0.0)]
     while stack:
         frame = stack[-1]
@@ -301,9 +303,10 @@ def _split(g: Graph, orig: np.ndarray, alpha: float, depth: int, stack: list[_Fr
     from one stable argsort of the component labels of the vertices, and
     one of the edges (by ``edge_u``) if a child is large. Every child of at
     most DENSE_MAX vertices is fixed here by the dense kernel, one batch per
-    power-of-two size (split further only to keep a batch within
-    ``PAIR_DISTANCE_BYTES``), in component order; every larger child is
-    pushed as a frame, the first component on top."""
+    padded size (the next power of two, at most DENSE_MAX), smallest first,
+    and in component order within a size (split further only to keep a
+    batch within ``PAIR_DISTANCE_BYTES``); every larger child is pushed as a
+    frame, the first component on top."""
     n_comp, labels = _component_labels(g)
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels, minlength=n_comp)
@@ -357,54 +360,67 @@ def _fix_dense(orig: np.ndarray, lengths: np.ndarray, alpha: float, state: _Fast
     than alpha, steepest first, from all-pairs distances on its k x k length
     matrix (asymmetric on a directed graph), recomputed after every fix.
     Floyd-Warshall, the argmax, the stop rule and the walk-back run over
-    every component still active at once; ``_fix_path_inplace`` runs once
-    per path, and ``state.fixed`` gets each component's paths in batch
-    order. Padding (id -1) has no edges and never holds a terminal.
+    every component still active at once, until none goes on;
+    ``_fix_path_inplace`` runs once per path, and ``state.fixed`` gets each
+    component's paths in batch order. Padding (id -1) has no edges and reads
+    the NaN slot at the end of ``state.values``, so it never holds a
+    terminal.
+
+    Floyd-Warshall relaxes only through the vertices free in some active
+    component, so it measures the paths whose interior is free. The
+    steepest pair and its distance stay the same: split at each fixed
+    vertex on it, a path has the length-weighted mean of its pieces'
+    gradients (the mediant), so a piece between two fixed vertices with a
+    free interior is at least as steep. The walk-back stays on a shortest
+    path, since a path through a fixed vertex shorter than the steepest
+    pair's distance would make that pair steeper still. If the walk-back
+    does run through another terminal r, both halves have the pair's
+    gradient (the mediant inequality is tight at the maximum), so
+    ``_fix_path_inplace``'s consistency check holds.
 
     Paths steeper than alpha stay inside the high-pressure component, so
-    stopping at alpha hands the rest back to the caller. If the steepest
-    pair's shortest path runs through another terminal r, both halves have
-    the pair's gradient (the mediant inequality is tight at the maximum), so
-    ``_fix_path_inplace``'s consistency check holds. As in the general loop,
-    a component's first path is fixed if it slopes down, without the alpha
-    test, and at alpha 0 so is every path.
+    stopping at alpha hands the rest back to the caller. As in the general
+    loop, a component's first path is fixed if it slopes down, without the
+    alpha test, and at alpha 0 so is every path.
     """
     n_frames = orig.shape[0]
-    sizes = (orig >= 0).sum(axis=1)
+    real = orig >= 0
+    sizes = real.sum(axis=1)
     slope_tol = _slope_tol(state.root)
     fixed_once = np.zeros(n_frames, dtype=bool)
     found: list[list[tuple[TerminalPath, float]]] = [[] for _ in range(n_frames)]
     active = np.arange(n_frames)
     while active.size:
-        ids = orig[active]
-        vals = np.where(ids >= 0, state.values[ids], np.nan)
-        fixed = ~np.isnan(vals)
-        still = (~fixed & (ids >= 0)).any(axis=1)
+        vals = state.values[orig[active]]  # padding reads the NaN slot
+        free = np.isnan(vals) & real[active]
+        still = free.any(axis=1)
         active = active[still]
         if not active.size:
             break
         # padding follows the vertices, so the largest active component bounds the work
         k = int(sizes[active].max())
         diag = np.arange(k)
-        vals, fixed = vals[still, :k], fixed[still, :k]
+        vals, free = vals[still, :k], free[still, :k]
+        fixed = ~np.isnan(vals)
         # an edge between two fixed vertices carries no free path
         both = fixed[:, :, None] & fixed[:, None, :]
-        usable = np.where(both, np.inf, lengths[active, :k, :k])
+        usable = lengths[active, :k, :k]
+        usable[both] = np.inf
         dist = usable.copy()
         dist[:, diag, diag] = 0.0
-        # Floyd-Warshall; a vertex with no usable edge in or no usable edge
-        # out in every component is on no path, so its step changes nothing
-        gone = np.isinf(usable)
-        for m in np.flatnonzero(~(gone.all(axis=1) | gone.all(axis=2)).all(axis=0)).tolist():
+        # Floyd-Warshall through the vertices free in some component
+        for m in np.flatnonzero(free.any(axis=0)).tolist():
             np.minimum(dist, dist[:, :, m, None] + dist[:, None, m, :], out=dist)
-        tdist = dist.copy()
-        tdist[:, diag, diag] = np.inf
-        grads = np.where(both & np.isfinite(tdist), (vals[:, :, None] - vals[:, None, :]) / tdist, -np.inf)
+        both[:, diag, diag] = False  # a pair is two distinct vertices
+        grads = np.full(dist.shape, -np.inf)
+        np.divide(vals[:, :, None] - vals[:, None, :], dist, out=grads, where=both & np.isfinite(dist))
         s, t = np.divmod(grads.reshape(active.size, k * k).argmax(axis=1), k)
         grad = grads[np.arange(active.size), s, t]
         later = fixed_once[active] & (alpha > 0)
         go = definitely_greater(grad, np.where(later, alpha, 0.0), np.where(later, DEFAULT_TOL, slope_tol))
         # also stopped: a component with no joined terminal pair (-inf)
+        if not go.any():
+            break
         rows, active = np.flatnonzero(go), active[go]
         # the vertex before x on a shortest path from s minimizes dist(s, u) + len(u, x)
         before = np.argmin(dist[rows, s[rows], :, None] + usable[rows], axis=1).tolist()
@@ -434,12 +450,13 @@ def comp_fast_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0) -> SolverR
     distances, a split's small components in batches. Every path of
     positive gradient is fixed; a leftover gets the value of the fixed
     vertices it touches. ``fixed_order`` is in descent order: at each split
-    its small components first, in component order, then its larger ones
-    depth-first; steepest first inside a dense component."""
+    its small components first, by padded size and in component order
+    within a size, then its larger ones depth-first; steepest first inside a
+    dense component."""
     if g.directed:
         raise ValueError("comp_fast_lex_min handles undirected graphs; use directed_lex_min")
     state = _fix_paths_above(g, v0, seed)
-    values, _ = _resolve_intervals(g, v0, state.values)
+    values, _ = _resolve_intervals(g, v0, state.values[:-1])
     return SolverResult(values, inf_norm_of(g, values), len(state.fixed), tuple(state.fixed))
 
 
@@ -452,8 +469,9 @@ def directed_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0) -> Directed
     sampled gradient if it is definitely above 0, else at DEFAULT_TOL, and every
     component of at most DENSE_MAX vertices goes to the dense kernel on its
     asymmetric length matrix. ``fixed_order`` is in the descent order of
-    ``comp_fast_lex_min`` (a split's small components first, in component
-    order, then its larger ones depth-first), not non-increasing.
+    ``comp_fast_lex_min`` (a split's small components first, by padded size
+    and in component order within a size, then its larger ones
+    depth-first), not non-increasing.
 
     Every edge outside the fixed set must end with directed gradient ~0; the
     chosen completion (interval endpoint, or the value closest to the median
@@ -463,8 +481,8 @@ def directed_lex_min(g: Graph, v0: PartialAssignment, seed: int = 0) -> Directed
     if not g.directed:
         raise ValueError("directed_lex_min needs a directed graph")
     state = _fix_paths_above(g, v0, seed)
-    fixed_mask = ~np.isnan(state.values)
-    values, ambiguous = _resolve_intervals(g, v0, state.values)
+    fixed_mask = ~np.isnan(state.values[:-1])
+    values, ambiguous = _resolve_intervals(g, v0, state.values[:-1])
     grads = gradient_vector(g, values)
     outside = ~(fixed_mask[g.edge_u] & fixed_mask[g.edge_v])
     bad = np.flatnonzero(outside & definitely_greater(grads, 0.0))

@@ -287,14 +287,52 @@ def test_dense_batch_matches_each_component_alone(directed, alpha):
     local, ids = np.arange(root.n) - first[labels], np.arange(root.n)
     values = np.concatenate([v0.values for _, v0 in parts])
 
-    batch = solvers._FastState(root, values.copy(), np.random.default_rng(0))
+    batch = solvers._FastState(root, np.append(values, np.nan), np.random.default_rng(0))
     solvers._fix_dense(*solvers._dense_batch(root, labels, local, ids, range(len(parts)), 32), alpha, batch)
-    alone = solvers._FastState(root, values.copy(), np.random.default_rng(0))
+    alone = solvers._FastState(root, np.append(values, np.nan), np.random.default_rng(0))
     for c, k in enumerate(sizes):
         solvers._fix_dense(*solvers._dense_batch(root, labels, local, ids, [c], k), alpha, alone)
     assert batch.values.tobytes() == alone.values.tobytes()
     assert batch.fixed == alone.fixed
     assert len({labels[path.first] for path, _ in batch.fixed}) >= 5
+
+
+def test_split_fixes_small_children_by_padded_size():
+    """A split fixes its small children one batch per padded size, the
+    smallest first, and in component order within a size: the two 3-vertex
+    children (padded to 4) come before the 10-vertex child (padded to 16),
+    whose ids are smaller."""
+    edges = [(i, i + 1, 1.0) for i in range(9)] + [(10, 11, 1.0), (11, 12, 1.0), (13, 14, 1.0), (14, 15, 1.0)]
+    g = Graph(16, edges)
+    values = np.full(17, np.nan)  # and the NaN slot that padding reads
+    values[[0, 9, 10, 12, 13, 15]] = [9.0, 0.0, 2.0, 0.0, 4.0, 0.0]
+    state, stack = solvers._FastState(g, values, np.random.default_rng(0)), []
+    solvers._split(g, np.arange(16), 0.0, 1, stack, state)
+    assert not stack
+    assert [path.vertices for path, _ in state.fixed] == [(10, 11, 12), (13, 14, 15), tuple(range(10))]
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_steepest_path_through_a_terminal(monkeypatch, directed):
+    """The path 0 - 1 - 4 - 2 - 3 (terminals 0, 4, 3) with the side branch 0
+    - 5 - 6 - 2, unit lengths and collinear labels: every terminal pair
+    ties at gradient 1. The steepest pair (0, 3) has two shortest paths,
+    one through terminal 4, and the walk back from 3 takes it at the tie
+    in 2. The dense kernel, the general loop and brute_lex_min agree, with
+    no inconsistent revisit, and arcs point downhill on a directed graph."""
+    g = Graph(7, [(0, 1, 1.0), (1, 4, 1.0), (4, 2, 1.0), (2, 3, 1.0), (0, 5, 1.0), (5, 6, 1.0), (6, 2, 1.0)],
+              directed=directed)
+    v0 = PartialAssignment([4.0, None, None, 0.0, 2.0, None, None])
+    ref = brute_lex_min(g, v0)
+    np.testing.assert_array_equal(ref, [4.0, 3.0, 1.0, 0.0, 2.0, 3.0, 2.0])
+    solve = directed_lex_min if directed else comp_fast_lex_min
+    for cutoff in (solvers.DENSE_MAX, 0):
+        monkeypatch.setattr(solvers, "DENSE_MAX", cutoff)
+        res = solve(g, v0, seed=0)
+        res = res.result if directed else res
+        np.testing.assert_array_equal(res.assignment, ref)
+        if cutoff:
+            assert res.fixed_order[0][0].vertices == (0, 1, 4, 2, 3)
 
 
 def test_batches_split_to_the_byte_budget(monkeypatch):
@@ -313,12 +351,30 @@ def test_batches_split_to_the_byte_budget(monkeypatch):
     assert got.fixed_order == want.fixed_order
 
 
+class _RelaxationCounter:
+    """numpy as the solvers module sees it, counting the dense kernel's
+    Floyd-Warshall steps: its calls of np.minimum with ``out``."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def minimum(self, *args, **kw):
+        self.steps += "out" in kw
+        return np.minimum(*args, **kw)
+
+
 def test_kernel_calls_per_solve(monkeypatch):
     """Work counts of two seeded solves, which hold on any host: the scipy
-    Dijkstra calls and the fixed paths. A sampled split takes its distance
-    rows from one call per orientation, and an undirected pressure test its
-    two envelopes from one call, so a change that adds a kernel call to the
-    descent moves these counts."""
+    Dijkstra calls, the fixed paths and, on the undirected solve, the dense
+    kernel's relaxation steps. A sampled split takes its distance rows from
+    one call per orientation, and an undirected pressure test its two
+    envelopes from one call, so a change that adds a kernel call to the
+    descent moves these counts. The dense kernel relaxes only through the
+    vertices free in some component of its batch; relaxing through every
+    vertex takes more steps."""
     scipy_dijkstra, calls = core._scipy_dijkstra, []
 
     def counted(*args, **kw):
@@ -327,8 +383,10 @@ def test_kernel_calls_per_solve(monkeypatch):
 
     knn, digraph = synth.cube_knn(300, n_labels=20, seed=0), synth.random_digraph(2000, 50, seed=0)
     monkeypatch.setattr(core, "_scipy_dijkstra", counted)
+    monkeypatch.setattr(solvers, "np", relaxations := _RelaxationCounter())
     assert comp_fast_lex_min(knn.graph, knn.assignment(), seed=0).iterations == 189
     assert len(calls) == 81
+    assert relaxations.steps == 1154
     calls.clear()
     assert directed_lex_min(digraph.graph, digraph.assignment(), seed=0).result.iterations == 852
     assert len(calls) == 456
@@ -723,7 +781,7 @@ class TestDirectedLexMin:
         4 is the arc 2 -> 4, which has no reverse arc, while 4's only out-arc
         leads to 3: read along out-arcs, the walk back from 4 goes astray."""
         g = Graph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 4, 1.0), (4, 3, 0.5), (3, 2, 0.5)], directed=True)
-        state = solvers._FastState(g, np.array([2.0, np.nan, np.nan, np.nan, 0.0]), np.random.default_rng(0))
+        state = solvers._FastState(g, np.array([2.0, np.nan, np.nan, np.nan, 0.0, np.nan]), np.random.default_rng(0))
         batch = solvers._dense_batch(g, np.zeros(5, dtype=np.int64), np.arange(5), np.arange(5), [0], 5)
         solvers._fix_dense(*batch, 0.0, state)
         assert [path.vertices for path, _ in state.fixed] == [(0, 1, 2, 4)]
