@@ -5,7 +5,6 @@ from .core import (
     Graph,
     GraphFormatError,
     LexgraphError,
-    MissingValueError,
     NoTerminalPathError,
     NotWellPosedError,
     PartialAssignment,
@@ -13,21 +12,11 @@ from .core import (
     TerminalPath,
     WellPosednessReport,
     check_well_posed,
-    grad_plus_vector,
-    gradient,
     gradient_vector,
     inf_norm_of,
 )
 from .envelopes import Envelope, PressureSubgraph, comp_vhigh, comp_vlow, high_pressure_subgraph, mod_dijkstra, pressure_exceeds
-from .l0reg import (
-    OutlierResult,
-    PressureGraph,
-    min_vc_implicit,
-    min_vc_tcdag,
-    outlier_approx,
-    outlier_exact,
-    term_pressure_graph,
-)
+from .l0reg import OutlierResult, outlier_approx, outlier_exact
 from .solvers import (
     AmbiguousVertex,
     DirectedLexResult,
@@ -37,10 +26,9 @@ from .solvers import (
     comp_inf_min,
     comp_lex_min,
     directed_lex_min,
-    fix_path,
     verify_max_min,
 )
-from .steepest import StarInstance, star_gradient, star_steepest_path, steepest_path, vertex_steepest_path
+from .steepest import steepest_path, vertex_steepest_path
 
 __version__ = "0.1.0"
 
@@ -53,16 +41,13 @@ __all__ = [
     "GraphFormatError",
     "LexgraphError",
     "MaxMinReport",
-    "MissingValueError",
     "NoTerminalPathError",
     "NotWellPosedError",
     "OutlierResult",
     "PartialAssignment",
-    "PressureGraph",
     "PressureSubgraph",
     "SizeGuardError",
     "SolverResult",
-    "StarInstance",
     "TerminalPath",
     "WellPosednessReport",
     "check_well_posed",
@@ -72,22 +57,14 @@ __all__ = [
     "comp_vhigh",
     "comp_vlow",
     "directed_lex_min",
-    "fix_path",
-    "grad_plus_vector",
-    "gradient",
     "gradient_vector",
     "high_pressure_subgraph",
     "inf_norm_of",
-    "min_vc_implicit",
-    "min_vc_tcdag",
     "mod_dijkstra",
     "outlier_approx",
     "outlier_exact",
     "pressure_exceeds",
-    "star_gradient",
-    "star_steepest_path",
     "steepest_path",
-    "term_pressure_graph",
     "verify_max_min",
     "vertex_steepest_path",
 ]

@@ -28,10 +28,6 @@ class GraphFormatError(LexgraphError):
     """Bad graph data: self loop, non-positive or non-finite length, bad ids."""
 
 
-class MissingValueError(LexgraphError):
-    """An operation needed a concrete value at a vertex that is free."""
-
-
 class NotWellPosedError(LexgraphError):
     def __init__(self, report: "WellPosednessReport"):
         self.report = report
@@ -245,12 +241,6 @@ class PartialAssignment:
     def is_complete(self) -> bool:
         return bool(self.terminal_mask().all())
 
-    def value(self, x: int) -> float:
-        v = float(self.values[x])
-        if np.isnan(v):
-            raise MissingValueError(f"vertex {x} is free")
-        return v
-
     def __repr__(self) -> str:
         return f"PartialAssignment(n={self.n}, terminals={int(self.terminal_mask().sum())})"
 
@@ -272,28 +262,10 @@ class TerminalPath:
         return self.vertices[-1]
 
 
-def gradient(g: Graph, v: PartialAssignment, edge: int | tuple[int, int]) -> float:
-    """Signed gradient (v(x) - v(y)) / len(x, y) on one edge of a complete assignment."""
-    if isinstance(edge, tuple):
-        x, y = edge
-        eid = int(g.edge_ids(x, y))
-        if eid < 0:
-            raise GraphFormatError(f"no edge between {x} and {y}")
-    else:
-        eid = int(edge)
-        x, y = int(g.edge_u[eid]), int(g.edge_v[eid])
-    return (v.value(x) - v.value(y)) / float(g.edge_len[eid])
-
-
 def gradient_vector(g: Graph, values: np.ndarray) -> np.ndarray:
     """Per-edge signed gradients in the graph's fixed edge order."""
     values = np.asarray(values, dtype=np.float64)
     return (values[g.edge_u] - values[g.edge_v]) / g.edge_len
-
-
-def grad_plus_vector(g: Graph, values: np.ndarray) -> np.ndarray:
-    """Directed gradients: positive part of the signed gradient along orientation."""
-    return np.maximum(gradient_vector(g, values), 0.0)
 
 
 def inf_norm_of(g: Graph, values: np.ndarray) -> float:

@@ -9,9 +9,8 @@ threshold are known, and each round lowers the threshold until the entries
 it knows settle the solve, or takes the unbounded matrix. Exact: a minimum
 vertex cover of the pressure graph over terminals, always a transitively
 closed DAG, from scipy csgraph's maximum matching on its bipartite double
-graph plus König's construction, or a Dinic min cut that encodes the
-closure implicitly; binary search over the matrix entries finds the
-threshold. Approximate: drop both ends of the steepest kept pair, k times.
+graph plus König's construction; binary search over the matrix entries
+finds the threshold. Approximate: drop both ends of the steepest kept pair, k times.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import numpy as np
 from .core import (
     DISTINCT_TOL,
     Graph,
-    LexgraphError,
     PartialAssignment,
     definitely_greater,
     inf_norm_of,
@@ -34,58 +32,6 @@ from .core import (
 )
 from .envelopes import _sweep_extend
 from .solvers import SolverResult
-
-
-class NotADagError(LexgraphError):
-    pass
-
-
-@dataclass(frozen=True)
-class PressureGraph:
-    """Unweighted digraph on terminal ids; arc (s, t) marks a terminal path
-    from s to t steeper than the threshold. Always a transitively closed DAG."""
-
-    nodes: tuple[int, ...]
-    arcs: frozenset[tuple[int, int]]
-    alpha: float | None = None
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Boolean k x k matrix of the arcs, rows and columns in ``nodes`` order."""
-        nodes = np.asarray(self.nodes, dtype=np.int64)
-        ends = np.array(list(self.arcs), dtype=np.int64).reshape(-1, 2)
-        order = np.argsort(nodes)
-        pos = order[np.searchsorted(nodes, ends, sorter=order).clip(max=max(nodes.shape[0] - 1, 0))]
-        if (nodes[pos] != ends).any():
-            raise KeyError("an arc ends outside the nodes")
-        adj = np.zeros((nodes.shape[0], nodes.shape[0]), dtype=bool)
-        adj[pos[:, 0], pos[:, 1]] = True
-        return adj
-
-    def is_dag(self) -> bool:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-
-        adj = self.adjacency_matrix()
-        n_strong, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
-        return n_strong == len(self.nodes) and not adj.diagonal().any()
-
-    def is_transitively_closed(self) -> bool:
-        adj = self.adjacency_matrix()
-        two_step = (adj.astype(np.float32) @ adj.astype(np.float32)) > 0
-        np.fill_diagonal(two_step, False)
-        return not (two_step & ~adj).any()
-
-
-def term_pressure_graph(g: Graph, v0: PartialAssignment, alpha: float) -> PressureGraph:
-    """Arc (s, t) iff the shortest-path gradient from s to t exceeds alpha.
-
-    Shortest paths may run through other terminals. At alpha > 0 the
-    searches stop at the radius beyond which no gradient reaches alpha.
-    """
-    terminals, grad = terminal_gradient_matrix(g, v0, alpha)
-    rows, cols = np.nonzero(definitely_greater(grad, alpha))
-    arcs = frozenset(zip(terminals[rows].tolist(), terminals[cols].tolist()))
-    return PressureGraph(tuple(terminals.tolist()), arcs, float(alpha))
 
 
 #: The cut-off rounds of the l0 searches run at SHRINK, SHRINK**2, ...,
@@ -160,46 +106,6 @@ def _min_cover(adj: np.ndarray) -> np.ndarray:
         frontier &= ~seen_l
         seen_l |= frontier
     return ~seen_l | seen_r
-
-
-def min_vc_tcdag(dag: PressureGraph) -> frozenset[int]:
-    """Minimum vertex cover of a transitively closed DAG via a maximum
-    matching on its bipartite double graph (one left and one right copy per
-    vertex, arcs become left-right edges); other input raises NotADagError."""
-    if not dag.is_dag():
-        raise NotADagError("input has a directed cycle")
-    if not dag.is_transitively_closed():
-        raise NotADagError("input is not transitively closed")
-    cover = _min_cover(dag.adjacency_matrix())
-    return frozenset(np.asarray(dag.nodes, dtype=np.int64)[cover].tolist())
-
-
-def min_vc_implicit(dag: PressureGraph) -> frozenset[int]:
-    """Minimum vertex cover of the transitive closure of a DAG without
-    materializing the closure: min cut on the split network with back arcs
-    (v, right) -> (v, left) standing in for closure edges. A cyclic input
-    raises NotADagError."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
-
-    if not dag.is_dag():
-        raise NotADagError("input has a directed cycle")
-    k = len(dag.nodes)
-    if k == 0:
-        return frozenset()
-    # node 0 is the source, 1 the sink, 2 + i the left and 2 + k + i the right copy of i
-    left, right = 2 + np.arange(k), 2 + k + np.arange(k)
-    inf_cap = 2 * k + 1  # one above every unit arc; never in a min cut
-    arc_s, arc_t = np.nonzero(dag.adjacency_matrix())
-    tails = np.concatenate([np.zeros(k, dtype=np.int64), right, right, left[arc_s]])
-    heads = np.concatenate([left, np.ones(k, dtype=np.int64), left, right[arc_t]])
-    caps = np.concatenate([np.ones(2 * k), np.full(k + arc_s.shape[0], inf_cap)]).astype(np.int32)
-    capacity = csr_matrix((caps, (tails, heads)), shape=(2 + 2 * k, 2 + 2 * k))
-    residual = capacity - maximum_flow(capacity, 0, 1, method="dinic").flow
-    source_side = np.zeros(2 + 2 * k, dtype=bool)
-    source_side[breadth_first_order(residual > 0, 0, directed=True, return_predecessors=False)] = True
-    cover = ~source_side[left] | source_side[right]
-    return frozenset(np.asarray(dag.nodes, dtype=np.int64)[cover].tolist())
 
 
 @dataclass(frozen=True)

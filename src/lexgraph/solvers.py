@@ -93,14 +93,16 @@ class MaxMinReport:
 
 
 def _fix_path_inplace(values: np.ndarray, path: TerminalPath, lengths: list[float]) -> float:
-    """Fix ``path`` in ``values``; ``lengths`` holds the length of each step."""
+    """Fix ``path`` in ``values``, ``lengths`` the length of each step: its
+    free interior vertices take the linear interpolation of its end values
+    in path length, and values already there stay. Returns the gradient."""
     first, last = path.first, path.last
     if len(path.vertices) < 2 or np.isnan(values[first]) or np.isnan(values[last]):
-        raise NoTerminalPathError("fix_path needs a path of at least one edge with terminal endpoints")
+        raise NoTerminalPathError("a path to fix needs at least one edge and terminal endpoints")
     total = float(sum(lengths))
     grad = (values[first] - values[last]) / total
     run = 0.0
-    for (a, b), w in zip(zip(path.vertices, path.vertices[1:]), lengths):
+    for b, w in zip(path.vertices[1:], lengths):
         run += w
         if b == last:
             continue
@@ -112,21 +114,7 @@ def _fix_path_inplace(values: np.ndarray, path: TerminalPath, lengths: list[floa
                 f"path revisits vertex {b} with inconsistent value "
                 f"({values[b]} vs {target}); not a steepest fixable path"
             )
-    if __debug__:
-        for (a, b), w in zip(zip(path.vertices, path.vertices[1:]), lengths):
-            drop = values[a] - values[b]
-            assert abs(drop - grad * w) <= 1e-6 * max(1.0, abs(values[a]), abs(values[b])), (
-                "fixed path does not have constant gradient"
-            )
     return float(grad)
-
-
-def fix_path(g: Graph, v0: PartialAssignment, path: TerminalPath) -> PartialAssignment:
-    """Assign interior free vertices of a steepest fixable path by linear
-    interpolation in path-length coordinate; existing values are unchanged."""
-    values = v0.values.copy()
-    _fix_path_inplace(values, path, g.path_lengths(path.vertices))
-    return PartialAssignment(values)
 
 
 def _terminal_edge_mask(g: Graph, values: np.ndarray) -> np.ndarray:

@@ -19,8 +19,7 @@ tolerance. The pressure test and the star and vertex searches compare at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -36,25 +35,6 @@ from .core import (
     single_source_distances,
 )
 from .envelopes import PressureSubgraph, high_pressure_subgraph, pressure_exceeds
-
-
-@dataclass(frozen=True)
-class StarInstance:
-    """Terminals of a star graph: per-terminal value and distance to the center."""
-
-    values: np.ndarray
-    dists: np.ndarray
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "StarInstance":
-        values = np.array([p[0] for p in pairs], dtype=np.float64)
-        dists = np.array([p[1] for p in pairs], dtype=np.float64)
-        if np.any(dists <= 0) or not np.all(np.isfinite(dists)):
-            raise ValueError("star distances must be positive and finite")
-        return cls(values, dists)
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
 
 
 def _ties(x, ids, tol):
@@ -121,25 +101,6 @@ def _two_sided_star(va, da, ia, vb, db, ib, tol):
         alpha = lam = grad
     a, b = _best_pair(va - alpha * da, ia, vb + alpha * db, ib, tol)
     return a, b, float((va[a] - vb[b]) / (da[a] + db[b]))
-
-
-def star_steepest_path(inst: StarInstance) -> tuple[int, int]:
-    """Indices (t1, t2) maximizing (v(t1) - v(t2)) / (d(t1) + d(t2)).
-
-    Deterministic, by Dinkelbach's iteration in a few O(|T|) passes; among
-    gradient ties the pair with the smallest (t1, t2) indices wins.
-    """
-    if len(inst) < 2:
-        raise ValueError("star search needs at least 2 terminals")
-    ids = np.arange(len(inst), dtype=np.int64)
-    hit = _two_sided_star(inst.values, inst.dists, ids, inst.values, inst.dists, ids, DEFAULT_TOL)
-    assert hit is not None
-    return hit[0], hit[1]
-
-
-def star_gradient(inst: StarInstance, pair: tuple[int, int]) -> float:
-    i, j = pair
-    return float((inst.values[i] - inst.values[j]) / (inst.dists[i] + inst.dists[j]))
 
 
 def _chain(parent: np.ndarray, v: int) -> list[int]:

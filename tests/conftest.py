@@ -323,6 +323,28 @@ def transitive_closure(n: int, arcs: set[tuple[int, int]]) -> set[tuple[int, int
     return out
 
 
+def arc_matrix(n: int, arcs) -> np.ndarray:
+    """Boolean n x n adjacency of the arcs (u, v)."""
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in arcs:
+        adj[u, v] = True
+    return adj
+
+
+def is_acyclic(adj: np.ndarray) -> bool:
+    """The boolean adjacency has no directed cycle and no self-loop."""
+    n_strong, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
+    return n_strong == adj.shape[0] and not adj.diagonal().any()
+
+
+def is_transitively_closed(adj: np.ndarray) -> bool:
+    """Every two-step walk u -> w -> v with u != v of the boolean adjacency
+    has its arc u -> v."""
+    two_step = (adj.astype(np.int64) @ adj.astype(np.int64)) > 0
+    np.fill_diagonal(two_step, False)
+    return not (two_step & ~adj).any()
+
+
 class LexOrder(Enum):
     LESS = -1
     EQUAL = 0  # equal as multisets of absolute values
@@ -399,7 +421,7 @@ def terminal_path(g: Graph, v0: PartialAssignment, vertices) -> TerminalPath:
     if len(vertices) < 2:
         raise NoTerminalPathError("a terminal path needs at least two vertices")
     total = sum(g.path_lengths(vertices))
-    return TerminalPath(vertices, total, (v0.value(vertices[0]) - v0.value(vertices[-1])) / total)
+    return TerminalPath(vertices, total, (v0.values[vertices[0]] - v0.values[vertices[-1]]) / total)
 
 
 @pytest.fixture

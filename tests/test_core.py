@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from lexgraph import (
     Graph,
     GraphFormatError,
-    MissingValueError,
     NoTerminalPathError,
     PartialAssignment,
     check_well_posed,
-    gradient,
 )
 from lexgraph import core
 from lexgraph.oracles import apsp_floyd_warshall
@@ -194,31 +192,6 @@ class TestRepairPairs:
 
     def test_empty(self):
         assert _repair_pairs(np.zeros((0, 2), dtype=np.int64), np.random.default_rng(0))
-
-
-class TestGradient:
-    def test_unit_case(self):
-        g = Graph(2, [(0, 1, 1.0)])
-        v = PartialAssignment([1.0, 0.0])
-        assert gradient(g, v, (0, 1)) == 1.0
-
-    def test_equal_values(self):
-        g = Graph(2, [(0, 1, 1.0)])
-        assert gradient(g, PartialAssignment([0.4, 0.4]), (0, 1)) == 0.0
-
-    def test_direct_formula(self):
-        g = Graph(2, [(0, 1, 8.0)])
-        assert gradient(g, PartialAssignment([4.0, 0.0]), (0, 1)) == 0.5
-
-    def test_free_endpoint_errors(self):
-        g = Graph(2, [(0, 1, 1.0)])
-        with pytest.raises(MissingValueError):
-            gradient(g, PartialAssignment([1.0, None]), (0, 1))
-
-    def test_antisymmetry(self):
-        g = Graph(2, [(0, 1, 2.0)])
-        v = PartialAssignment([0.3, -0.9])
-        assert gradient(g, v, (0, 1)) == -gradient(g, v, (1, 0))
 
 
 class TestLexCompare:

@@ -8,24 +8,22 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from lexgraph import (
     Graph,
     PartialAssignment,
-    PressureGraph,
     check_well_posed,
     comp_inf_min,
     core,
     inf_norm_of,
-    min_vc_implicit,
-    min_vc_tcdag,
     outlier_approx,
     outlier_exact,
-    term_pressure_graph,
 )
 from lexgraph import envelopes, l0reg, synth
 from lexgraph.envelopes import _sweep_extend
-from lexgraph.l0reg import NotADagError
 from lexgraph.oracles import apsp_floyd_warshall, brute_min_vc, brute_outlier
 
 from conftest import (
+    arc_matrix,
     heap_dijkstra,
+    is_acyclic,
+    is_transitively_closed,
     random_dag,
     random_directed_instance,
     random_instance,
@@ -35,97 +33,77 @@ from conftest import (
 
 
 class TestTermPressureGraph:
+    """The pressure graph over terminals that ``outlier_exact`` covers: arc
+    (s, t) iff ``definitely_greater(grad, alpha)`` on the terminal gradient
+    matrix, cut off at alpha when alpha is above 0."""
+
     def test_no_arcs_above_max(self, path3):
         g, v0 = path3
-        assert term_pressure_graph(g, v0, 0.6).arcs == frozenset()
+        _, grad = core.terminal_gradient_matrix(g, v0, above=0.6)
+        assert not core.definitely_greater(grad, 0.6).any()
 
     def test_negative_alpha_gives_arc_high_to_low(self, path3):
         g, v0 = path3
-        pg = term_pressure_graph(g, v0, -1.0)
-        assert (2, 0) in pg.arcs  # value 1 toward value 0
+        terminals, grad = core.terminal_gradient_matrix(g, v0, above=-1.0)
+        assert terminals.tolist() == [0, 2]
+        assert core.definitely_greater(grad, -1.0)[1, 0]  # value 1 toward value 0
 
     def test_matches_apsp_oracle(self):
         g, v0 = random_instance(7, n_range=(12, 12), terminal_range=(5, 5))
         dist = apsp_floyd_warshall(g)
         terms = v0.terminals()
         for alpha in (0.0, 0.2, 0.5):
-            expected = set()
-            for s in terms:
-                for t in terms:
+            expected = np.zeros((terms.size, terms.size), dtype=bool)
+            for i, s in enumerate(terms):
+                for j, t in enumerate(terms):
                     if s != t and np.isfinite(dist[s, t]) and dist[s, t] > 0:
-                        if (v0.values[s] - v0.values[t]) / dist[s, t] > alpha + 1e-12:
-                            expected.add((int(s), int(t)))
-            assert set(term_pressure_graph(g, v0, alpha).arcs) == expected
+                        expected[i, j] = (v0.values[s] - v0.values[t]) / dist[s, t] > alpha + 1e-12
+            terminals, grad = core.terminal_gradient_matrix(g, v0, above=alpha)
+            assert np.array_equal(terminals, terms)
+            assert np.array_equal(core.definitely_greater(grad, alpha), expected)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_always_tc_dag(self, seed):
+        """``_min_cover``'s precondition."""
         g, v0 = random_instance(seed, terminal_range=(4, 8))
         for alpha in (0.0, 0.1, 0.4):
-            pg = term_pressure_graph(g, v0, alpha)
-            assert pg.is_dag()
-            assert pg.is_transitively_closed()
+            adj = core.definitely_greater(core.terminal_gradient_matrix(g, v0, above=alpha)[1], alpha)
+            assert is_acyclic(adj)
+            assert is_transitively_closed(adj)
 
     def test_submonotone_in_alpha(self):
         g, v0 = random_instance(19, terminal_range=(5, 8))
-        big = term_pressure_graph(g, v0, 0.1).arcs
-        small = term_pressure_graph(g, v0, 0.5).arcs
-        assert small <= big
+        big = core.definitely_greater(core.terminal_gradient_matrix(g, v0, above=0.1)[1], 0.1)
+        small = core.definitely_greater(core.terminal_gradient_matrix(g, v0, above=0.5)[1], 0.5)
+        assert not (small & ~big).any()
 
 
 class TestMinVertexCover:
+    """``l0reg._min_cover``, the cover ``outlier_exact`` runs, on boolean
+    adjacencies of transitively closed DAGs."""
+
     def test_empty(self):
-        assert min_vc_tcdag(PressureGraph((0, 1, 2), frozenset())) == frozenset()
+        assert not l0reg._min_cover(np.zeros((3, 3), dtype=bool)).any()
 
     def test_single_arc(self):
-        cover = min_vc_tcdag(PressureGraph((0, 1), frozenset({(0, 1)})))
-        assert len(cover) == 1
-
-    def test_rejects_cycle(self):
-        with pytest.raises(NotADagError):
-            min_vc_tcdag(PressureGraph((0, 1), frozenset({(0, 1), (1, 0)})))
-
-    def test_rejects_open_closure(self):
-        with pytest.raises(NotADagError):
-            min_vc_tcdag(PressureGraph((0, 1, 2), frozenset({(0, 1), (1, 2)})))
+        assert l0reg._min_cover(arc_matrix(2, {(0, 1)})).sum() == 1
 
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_bitmask_oracle(self, seed):
         n, arcs = random_dag(seed)
         tc = transitive_closure(n, arcs)
-        cover = min_vc_tcdag(PressureGraph(tuple(range(n)), frozenset(tc)))
+        cover = l0reg._min_cover(arc_matrix(n, tc))
         ref = brute_min_vc(n, tc)
-        assert len(cover) == len(ref)
-        assert all(u in cover or v in cover for u, v in tc)
+        assert cover.sum() == len(ref)
+        assert all(cover[u] or cover[v] for u, v in tc)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_cover_size_equals_max_matching(self, seed):
         n, arcs = random_dag(seed + 100)
-        tc = transitive_closure(n, arcs)
-        cover = min_vc_tcdag(PressureGraph(tuple(range(n)), frozenset(tc)))
-        adj = np.zeros((n, n), dtype=bool)
-        for u, v in tc:
-            adj[u, v] = True
+        adj = arc_matrix(n, transitive_closure(n, arcs))
+        cover = l0reg._min_cover(adj)
         matching = int((maximum_bipartite_matching(csr_matrix(adj), perm_type="column") >= 0).sum())
-        assert len(cover) == matching
-
-    def test_implicit_single_arc(self):
-        assert len(min_vc_implicit(PressureGraph((0, 1), frozenset({(0, 1)})))) == 1
-
-    def test_implicit_three_chain(self):
-        raw = PressureGraph((0, 1, 2), frozenset({(0, 1), (1, 2)}))
-        cover = min_vc_implicit(raw)
-        tc = transitive_closure(3, {(0, 1), (1, 2)})
-        assert len(cover) == len(min_vc_tcdag(PressureGraph((0, 1, 2), frozenset(tc))))
-        assert all(u in cover or v in cover for u, v in tc)
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_implicit_matches_explicit_closure(self, seed):
-        n, arcs = random_dag(seed, n_range=(2, 12))
-        tc = transitive_closure(n, arcs)
-        implicit = min_vc_implicit(PressureGraph(tuple(range(n)), frozenset(arcs)))
-        explicit = min_vc_tcdag(PressureGraph(tuple(range(n)), frozenset(tc)))
-        assert len(implicit) == len(explicit)
-        assert all(u in implicit or v in implicit for u, v in tc)
+        assert cover.sum() == matching
 
 
 class TestOutlierExact:
@@ -319,8 +297,9 @@ def _pair_chain(gradients) -> tuple[Graph, PartialAssignment]:
 
 
 class TestCutOffRounds:
-    """Both l0 solvers and ``term_pressure_graph`` read gradient matrices cut
-    off at a shrinking threshold; they must give what the whole matrix gives."""
+    """Both l0 solvers read gradient matrices cut off at a shrinking
+    threshold; they, and the pressure graph of a matrix cut off at alpha,
+    must give what the whole matrix gives."""
 
     def _radii(self, monkeypatch):
         """The threshold each gradient matrix of a solve is cut off at, 0
@@ -365,9 +344,11 @@ class TestCutOffRounds:
             terminals, grad = core.terminal_gradient_matrix(g, v0)
             top = max(float(grad.max(initial=0.0)), 0.0)
             for alpha in (-0.5, 0.0, 0.3 * top, 0.8 * top, top):
-                rows, cols = np.nonzero(core.definitely_greater(grad, alpha))
-                arcs = frozenset(zip(terminals[rows].tolist(), terminals[cols].tolist()))
-                assert term_pressure_graph(g, v0, alpha).arcs == arcs, (seed, alpha)
+                cut_terminals, cut = core.terminal_gradient_matrix(g, v0, above=alpha)
+                assert np.array_equal(cut_terminals, terminals)
+                assert np.array_equal(
+                    core.definitely_greater(cut, alpha), core.definitely_greater(grad, alpha)
+                ), (seed, alpha)
 
     def test_top_gradient_is_the_matrix_maximum(self):
         for make in (random_instance, random_directed_instance):

@@ -16,8 +16,6 @@ from lexgraph import (
     comp_inf_min,
     comp_lex_min,
     directed_lex_min,
-    fix_path,
-    grad_plus_vector,
     gradient_vector,
     verify_max_min,
 )
@@ -39,37 +37,53 @@ class TestFixPath:
     def test_symmetric_midpoint(self, path3):
         g, v0 = path3
         p = terminal_path(g, v0, [0, 1, 2])
-        assert fix_path(g, v0, p).values[1] == pytest.approx(0.5)
+        values = v0.values.copy()
+        solvers._fix_path_inplace(values, p, g.path_lengths(p.vertices))
+        assert values[1] == pytest.approx(0.5)
 
     def test_uneven_lengths(self):
         g = Graph(3, [(0, 1, 1.0), (1, 2, 3.0)])
         v0 = PartialAssignment([4.0, None, 0.0])
         p = terminal_path(g, v0, [0, 1, 2])
         assert p.gradient == pytest.approx(1.0)
-        assert fix_path(g, v0, p).values[1] == pytest.approx(3.0)
+        values = v0.values.copy()
+        assert solvers._fix_path_inplace(values, p, g.path_lengths(p.vertices)) == pytest.approx(1.0)
+        assert values[1] == pytest.approx(3.0)
 
     def test_linear_interpolation_in_length(self):
         lens = [0.5, 1.5, 0.25, 2.0]
         g = Graph(5, [(i, i + 1, w) for i, w in enumerate(lens)])
         v0 = PartialAssignment([2.0, None, None, None, -1.0])
         p = terminal_path(g, v0, [0, 1, 2, 3, 4])
-        out = fix_path(g, v0, p).values
+        out = v0.values.copy()
+        solvers._fix_path_inplace(out, p, g.path_lengths(p.vertices))
         total = sum(lens)
         run = 0.0
         for i, w in enumerate(lens[:-1], start=1):
             run += lens[i - 1]
             assert out[i] == pytest.approx(2.0 + (-1.0 - 2.0) * run / total)
+        assert (out[0], out[4]) == (2.0, -1.0)
+
+    def test_existing_value_stays(self):
+        """A vertex already at its interpolated value keeps it, to the byte."""
+        g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        v0 = PartialAssignment([3.0, None, 1.0 + 1e-9, 0.0])
+        values = v0.values.copy()
+        solvers._fix_path_inplace(values, TerminalPath((0, 1, 2, 3), 3.0, 1.0), [1.0, 1.0, 1.0])
+        assert values[1] == pytest.approx(2.0)
+        assert values[2] == 1.0 + 1e-9
 
     def test_requires_terminal_endpoints(self, path3):
         g, v0 = path3
         bad = TerminalPath((1, 2), 1.0, 0.0)
+        values = PartialAssignment([0.0, None, None]).values.copy()
         with pytest.raises(NoTerminalPathError):
-            fix_path(g, PartialAssignment([0.0, None, None]), bad)
+            solvers._fix_path_inplace(values, bad, g.path_lengths(bad.vertices))
 
     def test_step_off_the_graph(self, path3):
         g, v0 = path3
         with pytest.raises(NoTerminalPathError, match="not an edge"):
-            fix_path(g, v0, TerminalPath((0, 2), 2.0, -0.5))
+            solvers._fix_path_inplace(v0.values.copy(), TerminalPath((0, 2), 2.0, -0.5), g.path_lengths((0, 2)))
 
     def test_one_vertex_path_rejected(self, path3):
         """A one-vertex path has no edge to interpolate along: it raises,
@@ -78,13 +92,14 @@ class TestFixPath:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NoTerminalPathError):
-                fix_path(g, v0, TerminalPath((0,), 0.0, 0.0))
+                solvers._fix_path_inplace(v0.values.copy(), TerminalPath((0,), 0.0, 0.0), g.path_lengths((0,)))
 
     def test_inconsistent_revisit(self, path3):
         # 0 -> 1 -> 2 -> 1 -> 2 reaches 1 at 1/4 and again at 3/4 of its length
         g, v0 = path3
+        walk = (0, 1, 2, 1, 2)
         with pytest.raises(LexgraphError, match="revisits vertex 1"):
-            fix_path(g, v0, TerminalPath((0, 1, 2, 1, 2), 4.0, -0.25))
+            solvers._fix_path_inplace(v0.values.copy(), TerminalPath(walk, 4.0, -0.25), g.path_lengths(walk))
 
 
 def _rounds_on_small_frames(monkeypatch, solve) -> list[bool]:
@@ -572,9 +587,9 @@ class TestCompFastLexMin:
 
     @pytest.mark.parametrize("seed", [None, *range(6)], ids=["cube_knn300", *map(str, range(6))])
     def test_replay_through_fix_path(self, seed):
-        """Re-fixing ``fixed_order`` from v0 with the public ``fix_path``,
-        which reads step lengths from the graph, then filling the leftovers
-        by ``_resolve_intervals``, gives the solver's bytes; so the dense
+        """Re-fixing ``fixed_order`` from v0 with ``_fix_path_inplace`` on
+        step lengths read from the graph, then filling the leftovers by
+        ``_resolve_intervals``, gives the solver's bytes; so the dense
         kernel's matrix lengths are the graph's own."""
         if seed is None:
             inst = synth.cube_knn(300, n_labels=20, seed=0)
@@ -582,10 +597,10 @@ class TestCompFastLexMin:
         else:
             g, v0 = random_instance(seed * 13 + 2)
         res = comp_fast_lex_min(g, v0, seed=0)
-        replay = v0
+        replay = v0.values.copy()
         for path, _ in res.fixed_order:
-            replay = fix_path(g, replay, path)
-        values, _ = solvers._resolve_intervals(g, v0, replay.values.copy())
+            solvers._fix_path_inplace(replay, path, g.path_lengths(path.vertices))
+        values, _ = solvers._resolve_intervals(g, v0, replay)
         assert np.array_equal(values, res.assignment)
 
     def test_leaves_recursion_limit_alone(self, monkeypatch):
@@ -665,7 +680,7 @@ class TestDirectedLexMin:
         g = Graph(6, edges, directed=True)
         v0 = PartialAssignment([1.0, 0.0, 1.0, None, None, None])
         res = directed_lex_min(g, v0, seed=0)
-        got = np.sort(grad_plus_vector(g, res.result.assignment))[::-1]
+        got = np.sort(np.maximum(gradient_vector(g, res.result.assignment), 0.0))[::-1]
         ref = grid_lex_best(g, v0)
         assert np.all(got <= ref + 2.0 / 64 + 1e-9)
         assert not res.violations
@@ -673,9 +688,9 @@ class TestDirectedLexMin:
     def test_grad_plus_agrees_across_seeds(self):
         for seed in range(6):
             g, v0 = random_directed_instance(seed)
-            base = grad_plus_vector(g, directed_lex_min(g, v0, seed=0).result.assignment)
+            base = np.maximum(gradient_vector(g, directed_lex_min(g, v0, seed=0).result.assignment), 0.0)
             for s in (1, 2, 3):
-                other = grad_plus_vector(g, directed_lex_min(g, v0, seed=s).result.assignment)
+                other = np.maximum(gradient_vector(g, directed_lex_min(g, v0, seed=s).result.assignment), 0.0)
                 assert np.abs(base - other).max() < 1e-8
 
     def test_unfixed_edges_have_zero_directed_gradient(self):
@@ -691,15 +706,16 @@ class TestDirectedLexMin:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_replay_through_fix_path(self, seed):
-        """Re-fixing ``fixed_order`` from v0 with ``fix_path`` gives the
-        values pinned before interval resolution, to the byte."""
+        """Re-fixing ``fixed_order`` from v0 with ``_fix_path_inplace`` on
+        step lengths read from the graph gives the values pinned before
+        interval resolution, to the byte."""
         g, v0 = random_directed_instance(seed + 300, n_range=(10, 40))
         res = directed_lex_min(g, v0, seed=seed)
-        replay = v0
+        replay = v0.values.copy()
         for path, _ in res.result.fixed_order:
-            replay = fix_path(g, replay, path)
+            solvers._fix_path_inplace(replay, path, g.path_lengths(path.vertices))
         pinned = np.where(res.fixed_before_resolution, res.result.assignment, np.nan)
-        assert np.array_equal(replay.values, pinned, equal_nan=True)
+        assert np.array_equal(replay, pinned, equal_nan=True)
 
     @pytest.mark.parametrize(
         "seeds, n_range",
@@ -723,7 +739,10 @@ class TestDirectedLexMin:
             assert np.array_equal(res.fixed_before_resolution, mask), seed
             assert res.result.iterations == len(fixed), seed
             np.testing.assert_allclose(
-                grad_plus_vector(g, res.result.assignment), grad_plus_vector(g, values), rtol=0, atol=1e-9
+                np.maximum(gradient_vector(g, res.result.assignment), 0.0),
+                np.maximum(gradient_vector(g, values), 0.0),
+                rtol=0,
+                atol=1e-9,
             )
             assert list(res.ambiguous) == ambiguous, seed
 
@@ -733,7 +752,7 @@ class TestDirectedLexMin:
         every frame, the whole graph included, at any alpha, to the dense
         kernel."""
         instances = [random_directed_instance(seed + 300, n_range=(20, 60)) for seed in range(12)]
-        refs = [grad_plus_vector(g, directed_lex_min(g, v0).result.assignment) for g, v0 in instances]
+        refs = [np.maximum(gradient_vector(g, directed_lex_min(g, v0).result.assignment), 0.0) for g, v0 in instances]
         calls = []
         dense = solvers._fix_dense
 
@@ -747,7 +766,7 @@ class TestDirectedLexMin:
             calls.clear()
             for seed, ((g, v0), ref) in enumerate(zip(instances, refs)):
                 res = directed_lex_min(g, v0, seed=seed)
-                assert np.abs(grad_plus_vector(g, res.result.assignment) - ref).max() < 1e-9
+                assert np.abs(np.maximum(gradient_vector(g, res.result.assignment), 0.0) - ref).max() < 1e-9
                 assert not res.violations
             assert (len(calls) > 0) == (cutoff > 0)
             assert cutoff != 8 or max(calls) > 1

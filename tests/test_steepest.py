@@ -11,9 +11,6 @@ from lexgraph import (
     NoTerminalPathError,
     PartialAssignment,
     PressureSubgraph,
-    StarInstance,
-    star_gradient,
-    star_steepest_path,
     steepest_path,
     vertex_steepest_path,
 )
@@ -24,49 +21,48 @@ from lexgraph.oracles import apsp_floyd_warshall, brute_steepest_path
 from conftest import random_instance, reference_two_sided_star
 
 
-def star_brute(inst: StarInstance):
+def star_brute(values, dists):
     best = None
-    for i in range(len(inst)):
-        for j in range(len(inst)):
+    for i in range(len(values)):
+        for j in range(len(values)):
             if i == j:
                 continue
-            grad = (inst.values[i] - inst.values[j]) / (inst.dists[i] + inst.dists[j])
+            grad = (values[i] - values[j]) / (dists[i] + dists[j])
             if best is None or grad > best[0] + 1e-12:
                 best = (grad, i, j)
     return best
 
 
 class TestStar:
+    """The one-sided star search: ``_two_sided_star`` with the star's
+    terminals, ids their indices, on both sides."""
+
     def test_two_terminals(self):
-        inst = StarInstance.from_pairs([(0.0, 1.0), (1.0, 1.0)])
-        pair = star_steepest_path(inst)
-        assert pair == (1, 0)
-        assert star_gradient(inst, pair) == pytest.approx(0.5)
+        v, d, ids = np.array([0.0, 1.0]), np.ones(2), np.arange(2)
+        assert lexgraph.steepest._two_sided_star(v, d, ids, v, d, ids, DEFAULT_TOL) == (1, 0, 0.5)
 
     def test_constant_values(self):
-        inst = StarInstance.from_pairs([(0.3, 1.0)] * 5)
-        pair = star_steepest_path(inst)
-        assert star_gradient(inst, pair) == 0.0
+        v, d, ids = np.full(5, 0.3), np.ones(5), np.arange(5)
+        assert lexgraph.steepest._two_sided_star(v, d, ids, v, d, ids, DEFAULT_TOL)[2] == 0.0
 
     def test_needs_two_terminals(self):
-        with pytest.raises(ValueError):
-            star_steepest_path(StarInstance.from_pairs([(1.0, 1.0)]))
+        v, d, ids = np.ones(1), np.ones(1), np.arange(1)
+        assert lexgraph.steepest._two_sided_star(v, d, ids, v, d, ids, DEFAULT_TOL) is None
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_quadratic_scan(self, seed):
         rng = np.random.default_rng(seed)
-        pairs = [(float(rng.uniform(-2, 2)), float(rng.uniform(0.1, 3.0))) for _ in range(50)]
-        inst = StarInstance.from_pairs(pairs)
-        pair = star_steepest_path(inst)
-        grad_ref = star_brute(inst)[0]
-        assert star_gradient(inst, pair) == pytest.approx(grad_ref, abs=1e-9)
+        v, d = np.array([(rng.uniform(-2, 2), rng.uniform(0.1, 3.0)) for _ in range(50)]).T
+        ids = np.arange(50)
+        a, b, grad = lexgraph.steepest._two_sided_star(v, d, ids, v, d, ids, DEFAULT_TOL)
+        assert a != b and grad == (v[a] - v[b]) / (d[a] + d[b])
+        assert grad == pytest.approx(star_brute(v, d)[0], abs=1e-9)
 
     def test_repeated_calls_return_the_same_pair(self):
         rng = np.random.default_rng(77)
-        inst = StarInstance.from_pairs(
-            [(float(rng.uniform(-1, 1)), float(rng.uniform(0.1, 2.0))) for _ in range(200)]
-        )
-        assert len({star_steepest_path(inst) for _ in range(10)}) == 1
+        v, d = np.array([(rng.uniform(-1, 1), rng.uniform(0.1, 2.0)) for _ in range(200)]).T
+        ids = np.arange(200)
+        assert len({lexgraph.steepest._two_sided_star(v, d, ids, v, d, ids, DEFAULT_TOL) for _ in range(10)}) == 1
 
 
 def two_sided_case(seed: int):
