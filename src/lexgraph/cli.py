@@ -64,12 +64,12 @@ def _fail(message: object, code: int) -> NoReturn:
     sys.exit(code)
 
 
-def _default_seed() -> int:
-    return _parse_seed(os.environ.get("LEXGRAPH_SEED", "0"), "LEXGRAPH_SEED")
-
-
-def _parse_seed(raw: str, source: str) -> int:
-    """A seed must be a non-negative integer; anything else exits 3."""
+def _resolve_seed(ctx: click.Context, param: click.Parameter, value: str | None) -> int:
+    """--seed if given, else $LEXGRAPH_SEED, else 0; anything but a
+    non-negative integer exits 3."""
+    source, raw = "--seed", value
+    if value is None:
+        source, raw = "LEXGRAPH_SEED", os.environ.get("LEXGRAPH_SEED", "0")
     try:
         seed = int(raw)
     except ValueError:
@@ -77,11 +77,6 @@ def _parse_seed(raw: str, source: str) -> int:
     if seed < 0:
         _fail(f"{source} must be a non-negative integer, got {raw!r}", EXIT_PARSE)
     return seed
-
-
-def _resolve_seed(ctx: click.Context, param: click.Parameter, value: str | None) -> int:
-    """--seed if given, else $LEXGRAPH_SEED, else 0."""
-    return _default_seed() if value is None else _parse_seed(value, "--seed")
 
 
 def _check_finite_non_negative(ctx: click.Context, param: click.Parameter, value: float) -> float:
@@ -118,11 +113,6 @@ def _tsv_rows(lines: list[str], first: int = 1):
     for ln, line in enumerate(lines, start=first):
         if _is_row(line):
             yield ln, line.split("\t")
-
-
-def _name_ids(names: list[str]) -> dict[str, int]:
-    """Vertex name -> dense id."""
-    return dict(zip(names, range(len(names))))
 
 
 def read_edge_file(path: str) -> tuple[Graph, list[str]]:
@@ -196,45 +186,38 @@ def _first_bad_row(path: str) -> ParseError:
     return ParseError(f"{path}: changed while it was read")
 
 
-def _finite_value(path: str, ln: int, raw: str, what: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ParseError(f"{path}:{ln}: bad value {raw!r}") from exc
-    if not math.isfinite(value):
-        raise ParseError(f"{path}:{ln}: {what} value must be finite, got {raw!r}")
-    return value
-
-
-def read_label_file(path: str, names: list[str]) -> PartialAssignment:
-    ids = _name_ids(names)
-    labels: dict[int, float] = {}
+def _read_values(path: str, names: list[str], what: str) -> np.ndarray:
+    """Per-vertex values of a "vertex-id<TAB>value" file, NaN where it has
+    no row; ``what`` names the values in its errors."""
+    ids = dict(zip(names, range(len(names))))
+    values = np.full(len(names), np.nan)
     for ln, parts in _tsv_rows(_read_lines(path)):
         if len(parts) != 2:
             raise ParseError(f"{path}:{ln}: expected 'vertex-id<TAB>value'")
         name, raw = parts
         if name not in ids:
-            raise ParseError(f"{path}:{ln}: label on unknown vertex {name!r}")
-        if ids[name] in labels:
-            raise ParseError(f"{path}:{ln}: duplicate label for vertex {name!r}")
-        labels[ids[name]] = _finite_value(path, ln, raw, "label")
-    return PartialAssignment.from_dict(len(names), labels)
+            raise ParseError(f"{path}:{ln}: {what} on unknown vertex {name!r}")
+        if not np.isnan(values[ids[name]]):
+            raise ParseError(f"{path}:{ln}: duplicate {what} for vertex {name!r}")
+        try:
+            value = float(raw)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{ln}: bad value {raw!r}") from exc
+        if not math.isfinite(value):
+            raise ParseError(f"{path}:{ln}: {what} value must be finite, got {raw!r}")
+        values[ids[name]] = value
+    return values
+
+
+def read_label_file(path: str, names: list[str]) -> PartialAssignment:
+    return PartialAssignment(_read_values(path, names, "label"))
 
 
 def read_assignment_file(path: str, names: list[str]) -> np.ndarray:
-    ids = _name_ids(names)
-    values = np.full(len(names), np.nan)
-    for ln, parts in _tsv_rows(_read_lines(path)):
-        if len(parts) != 2 or parts[0] not in ids:
-            row = "\t".join(parts)
-            raise ParseError(f"{path}:{ln}: bad assignment row {row!r}")
-        name, raw = parts
-        if not np.isnan(values[ids[name]]):
-            raise ParseError(f"{path}:{ln}: duplicate assignment for vertex {name!r}")
-        values[ids[name]] = _finite_value(path, ln, raw, "assignment")
-    if np.isnan(values).any():
-        missing = [names[i] for i in np.flatnonzero(np.isnan(values))][:5]
-        raise ParseError(f"{path}: assignment misses vertices (e.g. {missing})")
+    values = _read_values(path, names, "assignment")
+    missing = np.flatnonzero(np.isnan(values))
+    if missing.size:
+        raise ParseError(f"{path}: assignment misses vertices (e.g. {[names[i] for i in missing[:5]]})")
     return values
 
 

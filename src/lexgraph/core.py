@@ -8,7 +8,6 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -49,24 +48,11 @@ def definitely_greater(a, b, tol: float = DEFAULT_TOL):
     arrays; never true where a or b is infinite or NaN.
 
     Only inf - inf and 0 * inf are invalid operations. Python floats never
-    warn on them, and a finite scalar on either side with a positive scalar
-    tol rules both out, so only other inputs pay for numpy's error-state
-    context."""
+    warn on them, so only other inputs pay for numpy's error-state context."""
     if type(a) is float and type(b) is float and type(tol) is float:
         return a - b > tol * max(abs(a), abs(b), 1.0)
-    if isinstance(tol, float) and tol > 0.0 and (_finite_scalar(a) or _finite_scalar(b)):
+    with np.errstate(invalid="ignore"):
         return a - b > tol * np.maximum(np.maximum(abs(a), abs(b)), 1.0)
-    return _greater_ignoring_invalid(a, b, tol)
-
-
-def _finite_scalar(x) -> bool:
-    """A finite Python or numpy float64 scalar."""
-    return isinstance(x, float) and math.isfinite(x)
-
-
-@np.errstate(invalid="ignore")
-def _greater_ignoring_invalid(a, b, tol):
-    return a - b > tol * np.maximum(np.maximum(abs(a), abs(b)), 1.0)
 
 
 class Graph:
@@ -74,11 +60,12 @@ class Graph:
 
     ``edges`` is an iterable of (u, v, length) triples or an (m, 3) array.
     Validation is vectorized; the first bad edge in input order raises, for
-    its first fault: out of range, self-loop, invalid length. The CSR index
-    of each direction is built on first use and cached. ``edge_u``/``edge_v``/
-    ``edge_len`` define the fixed edge order used by gradient vectors; it is
-    sorted by (u, v), so the keys ``edge_u * n + edge_v`` that ``edge_ids``
-    searches are sorted too.
+    its first fault: an end out of range, an end that is not an integer, a
+    self-loop, an invalid length. The CSR index of each direction is built
+    on first use and cached. ``edge_u``/``edge_v``/``edge_len`` define the
+    fixed edge order used by gradient vectors; it is sorted by (u, v), so
+    the keys ``edge_u * n + edge_v`` that ``edge_ids`` searches are sorted
+    too.
     """
 
     __slots__ = ("n", "directed", "edge_u", "edge_v", "edge_len", "_csr_cache", "_edge_key")
@@ -91,17 +78,19 @@ class Graph:
             rows = rows.reshape(0, 3)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise GraphFormatError("edges must be (u, v, length) triples")
-        ends, lengths = np.trunc(rows[:, :2]), rows[:, 2]
-        bad = ~((ends >= 0) & (ends < n)).all(axis=1) | (ends[:, 0] == ends[:, 1])
+        ends, lengths = rows[:, :2], rows[:, 2]
+        bad = ~((ends >= 0) & (ends < n) & (ends == np.trunc(ends))).all(axis=1) | (ends[:, 0] == ends[:, 1])
         bad |= ~((lengths > 0.0) & (lengths < np.inf))
         if bad.any():  # name the first fault of the first bad edge
             u, v, length = rows[int(bad.argmax())].tolist()
-            u, v = int(u), int(v)
+            pair = f"{int(u) if u.is_integer() else u!r},{int(v) if v.is_integer() else v!r}"
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
+                raise GraphFormatError(f"edge ({pair}) out of range for n={n}")
+            if not (u.is_integer() and v.is_integer()):
+                raise GraphFormatError(f"edge ({pair}) has a vertex id that is not an integer")
             if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            raise GraphFormatError(f"edge ({u},{v}) has invalid length {length!r}")
+                raise GraphFormatError(f"self-loop at vertex {int(u)}")
+            raise GraphFormatError(f"edge ({pair}) has invalid length {length!r}")
         u, v = ends[:, 0].astype(np.int64), ends[:, 1].astype(np.int64)
         if not directed:
             u, v = np.minimum(u, v), np.maximum(u, v)

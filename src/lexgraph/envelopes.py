@@ -28,15 +28,10 @@ from .core import (
 
 @dataclass(frozen=True)
 class Envelope:
-    """Per-vertex envelope values plus the Dijkstra parent tree.
-
-    parent[x] = -1 on sources/unreached; elsewhere the recurrence
-    value(x) = value(parent(x)) +/- alpha * len(x, parent(x)) holds.
-    """
+    """Per-vertex envelope values; +inf (low) or -inf (high) where the
+    envelope's paths do not reach."""
 
     values: np.ndarray
-    parent: np.ndarray
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -66,12 +61,11 @@ def mod_dijkstra(g: Graph, v0: PartialAssignment, alpha: float, reverse: bool = 
     is the kernel ``core._dijkstra`` with the terminals as sources, starting
     at their labels, and lengths scaled by alpha, which must be finite and
     nonnegative (else ValueError). A vertex that no terminal reaches carries
-    +inf and parent -1; an assignment with no terminal raises
-    NotWellPosedError.
+    +inf; an assignment with no terminal raises NotWellPosedError.
     """
     terminals = _terminals(g, v0, alpha)
-    values, parent = _dijkstra(g, [(terminals, v0.values[terminals])], alpha, reverse)
-    return Envelope(values[0], parent[0], float(alpha))
+    values, _ = _dijkstra(g, [(terminals, v0.values[terminals])], alpha, reverse)
+    return Envelope(values[0])
 
 
 def comp_vlow(g: Graph, v0: PartialAssignment, alpha: float) -> Envelope:
@@ -84,8 +78,7 @@ def comp_vhigh(g: Graph, v0: PartialAssignment, alpha: float) -> Envelope:
     """High envelope: max_t {v0(t) - alpha * dist(t -> x)} via negated labels;
     -inf where no terminal reaches x."""
     neg = PartialAssignment(np.negative(v0.values))
-    env = mod_dijkstra(g, neg, alpha, reverse=False)
-    return Envelope(np.negative(env.values), env.parent, float(alpha))
+    return Envelope(np.negative(mod_dijkstra(g, neg, alpha, reverse=False).values))
 
 
 def envelope_pair(g: Graph, v0: PartialAssignment, alpha: float) -> tuple[Envelope, Envelope]:
@@ -97,9 +90,8 @@ def envelope_pair(g: Graph, v0: PartialAssignment, alpha: float) -> tuple[Envelo
         return comp_vlow(g, v0, alpha), comp_vhigh(g, v0, alpha)
     terminals = _terminals(g, v0, alpha)
     start = v0.values[terminals]
-    values, parent = _dijkstra(g, [(terminals, start), (terminals, np.negative(start))], alpha, False)
-    alpha = float(alpha)
-    return Envelope(values[0], parent[0], alpha), Envelope(np.negative(values[1]), parent[1], alpha)
+    values, _ = _dijkstra(g, [(terminals, start), (terminals, np.negative(start))], alpha, False)
+    return Envelope(values[0]), Envelope(np.negative(values[1]))
 
 
 def pressure_exceeds(g: Graph, v0: PartialAssignment, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:

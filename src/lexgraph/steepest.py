@@ -18,7 +18,6 @@ tolerance. The pressure test and the star and vertex searches compare at
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -27,6 +26,7 @@ from .core import (
     DEFAULT_TOL,
     PAIR_DISTANCE_BYTES,
     Graph,
+    LexgraphError,
     NoTerminalPathError,
     PartialAssignment,
     TerminalPath,
@@ -245,8 +245,10 @@ def steepest_path(g: Graph, v0: PartialAssignment, seed: int = 0) -> TerminalPat
     has no edge, and return the last sampled path. When no path slopes down,
     that path may not be the maximizer, but does not slope down either; if
     the last sample found no path between two distinct terminals,
-    NoTerminalPathError is raised instead. Depth is capped; on breach an
-    exhaustive scan of every vertex-steepest path takes over.
+    NoTerminalPathError is raised instead. No depth cap is needed: no
+    sampled vertex has pressure above the threshold, so every round drops
+    at least the sampled edge's ends, and the search ends, in O(log n)
+    expected rounds. A round that keeps every vertex raises LexgraphError.
     """
     tmask = v0.terminal_mask()
     if tmask.all():
@@ -254,17 +256,16 @@ def steepest_path(g: Graph, v0: PartialAssignment, seed: int = 0) -> TerminalPat
     if g.m and bool((tmask[g.edge_u] & tmask[g.edge_v]).any()):
         raise ValueError("terminal-terminal edges must be removed before the search")
     rng = np.random.default_rng(seed)
-    cap = int(8 * math.log2(max(g.m, 2)) + 16)
     orig = np.arange(g.n, dtype=np.int64)
-    for _ in range(cap + 1):
+    while True:
         best, hp = _sample_split(g, v0, rng)
         if hp.graph.m == 0:
             break
+        if hp.graph.n == g.n:
+            raise LexgraphError("a pressure split kept every vertex, so the search would not end")
         orig = orig[hp.vertices]
         v0 = PartialAssignment(v0.values[hp.vertices])
         g = hp.graph
-    else:
-        best = _steepest_through(g, v0, range(g.n))
     if best is None:
         raise NoTerminalPathError("no terminal path found")
     return TerminalPath(tuple(int(orig[v]) for v in best.vertices), best.length, best.gradient)

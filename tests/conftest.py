@@ -27,16 +27,20 @@ from lexgraph.solvers import AmbiguousVertex, _fix_path_inplace, _sloped_steepes
 def reference_graph_arrays(n: int, edges, directed: bool = False):
     """(edge_u, edge_v, edge_len) of the per-edge dict loop that ``Graph``
     ran before its build was vectorized: check each (u, v, length) in input
-    order (range, then self-loop, then length), orient undirected edges to
-    (min, max), keep the minimum length of parallel edges and sort by (u, v).
+    order (range, then integer ids, then self-loop, then length), orient
+    undirected edges to (min, max), keep the minimum length of parallel
+    edges and sort by (u, v).
     Raises the ``GraphFormatError`` of the first bad edge. A test reference
     only; the library never calls it."""
     dedup: dict[tuple[int, int], float] = {}
     for u, v, length in edges:
-        u = int(u)
-        v = int(v)
+        u, v = float(u), float(v)
+        ends = f"{int(u) if u.is_integer() else u!r},{int(v) if v.is_integer() else v!r}"
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
+            raise GraphFormatError(f"edge ({ends}) out of range for n={n}")
+        if not (u.is_integer() and v.is_integer()):
+            raise GraphFormatError(f"edge ({ends}) has a vertex id that is not an integer")
+        u, v = int(u), int(v)
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}")
         length = float(length)

@@ -309,6 +309,27 @@ class TestBadInput:
         line = _assert_one_line_error(run_cli("verify", str(edges), str(labels), str(out)), 3)
         assert f"{out}:2:" in line and "must be finite" in line
 
+    @pytest.mark.parametrize("kind", ["label", "assignment"])
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("b\t1\t2", "expected 'vertex-id<TAB>value'"),
+            ("zz\t1", "{kind} on unknown vertex 'zz'"),
+            ("a\t1", "duplicate {kind} for vertex 'a'"),
+            ("b\tinf", "{kind} value must be finite, got 'inf'"),
+            ("b\tnan", "{kind} value must be finite, got 'nan'"),
+        ],
+        ids=["fields", "unknown", "duplicate", "inf", "nan"],
+    )
+    def test_bad_value_row_exits_3(self, kind, row, reason, path_fixture, tmp_path):
+        """Label and assignment files share one reader and its messages."""
+        edges, labels = path_fixture
+        bad = tmp_path / f"bad.{kind}.tsv"
+        bad.write_text(f"a\t0\n{row}\nb\t0.5\nc\t1\n")
+        args = ("lexmin", edges, bad) if kind == "label" else ("verify", edges, labels, bad)
+        line = _assert_one_line_error(run_cli(*map(str, args)), 3)
+        assert line == f"error: {bad}:2: " + reason.format(kind=kind)
+
     def test_bench_generator_error_exits_3(self):
         line = _assert_one_line_error(run_cli("bench", "--sizes", "3", "--labels", "10"), 3)
         assert "more labels than vertices" in line

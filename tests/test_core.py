@@ -108,8 +108,14 @@ class TestGraphParity:
             ((0, 1, 0.0), (3, 3, 1.0)),
             ((2, 0, float("inf")), (7, 0, 1.0)),
             ((1, 2, -0.5), (0, 0, float("nan"))),
+            ((float("nan"), 1, 1.0), (0, 0, 1.0)),
+            ((1, float("inf"), 1.0), (1, 1, 1.0)),
+            ((0.5, 1, 1.0), (1, 2, 0.0)),
         ],
-        ids=["range", "range+length", "self-loop", "self-loop+length", "zero", "inf", "negative"],
+        ids=[
+            "range", "range+length", "self-loop", "self-loop+length", "zero", "inf", "negative",
+            "nan-id", "inf-id", "fractional-id",
+        ],
     )
     def test_first_bad_edge_message(self, first, later, form):
         triples = [(0, 1, 1.0), (1, 2, 2.0), first, (0, 2, 1.0), later]

@@ -109,26 +109,6 @@ class TestModDijkstra:
                         assert values.tobytes() == batch[0][r].tobytes()
                         assert np.array_equal(parent, batch[1][r])
 
-    def test_parent_recurrence(self):
-        g, v0 = random_instance(4, n_range=(15, 15))
-        alpha = 0.9
-        env = comp_vlow(g, v0, alpha)
-        for x in np.flatnonzero(~v0.terminal_mask()):
-            p = int(env.parent[x])
-            assert p >= 0
-            (length,) = g.path_lengths((x, p))
-            assert env.values[x] == pytest.approx(env.values[p] + alpha * length)
-
-    def test_vhigh_parent_recurrence(self):
-        g, v0 = random_instance(6, n_range=(13, 13))
-        alpha = 0.6
-        env = comp_vhigh(g, v0, alpha)
-        for x in np.flatnonzero(~v0.terminal_mask()):
-            p = int(env.parent[x])
-            assert p >= 0
-            (length,) = g.path_lengths((x, p))
-            assert env.values[x] == pytest.approx(env.values[p] - alpha * length)
-
     def test_negative_alpha_rejected(self, path3):
         g, v0 = path3
         with pytest.raises(ValueError):
@@ -145,19 +125,18 @@ class TestModDijkstra:
 
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
     def test_unreached_vertex_is_infinite(self, directed):
-        """A vertex that no terminal reaches gets +inf in the low envelope,
-        -inf in the high one, and parent -1 in both; only an assignment with
-        no terminal at all is not well-posed."""
+        """A vertex that no terminal reaches gets +inf in the low envelope
+        and -inf in the high one; only an assignment with no terminal at all
+        is not well-posed."""
         g = Graph(4, [(0, 1, 1.0), (2, 3, 1.0)], directed=directed)
         v0 = PartialAssignment([0.5, None, None, None])
         inf = np.inf
         env = mod_dijkstra(g, v0, 1.0)
-        assert env.values.tolist() == [0.5, 1.5, inf, inf] and env.parent.tolist() == [-1, 0, -1, -1]
+        assert env.values.tolist() == [0.5, 1.5, inf, inf]
         low, high = envelope_pair(g, v0, 1.0)
         # along the arcs, vertex 1 of the digraph reaches no terminal
         assert low.values.tolist() == [0.5, inf if directed else 1.5, inf, inf]
-        assert low.parent.tolist() == [-1, -1 if directed else 0, -1, -1]
-        assert high.values.tolist() == [0.5, -0.5, -inf, -inf] and high.parent.tolist() == [-1, 0, -1, -1]
+        assert high.values.tolist() == [0.5, -0.5, -inf, -inf]
         assert comp_vlow(g, v0, 1.0).values.tolist() == low.values.tolist()
         assert comp_vhigh(g, v0, 1.0).values.tolist() == high.values.tolist()
         with pytest.raises(NotWellPosedError):

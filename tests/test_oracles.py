@@ -3,6 +3,7 @@ import inspect
 import re
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 
@@ -278,3 +279,42 @@ def test_only_the_checks_take_a_tolerance():
     with_tol = [name for name in solvers for param in commands[name].params if "--tol" in param.opts]
     assert not with_tol, with_tol
     assert any("--tol" in param.opts for param in commands["verify"].params)
+
+
+#: Every module constant and CLI option, pinned. A new knob fails
+#: ``test_knob_inventory`` until it is added here and CHANGES.md says why it
+#: is needed.
+KNOWN_CONSTANTS = {
+    "cli.EXIT_ILL_POSED", "cli.EXIT_PARSE", "cli.POSITIVE", "cli.VERIFY_SHOWN",
+    "core.DEFAULT_TOL", "core.DISTINCT_TOL", "core.FREE", "core.PAIR_DISTANCE_BYTES", "core._RADIUS_SLACK",
+    "l0reg.REACHED", "l0reg.ROUNDS", "l0reg.SHRINK",
+    "solvers.DENSE_MAX",
+}
+KNOWN_OPTIONS = {
+    **dict.fromkeys(["infmin", "lexmin", "fastlexmin", "dirlexmin"], {"--out", "--seed"}),
+    "l0": {"--k", "--mode", "--out"},
+    "verify": {"--tol"},
+    "synth": {
+        "--cluster-std", "--degree", "--dim", "--kind", "--knn", "--labels", "--n", "--out-prefix",
+        "--per-cluster", "--seed",
+    },
+    "bench": {"--degree", "--kind", "--labels", "--out", "--repeats", "--seed", "--sizes"},
+}
+
+
+def test_knob_inventory():
+    """The module-level UPPERCASE constants of every library module, read by
+    AST, and the options of every CLI command match the pinned sets."""
+    constants = set()
+    for path in Path(lexgraph.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            constants.update(
+                f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()
+            )
+    assert constants == KNOWN_CONSTANTS
+    options = {
+        name: {opt for param in command.params if isinstance(param, click.Option) for opt in param.opts}
+        for name, command in lexgraph.cli.main.commands.items()
+    }
+    assert options == KNOWN_OPTIONS

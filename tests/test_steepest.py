@@ -8,17 +8,17 @@ import pytest
 from lexgraph import (
     DEFAULT_TOL,
     Graph,
+    LexgraphError,
     NoTerminalPathError,
     PartialAssignment,
     PressureSubgraph,
     steepest_path,
     vertex_steepest_path,
 )
-import lexgraph.oracles
 import lexgraph.steepest
 from lexgraph.oracles import apsp_floyd_warshall, brute_steepest_path
 
-from conftest import random_instance, reference_two_sided_star
+from conftest import random_directed_instance, random_instance, reference_two_sided_star
 
 
 def star_brute(values, dists):
@@ -261,20 +261,39 @@ class TestSteepestPath:
             depths.append(len(descents))
         assert float(np.mean(depths)) <= 4 * math.log2(max(work.m, 2))
 
-    def test_depth_cap_fallback_uses_no_oracle(self, monkeypatch):
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_every_round_shrinks(self, monkeypatch, directed):
+        """The sampled vertices' pressure is at most the threshold, so each
+        round leaves strictly fewer vertices than it started with."""
+        rounds = []
+        sample_split = lexgraph.steepest._sample_split
+
+        def recorded(g, v0, rng):
+            best, hp = sample_split(g, v0, rng)
+            rounds.append((g.n, hp.graph.n))
+            return best, hp
+
+        monkeypatch.setattr(lexgraph.steepest, "_sample_split", recorded)
+        searched = 0
+        for seed in range(120):
+            g, v0 = random_directed_instance(seed) if directed else random_instance(seed)
+            if v0.is_complete:
+                continue
+            try:
+                steepest_path(prune_tt(g, v0), v0, seed=seed)
+            except NoTerminalPathError:  # possible on a digraph
+                pass
+            searched += 1
+        assert searched >= 100
+        assert rounds and all(after < before for before, after in rounds)
+
+    def test_a_round_that_keeps_every_vertex_raises(self, monkeypatch):
         g, v0 = random_instance(7, n_range=(20, 20), max_extra_edges=40)
-        work = prune_tt(g, v0)
-        ref = brute_steepest_path(work, v0)
 
         def keep_everything(g, v0, alpha):
             return PressureSubgraph(g, np.arange(g.n), alpha)
 
-        def oracle_called(*args, **kwargs):
-            raise AssertionError("production code called the oracle")
-
-        # the pressure split never shrinks the graph, so the depth passes the cap
         descents = spy_descents(monkeypatch, keep_everything)
-        monkeypatch.setattr(lexgraph.oracles, "brute_steepest_path", oracle_called)
-        got = steepest_path(work, v0, seed=0)
-        assert len(descents) > 8 * math.log2(work.m) + 16
-        assert got.gradient == pytest.approx(ref.gradient, abs=1e-9)
+        with pytest.raises(LexgraphError, match="kept every vertex"):
+            steepest_path(prune_tt(g, v0), v0, seed=0)
+        assert len(descents) == 1
