@@ -253,7 +253,8 @@ def _load(graph_file: str, labels_file: str, assignment_file: str | None = None)
 
 def _run_solver(graph_file: str, labels_file: str, out: str | None, solve, report=None) -> None:
     """Load the inputs and run ``solve(graph, v0)``; an instance that is not
-    well-posed exits 2. ``solve`` returns a SolverResult or a record that
+    well-posed exits 2, and one whose labels and lengths a solver rejects
+    exits 3. ``solve`` returns a SolverResult or a record that
     holds one as ``result``. Write the assignment, then ``report(record,
     names)`` if given, then the ``inf_norm=... iterations=... wall_time_s=...``
     line on stderr."""
@@ -263,6 +264,8 @@ def _run_solver(graph_file: str, labels_file: str, out: str | None, solve, repor
         record = solve(graph, v0)
     except NotWellPosedError as exc:
         _fail(exc, EXIT_ILL_POSED)
+    except GraphFormatError as exc:
+        _fail(exc, EXIT_PARSE)
     result = record if isinstance(record, SolverResult) else record.result
     write_assignment(out, names, result.assignment)
     if report is not None:

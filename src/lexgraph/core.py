@@ -8,6 +8,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -61,8 +62,8 @@ class Graph:
     ``edges`` is an iterable of (u, v, length) triples or an (m, 3) array.
     Validation is vectorized; the first bad edge in input order raises, for
     its first fault: an end out of range, an end that is not an integer, a
-    self-loop, an invalid length. The CSR index of each direction is built
-    on first use and cached. ``edge_u``/``edge_v``/``edge_len`` define the
+    self-loop, an invalid length. The CSR index (``_csr``) is built on first
+    use and cached. ``edge_u``/``edge_v``/``edge_len`` define the
     fixed edge order used by gradient vectors; it is sorted by (u, v), so
     the keys ``edge_u * n + edge_v`` that ``edge_ids`` searches are sorted
     too.
@@ -114,33 +115,48 @@ class Graph:
         self.edge_u, self.edge_v, self.edge_len = u, v, lengths
         for arr in (u, v, lengths):
             arr.setflags(write=False)
-        # [out, in]; an undirected graph uses slot 0 only
-        self._csr_cache = [None, None]
+        self._csr_cache = None
         self._edge_key = None
 
     @property
     def m(self) -> int:
         return int(self.edge_u.shape[0])
 
-    def _csr(self, reverse: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, lengths) of the out-edges, or of the in-edges with
-        ``reverse`` on a directed graph; cached. Undirected edges appear in both
-        rows. Index arrays are int32, so scipy takes them without a copy."""
-        side = int(reverse and self.directed)
-        if self._csr_cache[side] is None:
-            u, v, w = self.edge_u, self.edge_v, self.edge_len
-            if not self.directed:
-                src, dst, w = np.concatenate([v, u]), np.concatenate([u, v]), np.concatenate([w, w])
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, lengths) of the graph's one CSR; cached. Undirected:
+        n rows, each edge in both of its ends' rows. Directed: 2n rows, the
+        out-edges of x in row x and its in-edges in row n + x, pointing at
+        n + u, so a search from x follows the edges and one from n + x runs
+        against them. Index arrays are int32, so scipy takes them without a
+        copy."""
+        if self._csr_cache is None:
+            n, u, v, w = self.n, self.edge_u, self.edge_v, self.edge_len
+            if self.directed:
+                # the out-rows are the edges in their order; one stable sort on
+                # v gives the in-rows, each sorted by u
+                shift = v.shape[0].bit_length()
+                order = np.sort((v << shift) | np.arange(v.shape[0])) & ((1 << shift) - 1)
+                counts = np.concatenate([np.bincount(u, minlength=n), np.bincount(v, minlength=n)])
+                indices, lengths = np.concatenate([v, u[order] + n]), np.concatenate([w, w[order]])
             else:
-                src, dst = (v, u) if side else (u, v)
-            # A stable sort on src. Edges are sorted by (u, v), so every row
-            # comes out sorted by dst, as scipy's coo->csr conversion leaves it.
-            shift = src.shape[0].bit_length()
-            order = np.sort((src << shift) | np.arange(src.shape[0])) & ((1 << shift) - 1)
-            indptr = np.zeros(self.n + 1, dtype=np.int32)
-            np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
-            self._csr_cache[side] = (indptr, dst[order].astype(np.int32), w[order])
-        return self._csr_cache[side]
+                # A stable sort on src. Edges are sorted by (u, v), so every row
+                # comes out sorted by dst, as scipy's coo->csr conversion leaves it.
+                src, dst = np.concatenate([v, u]), np.concatenate([u, v])
+                shift = src.shape[0].bit_length()
+                order = np.sort((src << shift) | np.arange(src.shape[0])) & ((1 << shift) - 1)
+                counts = np.bincount(src, minlength=n)
+                indices, lengths = dst[order], np.concatenate([w, w])[order]
+            indptr = np.zeros(counts.shape[0] + 1, dtype=np.int32)
+            np.cumsum(counts, out=indptr[1:])
+            self._csr_cache = (indptr, indices.astype(np.int32), lengths)
+        return self._csr_cache
+
+    def _out_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows 0..n-1 of ``_csr``: the out-edges of a directed graph, all
+        of an undirected one."""
+        indptr, indices, lengths = self._csr()
+        end = indptr[self.n]
+        return indptr[: self.n + 1], indices[:end], lengths[:end]
 
     def edge_ids(self, u, v) -> np.ndarray:
         """Edge id of u->v (either orientation if undirected), elementwise on
@@ -300,14 +316,16 @@ def _component_labels(g: Graph) -> tuple[int, np.ndarray]:
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    indptr, indices, lengths = g._csr()
+    indptr, indices, lengths = g._out_rows()
     mat = csr_matrix((lengths, indices, indptr), shape=(g.n, g.n))
     return connected_components(mat, directed=False)
 
 
 def check_well_posed(g: Graph, v0: PartialAssignment) -> WellPosednessReport:
     """Undirected: every component holds a terminal. Directed: every free vertex
-    lies on a terminal-to-terminal directed path. The report is the result."""
+    lies on a terminal-to-terminal directed path, which one kernel call finds:
+    the vertices reached from the terminals along the edges and against
+    them. The report is the result."""
     if v0.n != g.n:
         raise GraphFormatError("assignment size does not match graph")
     terminals = v0.terminals()
@@ -315,9 +333,9 @@ def check_well_posed(g: Graph, v0: PartialAssignment) -> WellPosednessReport:
         # reachability is a finite distance at scale 0, from and to the terminals
         ok = v0.terminal_mask()
         if terminals.size:
-            run = [(terminals, np.zeros(terminals.shape[0]))]
-            reach = [np.isfinite(_dijkstra(g, run, 0.0, rev)[0][0]) for rev in (False, True)]
-            ok |= reach[0] & reach[1]
+            start = np.zeros(terminals.shape[0])
+            dist, _ = _dijkstra(g, [(terminals, start, False), (terminals, start, True)], 0.0)
+            ok |= np.isfinite(dist).all(axis=0)
         bad = tuple(np.flatnonzero(~ok).tolist())
         return WellPosednessReport(not bad, stranded_vertices=bad)
 
@@ -333,36 +351,50 @@ def check_well_posed(g: Graph, v0: PartialAssignment) -> WellPosednessReport:
 
 
 def require_well_posed(g: Graph, v0: PartialAssignment) -> None:
+    """The check every solver runs first: NotWellPosedError unless
+    ``check_well_posed`` passes, then GraphFormatError if a label difference
+    or a gradient could overflow: if the label span (max - min) over the
+    shortest edge length is not finite."""
     report = check_well_posed(g, v0)
     if not report.ok:
         raise NotWellPosedError(report)
+    labels = v0.values[v0.terminals()]
+    if labels.size and g.m:
+        low, high, shortest = float(labels.min()), float(labels.max()), float(g.edge_len.min())
+        if not math.isfinite((high - low) / shortest):
+            raise GraphFormatError(
+                f"labels from {low:.6g} to {high:.6g} over the shortest edge length {shortest:.6g} overflow float64"
+            )
 
 
 def _dijkstra(
-    g: Graph, runs: Sequence[tuple[Sequence[int], Sequence[float]]], scale: float, reverse: bool
+    g: Graph, runs: Sequence[tuple[Sequence[int], Sequence[float], bool]], scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(value, parent), one row per run (sources, start), with value[r, x] =
-    min over the run's sources s of start[s] + scale * dist(s -> x).
+    """(value, parent), one row per run (sources, start, reverse), with
+    value[r, x] = min over the run's sources s of start[s] + scale * dist(s -> x),
+    where dist follows edge orientation, or runs against it if the run's
+    ``reverse`` is set on a directed graph.
 
     The one shortest-path kernel: one scipy Dijkstra call from one
-    super-source row per run, appended to the cached CSR, whose edges to the
-    run's sources carry its start offsets. Each row is what the run gives
-    alone. Distances follow edge orientation (``reverse`` flips it on
-    directed graphs). parent[r, x] is the predecessor on a minimizing path;
-    it is -1 where the value is a source's own start and at unreached
-    vertices, which get +inf. At scale 0 the offsets are the ranks of the
-    run's distinct starts, so every reached vertex gets exactly the start of
-    the source its parent chain leads to; at other scales they are the
-    starts less their minimum, which can move a value by an ulp. A source
-    outside [0, n) raises ValueError.
+    super-source row per run, appended to the graph's one CSR, whose edges
+    to the run's sources carry its start offsets. A run picks its
+    orientation by its sources: the rows x of a directed CSR follow the
+    edges, the rows n + x run against them. Each row is what the run gives
+    alone. parent[r, x] is the predecessor on a minimizing path; it is -1
+    where the value is a source's own start and at unreached vertices,
+    which get +inf. At scale 0 the offsets are the ranks of the run's
+    distinct starts, so every reached vertex gets exactly the start of the
+    source its parent chain leads to; at other scales they are the starts
+    less their minimum, which can move a value by an ulp. A source outside
+    [0, n) raises ValueError.
     """
     scale = float(scale)
-    sources = np.concatenate([np.asarray(src, dtype=np.int64) for src, _ in runs])
+    sources = np.concatenate([np.asarray(src, dtype=np.int64) for src, _, _ in runs])
     outside = sources[(sources < 0) | (sources >= g.n)]
     if outside.size:
         raise ValueError(f"source vertex {outside[0]} out of range for n={g.n}")
     offsets, restore = [], []
-    for _, start in runs:
+    for _, start, _ in runs:
         start = np.asarray(start, dtype=np.float64)
         if scale == 0.0:
             starts, rank = np.unique(start, return_inverse=True)
@@ -372,17 +404,21 @@ def _dijkstra(
             base = float(start.min())
             offsets.append(start - base)
             restore.append(base)
-    indptr, indices, lengths = g._csr(reverse)
-    counts = np.cumsum([offset.shape[0] for offset in offsets])
+    # the runs against the edges, whose sources sit at the rows n + x
+    back = np.array([[reverse and g.directed] for _, _, reverse in runs])
+    sizes = [offset.shape[0] for offset in offsets]
+    indptr, indices, lengths = g._csr()
     dist, pred = _scipy_dijkstra(
-        np.concatenate([indptr, indptr[-1] + counts], dtype=np.int32),
-        np.concatenate([indices, sources], dtype=np.int32),
+        np.concatenate([indptr, indptr[-1] + np.cumsum(sizes)], dtype=np.int32),
+        np.concatenate([indices, sources + g.n * np.repeat(back[:, 0], sizes)], dtype=np.int32),
         np.concatenate([scale * lengths, *offsets]),
-        np.arange(g.n, g.n + len(runs)),
+        np.arange(indptr.shape[0] - 1, indptr.shape[0] - 1 + len(runs)),
         predecessors=True,
     )
-    dist = dist[:, : g.n]
-    parent = pred[:, : g.n].astype(np.int64)
+    if g.directed:
+        dist = np.where(back, dist[:, g.n : 2 * g.n], dist[:, : g.n])
+        pred = np.where(back, pred[:, g.n : 2 * g.n] - g.n, pred[:, : g.n])
+    dist, parent = dist[:, : g.n], pred[:, : g.n].astype(np.int64)
     parent[(parent >= g.n) | (parent < 0)] = -1
     for row, back in zip(dist, restore):
         if scale == 0.0:
@@ -413,7 +449,7 @@ def single_source_distances(
     Unreachable vertices get +inf; parents are -1 at the source and there.
     A source outside [0, n) raises ValueError.
     """
-    dist, parent = _dijkstra(g, [([source], [0.0])], 1.0, reverse)
+    dist, parent = _dijkstra(g, [([source], [0.0], reverse)], 1.0)
     dist, parent = dist[0], parent[0]
     if with_parents:
         return dist, parent
@@ -438,7 +474,7 @@ def terminal_pair_distances(g: Graph, v0: PartialAssignment, limit: float = np.i
     terminals = v0.terminals()
     dist = np.empty((terminals.shape[0], terminals.shape[0]))
     rows = max(1, PAIR_DISTANCE_BYTES // (8 * max(g.n, 1)))
-    csr = g._csr()
+    csr = g._out_rows()
     for a in range(0, terminals.shape[0], rows):
         dist[a : a + rows] = _scipy_dijkstra(*csr, terminals[a : a + rows], limit=limit)[:, terminals]
     return terminals, dist
@@ -479,7 +515,7 @@ def top_terminal_gradient(g: Graph, v0: PartialAssignment) -> float:
     order = np.argsort(-vals, kind="stable")
     order = order[vals[order] > lowest]
     rows = max(1, PAIR_DISTANCE_BYTES // (8 * max(g.n, 1)))
-    csr = g._csr()
+    csr = g._out_rows()
     a, size = 0, 1
     while a < order.shape[0]:
         chunk = order[a : a + size]

@@ -64,7 +64,7 @@ def mod_dijkstra(g: Graph, v0: PartialAssignment, alpha: float, reverse: bool = 
     +inf; an assignment with no terminal raises NotWellPosedError.
     """
     terminals = _terminals(g, v0, alpha)
-    values, _ = _dijkstra(g, [(terminals, v0.values[terminals])], alpha, reverse)
+    values, _ = _dijkstra(g, [(terminals, v0.values[terminals], reverse)], alpha)
     return Envelope(values[0])
 
 
@@ -82,15 +82,13 @@ def comp_vhigh(g: Graph, v0: PartialAssignment, alpha: float) -> Envelope:
 
 
 def envelope_pair(g: Graph, v0: PartialAssignment, alpha: float) -> tuple[Envelope, Envelope]:
-    """(low, high) envelopes; a vertex that one of them does not reach carries
-    +inf (low) or -inf (high) there. On an undirected graph both come from
-    one kernel call, the labels one run and the negated labels the other;
-    on a directed graph they run on opposite orientations, one call each."""
-    if g.directed:
-        return comp_vlow(g, v0, alpha), comp_vhigh(g, v0, alpha)
+    """(low, high) envelopes from one kernel call: the labels are one run, on
+    x-to-terminal distances, and the negated labels the other, on
+    terminal-to-x distances (the same on an undirected graph). A vertex that
+    one of them does not reach carries +inf (low) or -inf (high) there."""
     terminals = _terminals(g, v0, alpha)
     start = v0.values[terminals]
-    values, _ = _dijkstra(g, [(terminals, start), (terminals, np.negative(start))], alpha, False)
+    values, _ = _dijkstra(g, [(terminals, start, True), (terminals, np.negative(start), False)], alpha)
     return Envelope(values[0]), Envelope(np.negative(values[1]))
 
 
@@ -140,8 +138,8 @@ def _sweep_extend(g: Graph, v0: PartialAssignment, alpha: float) -> np.ndarray:
     # its start values, so a label passed through it can move by an ulp (and
     # 0 come back as -0, which 0.0 - x, unlike -x, turns into 0)
     every = np.arange(g.n)
-    up = _dijkstra(g.with_edge_mask(raise_set[g.edge_v]), [(every, -values)], alpha, False)[0][0]
+    up = _dijkstra(g.with_edge_mask(raise_set[g.edge_v]), [(every, -values, False)], alpha)[0][0]
     values[raise_set] = 0.0 - up[raise_set]
-    down = _dijkstra(g.with_edge_mask(lower_set[g.edge_u]), [(every, values)], alpha, True)[0][0]
+    down = _dijkstra(g.with_edge_mask(lower_set[g.edge_u]), [(every, values, True)], alpha)[0][0]
     values[lower_set] = down[lower_set]
     return values

@@ -349,10 +349,11 @@ def _fix_dense(orig: np.ndarray, lengths: np.ndarray, alpha: float, state: _Fast
     matrix (asymmetric on a directed graph), recomputed after every fix.
     Floyd-Warshall, the argmax, the stop rule and the walk-back run over
     every component still active at once, until none goes on;
-    ``_fix_path_inplace`` runs once per path, and ``state.fixed`` gets each
-    component's paths in batch order. Padding (id -1) has no edges and reads
-    the NaN slot at the end of ``state.values``, so it never holds a
-    terminal.
+    ``_fix_path_inplace`` runs once per path, on ``state.values``, and the
+    batch's own copy of its values takes each fixed path's values after
+    it; ``state.fixed`` gets each component's paths in batch order. Padding
+    (id -1) has no edges and reads the NaN slot at the end of
+    ``state.values``, so it never holds a terminal.
 
     Floyd-Warshall relaxes only through the vertices free in some active
     component, so it measures the paths whose interior is free. The
@@ -369,17 +370,20 @@ def _fix_dense(orig: np.ndarray, lengths: np.ndarray, alpha: float, state: _Fast
     Paths steeper than alpha stay inside the high-pressure component, so
     stopping at alpha hands the rest back to the caller. As in the general
     loop, a component's first path is fixed if it slopes down, without the
-    alpha test, and at alpha 0 so is every path.
+    alpha test, and at alpha 0 so is every path. A component still active
+    after the first pass has fixed a path, so from then on one threshold
+    holds for the whole batch.
     """
     n_frames = orig.shape[0]
     real = orig >= 0
     sizes = real.sum(axis=1)
-    slope_tol = _slope_tol(state.root)
-    fixed_once = np.zeros(n_frames, dtype=bool)
+    batch_vals = state.values[orig]  # padding reads the NaN slot; kept up to date with each fix
+    # the first path only has to slope down; then every active component has fixed one
+    floor, tol = 0.0, _slope_tol(state.root)
     found: list[list[tuple[TerminalPath, float]]] = [[] for _ in range(n_frames)]
     active = np.arange(n_frames)
     while active.size:
-        vals = state.values[orig[active]]  # padding reads the NaN slot
+        vals = batch_vals[active]
         free = np.isnan(vals) & real[active]
         still = free.any(axis=1)
         active = active[still]
@@ -391,22 +395,22 @@ def _fix_dense(orig: np.ndarray, lengths: np.ndarray, alpha: float, state: _Fast
         vals, free = vals[still, :k], free[still, :k]
         fixed = ~np.isnan(vals)
         # an edge between two fixed vertices carries no free path
-        both = fixed[:, :, None] & fixed[:, None, :]
-        usable = lengths[active, :k, :k]
-        usable[both] = np.inf
+        usable = np.where(fixed[:, :, None] & fixed[:, None, :], np.inf, lengths[active, :k, :k])
         dist = usable.copy()
         dist[:, diag, diag] = 0.0
         # Floyd-Warshall through the vertices free in some component
         for m in np.flatnonzero(free.any(axis=0)).tolist():
             np.minimum(dist, dist[:, :, m, None] + dist[:, None, m, :], out=dist)
-        both[:, diag, diag] = False  # a pair is two distinct vertices
-        grads = np.full(dist.shape, -np.inf)
-        np.divide(vals[:, :, None] - vals[:, None, :], dist, out=grads, where=both & np.isfinite(dist))
+        # a free end (NaN) and the diagonal (0 / 0) read -inf; a pair with
+        # no path between them reads 0, which the stop rule never passes
+        grads = vals[:, :, None] - vals[:, None, :]
+        with np.errstate(invalid="ignore"):
+            np.divide(grads, dist, out=grads)
+        np.fmax(grads, -np.inf, out=grads)
         s, t = np.divmod(grads.reshape(active.size, k * k).argmax(axis=1), k)
         grad = grads[np.arange(active.size), s, t]
-        later = fixed_once[active] & (alpha > 0)
-        go = definitely_greater(grad, np.where(later, alpha, 0.0), np.where(later, DEFAULT_TOL, slope_tol))
-        # also stopped: a component with no joined terminal pair (-inf)
+        go = definitely_greater(grad, floor, tol)
+        # also stopped: a component with no joined terminal pair
         if not go.any():
             break
         rows, active = np.flatnonzero(go), active[go]
@@ -422,7 +426,9 @@ def _fix_dense(orig: np.ndarray, lengths: np.ndarray, alpha: float, state: _Fast
             path = TerminalPath(tuple(orig[f, walk].tolist()), float(dist[r, source, walk[-1]]), float(grad[r]))
             steps = lengths[f, walk[:-1], walk[1:]].tolist()
             found[f].append((path, _fix_path_inplace(state.values, path, steps)))
-        fixed_once[active] = True
+            batch_vals[f, walk] = state.values[orig[f, walk]]
+        if alpha > 0:
+            floor, tol = alpha, DEFAULT_TOL
     for paths in found:
         state.fixed.extend(paths)
 

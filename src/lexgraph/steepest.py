@@ -5,8 +5,9 @@ by Dinkelbach's parametric iteration: at gradient lambda take the best pair
 for v(t1) - lambda d(t1) - v(t2) - lambda d(t2), move lambda to its gradient,
 and stop when lambda no longer rises. A vertex-steepest path joins two
 distinct terminals through one vertex, by a star search on the distances
-to and from it, whose rows come from one kernel call per orientation for
-all the vertices searched at once; neither search draws a random number.
+to and from it, whose rows, in both orientations on a digraph, come from
+one kernel call for all the vertices searched at once; neither search
+draws a random number.
 
 ``_sample_split`` is the one step of the pressure descent, shared by
 ``steepest_path`` and the solvers, and its random edge and vertex are the
@@ -177,19 +178,20 @@ def _steepest_through(g: Graph, v0: PartialAssignment, xs, tol: float = DEFAULT_
     """The steepest of the vertex-steepest paths through the vertices xs, the
     first on ties; None if no terminal path passes through any of them.
 
-    The distance rows out of every vertex of xs come from one kernel call,
-    and on a digraph the rows into them from one more; xs runs in chunks of
-    ``PAIR_DISTANCE_BYTES`` of rows."""
+    The distance rows out of every vertex of xs, and on a digraph the rows
+    into them, come from one kernel call; xs runs in chunks of
+    ``PAIR_DISTANCE_BYTES`` of rows, which count 2n per vertex on a
+    digraph."""
     xs = [int(x) for x in xs]
-    rows = max(1, PAIR_DISTANCE_BYTES // (8 * max(g.n, 1)))
+    sides = (False, True) if g.directed else (False,)
+    rows = max(1, PAIR_DISTANCE_BYTES // (8 * len(sides) * max(g.n, 1)))
     best = None
     for a in range(0, len(xs), rows):
         chunk = xs[a : a + rows]
-        runs = [([x], [0.0]) for x in chunk]
-        out = _dijkstra(g, runs, 1.0, False)
-        into = _dijkstra(g, runs, 1.0, True) if g.directed else out
+        dist, parent = _dijkstra(g, [([x], [0.0], reverse) for reverse in sides for x in chunk], 1.0)
+        into = len(chunk) if g.directed else 0  # the first row into the chunk's vertices
         for i, x in enumerate(chunk):
-            path = _vertex_steepest(v0, x, tol, (out[0][i], out[1][i]), (into[0][i], into[1][i]))
+            path = _vertex_steepest(v0, x, tol, (dist[i], parent[i]), (dist[into + i], parent[into + i]))
             if path is not None and (best is None or path.gradient > best.gradient):
                 best = path
     return best

@@ -263,14 +263,20 @@ def reference_resolve_intervals(g: Graph, values: np.ndarray, median: float):
     return values, ambiguous
 
 
-def heap_dijkstra(g: Graph, runs, scale: float, reverse: bool):
+def heap_dijkstra(g: Graph, runs, scale: float):
     """Reference for ``core._dijkstra``: a textbook heap Dijkstra per run
-    (sources, start) that adds start + scale * length edge by edge, with no
-    shift of the start values. Returns (value, parent), one row per run, in
-    the kernel's conventions."""
-    indptr, indices, lengths = g._csr(reverse)
+    (sources, start, reverse) that adds start + scale * length edge by edge,
+    with no shift of the start values, along the edges or, if ``reverse`` is
+    set on a directed graph, against them. Returns (value, parent), one row
+    per run, in the kernel's conventions."""
     rows = []
-    for sources, start in runs:
+    for sources, start, reverse in runs:
+        u, v, w = g.edge_u.tolist(), g.edge_v.tolist(), g.edge_len.tolist()
+        if reverse and g.directed:
+            u, v = v, u
+        adjacent = [[] for _ in range(g.n)]
+        for x, y, length in zip(u, v, w) if g.directed else zip(u + v, v + u, w + w):
+            adjacent[x].append((y, length))
         dist = [math.inf] * g.n
         parent = [-1] * g.n
         done = [False] * g.n
@@ -285,9 +291,8 @@ def heap_dijkstra(g: Graph, runs, scale: float, reverse: bool):
             if done[x]:
                 continue
             done[x] = True
-            for k in range(indptr[x], indptr[x + 1]):
-                y = int(indices[k])
-                nd = d + float(scale) * float(lengths[k])
+            for y, length in adjacent[x]:
+                nd = d + float(scale) * length
                 if nd < dist[y]:
                     dist[y] = nd
                     parent[y] = x

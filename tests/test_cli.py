@@ -399,6 +399,31 @@ GENERATOR_ERRORS = [
 ]
 
 
+#: (edge file, label file) whose label span over the shortest edge length
+#: overflows float64, and the solver commands that take it.
+OVERFLOW_FILES = {
+    "path5": ("#undirected\na\tb\t1\nb\tc\t1\nc\td\t1e-300\nd\te\t1\n", "a\t1e308\ne\t-1e308\n"),
+    "path3": ("#undirected\na\tb\t1e-10\nb\tc\t1e-10\n", "a\t1e300\nc\t0\n"),
+    "directed4": ("#directed\na\tb\t1\nb\tc\t1e-300\nc\td\t1\n", "a\t1e308\nd\t-1e308\n"),
+}
+OVERFLOW_COMMANDS = [
+    *((name, cmd) for name in ("path5", "path3") for cmd in ("infmin", "lexmin", "fastlexmin")),
+    ("directed4", "infmin"),
+    ("directed4", "dirlexmin"),
+]
+
+
+@pytest.mark.parametrize("name,cmd", OVERFLOW_COMMANDS, ids=lambda v: v)
+def test_overflowing_gradients_exit_3(name, cmd, tmp_path):
+    """Labels whose gradients would overflow exit 3 with one line, not with
+    a traceback or an inf_norm of inf."""
+    edges, labels = tmp_path / "o.edges.tsv", tmp_path / "o.labels.tsv"
+    edges.write_text(OVERFLOW_FILES[name][0])
+    labels.write_text(OVERFLOW_FILES[name][1])
+    line = _assert_one_line_error(run_cli(cmd, str(edges), str(labels)), 3)
+    assert "overflow float64" in line
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "args",

@@ -81,7 +81,8 @@ class TestModDijkstra:
         from the all-pairs oracle, both orientations; exactly at scale 0. The
         copies without the edges into terminals leave each vertex only some
         sources, or none. One call with every run as a row gives each row
-        bitwise as the run alone, values and parents."""
+        bitwise as the run alone, values and parents, and so does one call
+        that mixes both orientations on a directed graph."""
         instances = [random_instance(seed, n_range=(12, 25)) for seed in range(5)]
         instances += [random_directed_instance(seed, n_range=(12, 25)) for seed in range(5)]
         instances += [(g.with_edge_mask(~v0.terminal_mask()[g.edge_v]), v0) for g, v0 in instances]
@@ -93,14 +94,16 @@ class TestModDijkstra:
             runs.append((terms, v0.values[terms] - 3.0 * (terms == terms[0])))
             runs.append(([int(np.flatnonzero(~v0.terminal_mask())[0])], [0.0]))
             for scale in (0.0, 0.3, 1.0, 1.7):
+                single = {}
                 for reverse in (False, True):
-                    batch = core._dijkstra(g, runs, scale, reverse)
+                    batch = core._dijkstra(g, [(src, start, reverse) for src, start in runs], scale)
                     assert batch[0].shape == batch[1].shape == (len(runs), g.n)
                     for r, (sources, start) in enumerate(runs):
                         d = dist[:, sources].T if reverse and g.directed else dist[sources]
                         with np.errstate(invalid="ignore"):
                             paths = np.where(np.isfinite(d), np.asarray(start)[:, None] + scale * d, np.inf)
-                        (values,), (parent,) = core._dijkstra(g, [(sources, start)], scale, reverse)
+                        (values,), (parent,) = core._dijkstra(g, [(sources, start, reverse)], scale)
+                        single[r, reverse] = values, parent
                         if scale == 0.0:
                             assert np.array_equal(values, paths.min(axis=0))
                         else:
@@ -108,6 +111,12 @@ class TestModDijkstra:
                         _check_parents(g, values, parent, dict(zip(sources, start)), scale, reverse)
                         assert values.tobytes() == batch[0][r].tobytes()
                         assert np.array_equal(parent, batch[1][r])
+                if g.directed:
+                    mixed = [(r, reverse) for r in range(len(runs)) for reverse in (r % 2 == 1, r % 2 == 0)]
+                    batch = core._dijkstra(g, [(*runs[r], reverse) for r, reverse in mixed], scale)
+                    for row, key in enumerate(mixed):
+                        assert batch[0][row].tobytes() == single[key][0].tobytes()
+                        assert np.array_equal(batch[1][row], single[key][1])
 
     def test_negative_alpha_rejected(self, path3):
         g, v0 = path3

@@ -7,6 +7,7 @@ import pytest
 
 from lexgraph import (
     Graph,
+    GraphFormatError,
     LexgraphError,
     NoTerminalPathError,
     NotWellPosedError,
@@ -17,9 +18,11 @@ from lexgraph import (
     comp_lex_min,
     directed_lex_min,
     gradient_vector,
+    outlier_approx,
+    outlier_exact,
     verify_max_min,
 )
-from lexgraph import core, solvers, steepest, synth
+from lexgraph import core, envelopes, solvers, steepest, synth
 from lexgraph.oracles import apsp_floyd_warshall, brute_lex_min
 
 from conftest import (
@@ -384,9 +387,9 @@ class _RelaxationCounter:
 def test_kernel_calls_per_solve(monkeypatch):
     """Work counts of two seeded solves, which hold on any host: the scipy
     Dijkstra calls, the fixed paths and, on the undirected solve, the dense
-    kernel's relaxation steps. A sampled split takes its distance rows from
-    one call per orientation, and an undirected pressure test its two
-    envelopes from one call, so a change that adds a kernel call to the
+    kernel's relaxation steps. A sampled split takes its distance rows, in
+    both orientations on a digraph, from one call, and a pressure test its
+    two envelopes from one call, so a change that adds a kernel call to the
     descent moves these counts. The dense kernel relaxes only through the
     vertices free in some component of its batch; relaxing through every
     vertex takes more steps."""
@@ -404,7 +407,62 @@ def test_kernel_calls_per_solve(monkeypatch):
     assert relaxations.steps == 1154
     calls.clear()
     assert directed_lex_min(digraph.graph, digraph.assignment(), seed=0).result.iterations == 852
-    assert len(calls) == 456
+    assert len(calls) == 229
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_kernel_call_for_both_orientations(seed, monkeypatch):
+    """On a digraph, the two envelopes of a pressure test, the rows out of and
+    into the three vertices of a sampled split, and the reachability from
+    and to the terminals each take one scipy Dijkstra call."""
+    scipy_dijkstra, calls = core._scipy_dijkstra, []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return scipy_dijkstra(*args, **kw)
+
+    # built first: the generator's well-posedness check runs scipy too
+    g, v0 = random_directed_instance(seed, n_range=(12, 25))
+    monkeypatch.setattr(core, "_scipy_dijkstra", counted)
+    envelopes.envelope_pair(g, v0, 0.5)
+    assert len(calls) == 1
+    steepest._steepest_through(g, v0, [0, 1, 2])
+    assert len(calls) == 2
+    core.check_well_posed(g, v0)
+    assert len(calls) == 3
+
+
+#: Labels whose span over the shortest edge length overflows float64:
+#: (n, edges, directed, labels by vertex).
+OVERFLOW_INSTANCES = {
+    "path5": (5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1e-300), (3, 4, 1.0)], False, {0: 1e308, 4: -1e308}),
+    "path3": (3, [(0, 1, 1e-10), (1, 2, 1e-10)], False, {0: 1e300, 2: 0.0}),
+    "unit-path5": (5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)], False, {0: 1e308, 4: -1e308}),
+    "directed4": (4, [(0, 1, 1.0), (1, 2, 1e-300), (2, 3, 1.0)], True, {0: 1e308, 3: -1e308}),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOW_INSTANCES)
+def test_overflowing_gradients_are_rejected(name):
+    """Every solver rejects labels whose span over the shortest edge length
+    is not finite, before it computes a gradient, instead of ending in a
+    traceback or a gradient of inf."""
+    n, edges, directed, labels = OVERFLOW_INSTANCES[name]
+    g, v0 = Graph(n, edges, directed=directed), PartialAssignment.from_dict(n, labels)
+    solves = [comp_inf_min, lambda g, v0: outlier_exact(g, v0, 1), lambda g, v0: outlier_approx(g, v0, 1)]
+    solves += [directed_lex_min] if directed else [comp_lex_min, comp_fast_lex_min]
+    for solve in solves:
+        with pytest.raises(GraphFormatError, match="overflow float64"):
+            solve(g, v0)
+
+
+def test_labels_near_the_float64_range_solve():
+    """Labels of ±5e307 on unit lengths span 1e308, which float64 holds: the
+    lex-minimizer interpolates them."""
+    g = Graph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
+    res = comp_fast_lex_min(g, PartialAssignment.from_dict(5, {0: 5e307, 4: -5e307}))
+    np.testing.assert_allclose(res.assignment, [5e307, 2.5e307, 0.0, -2.5e307, -5e307], rtol=1e-12, atol=0)
+    assert res.inf_norm == pytest.approx(2.5e307)
 
 
 def test_empty_instance_solves_to_empty():
