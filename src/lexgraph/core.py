@@ -239,9 +239,6 @@ class PartialAssignment:
     def terminals(self) -> np.ndarray:
         return np.flatnonzero(self.terminal_mask())
 
-    def is_terminal(self, x: int) -> bool:
-        return not np.isnan(self.values[x])
-
     @property
     def is_complete(self) -> bool:
         return bool(self.terminal_mask().all())
@@ -375,14 +372,18 @@ def _dijkstra(
     where dist follows edge orientation, or runs against it if the run's
     ``reverse`` is set on a directed graph.
 
-    The one shortest-path kernel: one scipy Dijkstra call from one
-    super-source row per run, appended to the graph's one CSR, whose edges
-    to the run's sources carry its start offsets. A run picks its
-    orientation by its sources: the rows x of a directed CSR follow the
-    edges, the rows n + x run against them. Each row is what the run gives
-    alone. parent[r, x] is the predecessor on a minimizing path; it is -1
-    where the value is a source's own start and at unreached vertices,
-    which get +inf. At scale 0 the offsets are the ranks of the run's
+    The shortest-path kernel of every propagation: one scipy Dijkstra call
+    from one super-source row per run, appended to the graph's one CSR,
+    whose edges to the run's sources carry its start offsets. Only
+    ``terminal_pair_distances`` and ``top_terminal_gradient`` call
+    ``_scipy_dijkstra`` directly: their rows are single-source searches at
+    start 0 that stop at a radius, which this kernel does not take, and a
+    super-source row would only copy the CSR once more per chunk. A run
+    picks its orientation by its sources: the rows x of a directed CSR
+    follow the edges, the rows n + x run against them. Each row is what the
+    run gives alone. parent[r, x] is the predecessor on a minimizing path;
+    it is -1 where the value is a source's own start and at unreached
+    vertices, which get +inf. At scale 0 the offsets are the ranks of the run's
     distinct starts, so every reached vertex gets exactly the start of the
     source its parent chain leads to; at other scales they are the starts
     less their minimum, which can move a value by an ulp. A source outside
@@ -457,8 +458,8 @@ def single_source_distances(
 
 
 #: Bytes of distances that one batch holds at once: the scipy rows of
-#: ``terminal_pair_distances`` and of a search through many vertices, and the
-#: length matrices of one dense-kernel batch of the pressure descent.
+#: ``terminal_pair_distances`` and ``top_terminal_gradient``, and the length
+#: matrices of one dense-kernel batch of the pressure descent.
 PAIR_DISTANCE_BYTES = 4 << 20
 
 

@@ -4,10 +4,11 @@ The star search finds the pair maximizing (v(t1) - v(t2)) / (d(t1) + d(t2))
 by Dinkelbach's parametric iteration: at gradient lambda take the best pair
 for v(t1) - lambda d(t1) - v(t2) - lambda d(t2), move lambda to its gradient,
 and stop when lambda no longer rises. A vertex-steepest path joins two
-distinct terminals through one vertex, by a star search on the distances
+distinct terminals through one vertex x, by a star search on the distances
 to and from it, whose rows, in both orientations on a digraph, come from
-one kernel call for all the vertices searched at once; neither search
-draws a random number.
+one kernel call for the few vertices searched at once; neither search
+draws a random number. The same star search serves a terminal x, which
+sits on both of its sides at distance 0.
 
 ``_sample_split`` is the one step of the pressure descent, shared by
 ``steepest_path`` and the solvers, and its random edge and vertex are the
@@ -25,7 +26,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    PAIR_DISTANCE_BYTES,
     Graph,
     LexgraphError,
     NoTerminalPathError,
@@ -112,47 +112,17 @@ def _chain(parent: np.ndarray, v: int) -> list[int]:
     return out
 
 
-def _vertex_steepest(v0: PartialAssignment, x: int, tol: float, out, into) -> Optional[TerminalPath]:
-    """The steepest terminal path through x, from the (distance, parent) rows
-    of the Dijkstras out of x and into x (the same rows on an undirected
-    graph); None if no path between two distinct terminals runs through x."""
-    x = int(x)
-    terminals = v0.terminals()
-    if terminals.size == 0:
-        return None
-    vals = v0.values
+def _vertex_steepest(v0: PartialAssignment, tol: float, out, into) -> Optional[TerminalPath]:
+    """The steepest terminal path through a vertex x, from the (distance,
+    parent) rows of the Dijkstras out of x and into x (the same rows on an
+    undirected graph); None if no path between two distinct terminals runs
+    through x. One star search serves every x: a terminal x sits on both
+    sides at distance 0, and a pair through x has the length-weighted mean
+    of its halves' gradients, so it never beats the better half."""
+    terminals, vals = v0.terminals(), v0.values
     (dist_out, par_out), (dist_in, par_in) = out, into
-
-    if v0.is_terminal(x):
-        others = terminals[terminals != x]
-        best = None  # (grad, terminal, starts_at_x)
-        for starts in (True, False):
-            d = dist_out if starts else dist_in
-            reach = others[np.isfinite(d[others]) & (d[others] > 0)]
-            if reach.size == 0:
-                continue
-            grads = (vals[x] - vals[reach]) / d[reach] if starts else (vals[reach] - vals[x]) / d[reach]
-            t = int(reach[_ties(grads, reach, tol)[0]])
-            g_exact = float((vals[x] - vals[t]) / d[t]) if starts else float((vals[t] - vals[x]) / d[t])
-            if best is None or definitely_greater(g_exact, best[0], tol) or (
-                not definitely_greater(best[0], g_exact, tol) and t < best[1]
-            ):
-                best = (g_exact, t, starts)
-        if best is None:
-            return None
-        grad, t, starts = best
-        if starts:
-            verts = list(reversed(_chain(par_out, t)))  # x .. t
-            length = float(dist_out[t])
-        else:
-            verts = _chain(par_in, t)  # t .. x (reverse-tree chain is already forward)
-            length = float(dist_in[t])
-        return TerminalPath(tuple(verts), length, grad)
-
     up = terminals[np.isfinite(dist_in[terminals])]
     down = terminals[np.isfinite(dist_out[terminals])]
-    if up.size == 0 or down.size == 0:
-        return None
     hit = _two_sided_star(vals[up], dist_in[up], up, vals[down], dist_out[down], down, tol)
     if hit is None:
         return None
@@ -168,32 +138,28 @@ def vertex_steepest_path(g: Graph, v0: PartialAssignment, x: int) -> TerminalPat
     through x, ValueError if x is not a vertex."""
     out = single_source_distances(g, x, with_parents=True)
     into = single_source_distances(g, x, reverse=True, with_parents=True) if g.directed else out
-    path = _vertex_steepest(v0, x, DEFAULT_TOL, out, into)
+    path = _vertex_steepest(v0, DEFAULT_TOL, out, into)
     if path is None:
         raise NoTerminalPathError(f"no terminal path passes through vertex {x}")
     return path
 
 
 def _steepest_through(g: Graph, v0: PartialAssignment, xs, tol: float = DEFAULT_TOL) -> Optional[TerminalPath]:
-    """The steepest of the vertex-steepest paths through the vertices xs, the
-    first on ties; None if no terminal path passes through any of them.
-
-    The distance rows out of every vertex of xs, and on a digraph the rows
-    into them, come from one kernel call; xs runs in chunks of
-    ``PAIR_DISTANCE_BYTES`` of rows, which count 2n per vertex on a
-    digraph."""
+    """The steepest of the vertex-steepest paths through the few vertices xs,
+    the first on ties; None if xs is empty or no terminal path passes
+    through any of them. The distance rows out of every vertex of xs, and
+    on a digraph the rows into them, come from one kernel call."""
     xs = [int(x) for x in xs]
+    if not xs:
+        return None
     sides = (False, True) if g.directed else (False,)
-    rows = max(1, PAIR_DISTANCE_BYTES // (8 * len(sides) * max(g.n, 1)))
+    dist, parent = _dijkstra(g, [([x], [0.0], reverse) for reverse in sides for x in xs], 1.0)
+    into = len(xs) if g.directed else 0  # the first row into the vertices of xs
     best = None
-    for a in range(0, len(xs), rows):
-        chunk = xs[a : a + rows]
-        dist, parent = _dijkstra(g, [([x], [0.0], reverse) for reverse in sides for x in chunk], 1.0)
-        into = len(chunk) if g.directed else 0  # the first row into the chunk's vertices
-        for i, x in enumerate(chunk):
-            path = _vertex_steepest(v0, x, tol, (dist[i], parent[i]), (dist[into + i], parent[into + i]))
-            if path is not None and (best is None or path.gradient > best.gradient):
-                best = path
+    for i in range(len(xs)):
+        path = _vertex_steepest(v0, tol, (dist[i], parent[i]), (dist[into + i], parent[into + i]))
+        if path is not None and (best is None or path.gradient > best.gradient):
+            best = path
     return best
 
 

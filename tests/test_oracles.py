@@ -166,10 +166,10 @@ def _imported_modules(tree: ast.AST):
 def test_no_production_module_imports_oracles():
     """The oracles are the independent reference; production code that used
     them would make the oracle-equality tests circular. Likewise every graph
-    propagation runs on the one shortest-path kernel, ``core._dijkstra``,
-    which is scipy's: no module imports heapq, and none but core imports
-    scipy's dijkstra; and both l0 solvers work on the one terminal-pair
-    gradient matrix, so l0reg imports no steepest-path search."""
+    propagation runs on scipy's Dijkstra, so no module imports heapq (the
+    next test pins where scipy's is imported); and both l0 solvers work on
+    the one terminal-pair gradient matrix, so l0reg imports no
+    steepest-path search."""
     src = Path(lexgraph.__file__).parent
     modules = sorted(src.glob("*.py"))
     assert len(modules) >= 9
@@ -179,10 +179,39 @@ def test_no_production_module_imports_oracles():
         if path.name == "oracles.py":
             continue
         assert not {name for name in names if name.split(".")[-1] == "oracles"}, path.name
-        if path.name != "core.py":
-            assert "scipy.sparse.csgraph.dijkstra" not in names, path.name
         if path.name == "l0reg.py":
             assert not {name for name in names if "steepest" in name.split(".")}, path.name
+
+
+def _import_sites(node: ast.AST, where=None):
+    """(enclosing function or None, name) for every name an import statement
+    binds, as a dotted path: ``from scipy.sparse import csgraph`` binds
+    ``scipy.sparse.csgraph``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from ((where, alias.name) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            base = "." * child.level + (child.module or "")
+            yield from ((where, base if alias.name == "*" else f"{base}.{alias.name}") for alias in child.names)
+        else:
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            yield from _import_sites(child, inner)
+
+
+def test_scipy_shortest_paths_imported_only_by_the_kernel():
+    """``core._scipy_dijkstra`` alone imports scipy's Dijkstra, and no module
+    imports another scipy shortest-path search or a package that holds one,
+    so no change adds a second shortest-path entry beside the kernel."""
+    searches = ("dijkstra", "shortest_path", "bellman_ford", "johnson", "floyd_warshall", "yen")
+    entries = {f"scipy.sparse.csgraph.{name}" for name in searches}
+    holders = {"scipy", "scipy.sparse", "scipy.sparse.csgraph"}
+    sites = [
+        (path.stem, where, name)
+        for path in sorted(Path(lexgraph.__file__).parent.glob("*.py"))
+        for where, name in _import_sites(ast.parse(path.read_text(), filename=str(path)))
+        if name in entries | holders
+    ]
+    assert sites == [("core", "_scipy_dijkstra", "scipy.sparse.csgraph.dijkstra")]
 
 
 def _referenced_names(tree: ast.AST):

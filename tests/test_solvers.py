@@ -354,15 +354,13 @@ def test_steepest_path_through_a_terminal(monkeypatch, directed):
 
 
 def test_batches_split_to_the_byte_budget(monkeypatch):
-    """Below the bytes of one distance row or one k x k matrix, every dense
-    batch holds one component and every sampled vertex gets its own kernel
-    call; the output and ``fixed_order`` stay the same."""
+    """Below the bytes of one k x k matrix, every dense batch holds one
+    component; the output and ``fixed_order`` stay the same."""
     inst = synth.cube_knn(300, n_labels=20, seed=0)
     want = comp_fast_lex_min(inst.graph, inst.assignment(), seed=0)
     batches, dense = [], solvers._fix_dense
     monkeypatch.setattr(solvers, "_fix_dense", lambda *args: (batches.append(args[0].shape[0]), dense(*args))[1])
-    for module in (solvers, steepest):
-        monkeypatch.setattr(module, "PAIR_DISTANCE_BYTES", 1)
+    monkeypatch.setattr(solvers, "PAIR_DISTANCE_BYTES", 1)
     got = comp_fast_lex_min(inst.graph, inst.assignment(), seed=0)
     assert set(batches) == {1}
     assert got.assignment.tobytes() == want.assignment.tobytes()

@@ -119,13 +119,16 @@ class TestTwoSidedStar:
 
 
 def brute_pressure_at(g, v0, x):
+    """The best gradient over pairs of distinct terminals of a shortest walk
+    through x; -inf if there is none. A digraph's cycle s -> x -> s joins no
+    two distinct terminals, so s == t is skipped."""
     dist = apsp_floyd_warshall(g)
     terms = v0.terminals()
     best = -np.inf
     for s in terms:
         for t in terms:
             d = dist[s, x] + dist[x, t]
-            if np.isfinite(d) and d > 0:
+            if s != t and np.isfinite(d):
                 best = max(best, (v0.values[s] - v0.values[t]) / d)
     return best
 
@@ -145,11 +148,16 @@ class TestVertexSteepest:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_gradient_equals_pressure(self, seed):
-        g, v0 = random_instance(seed, n_range=(15, 15))
-        for x in range(g.n):
-            p = vertex_steepest_path(g, v0, x)
-            assert p.gradient == pytest.approx(brute_pressure_at(g, v0, x), abs=1e-9)
-            assert v0.is_terminal(p.first) and v0.is_terminal(p.last)
+        """On every vertex, terminals included, of an undirected and a
+        directed instance, the search's gradient is the brute-force
+        pressure, and its path joins two terminals."""
+        for make in (random_instance, random_directed_instance):
+            g, v0 = make(seed, n_range=(15, 15))
+            tmask = v0.terminal_mask()
+            for x in range(g.n):
+                p = vertex_steepest_path(g, v0, x)
+                assert p.gradient == pytest.approx(brute_pressure_at(g, v0, x), abs=1e-9)
+                assert tmask[p.first] and tmask[p.last]
 
     def test_negative_pressure_on_a_digraph(self):
         """Terminal 0 has arcs to and from vertex 1, terminal 2 an arc from
@@ -235,10 +243,11 @@ class TestSteepestPath:
             g, v0 = random_instance(seed)
             work = prune_tt(g, v0)
             p = steepest_path(work, v0, seed=seed)
-            assert v0.is_terminal(p.first) and v0.is_terminal(p.last)
+            tmask = v0.terminal_mask()
+            assert tmask[p.first] and tmask[p.last]
             for a, b in zip(p.vertices, p.vertices[1:]):
                 assert work.edge_ids(a, b) >= 0
-                assert not (v0.is_terminal(a) and v0.is_terminal(b))
+                assert not (tmask[a] and tmask[b])
 
     def test_rejects_terminal_terminal_edges(self):
         g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
