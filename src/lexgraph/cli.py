@@ -3,10 +3,11 @@
 File formats are TSV throughout. Edge lists start with a "#directed" or
 "#undirected" header line followed by "u<TAB>v<TAB>len" rows; string vertex
 ids are mapped to dense integers in first-appearance order. Label files hold
-"vertex-id<TAB>value" rows. Exit codes: 0 ok, 2 instance not well-posed
-(or wrong graph kind for the command), 3 bad input (a file that does not
-parse, or a usage error such as a bad option value), always with one
-"error:" line on stderr.
+"vertex-id<TAB>value" rows. Exit codes: 0 ok, 1 a solver that fails on an
+accepted instance, 2 instance not well-posed (or wrong graph kind for the
+command), 3 bad input (a file that does not parse, or a usage error such as
+a bad option value), always with one "error:" line on stderr. ``verify``
+also exits 1 when it rejects the assignment, with its own report.
 """
 
 from __future__ import annotations
@@ -253,11 +254,11 @@ def _load(graph_file: str, labels_file: str, assignment_file: str | None = None)
 
 def _run_solver(graph_file: str, labels_file: str, out: str | None, solve, report=None) -> None:
     """Load the inputs and run ``solve(graph, v0)``; an instance that is not
-    well-posed exits 2, and one whose labels and lengths a solver rejects
-    exits 3. ``solve`` returns a SolverResult or a record that
-    holds one as ``result``. Write the assignment, then ``report(record,
-    names)`` if given, then the ``inf_norm=... iterations=... wall_time_s=...``
-    line on stderr."""
+    well-posed exits 2, one whose labels and lengths a solver rejects exits
+    3, and any other solver error exits 1. ``solve`` returns a SolverResult
+    or a record that holds one as ``result``. Write the assignment, then
+    ``report(record, names)`` if given, then the ``inf_norm=...
+    iterations=... wall_time_s=...`` line on stderr."""
     started = time.perf_counter()
     graph, names, v0, _ = _load(graph_file, labels_file)
     try:
@@ -266,6 +267,8 @@ def _run_solver(graph_file: str, labels_file: str, out: str | None, solve, repor
         _fail(exc, EXIT_ILL_POSED)
     except GraphFormatError as exc:
         _fail(exc, EXIT_PARSE)
+    except LexgraphError as exc:
+        _fail(exc, 1)
     result = record if isinstance(record, SolverResult) else record.result
     write_assignment(out, names, result.assignment)
     if report is not None:
@@ -476,7 +479,10 @@ def cmd_bench(kind, sizes, n_labels, degree, repeats, seed, out):
         for rep in range(repeats):
             for name, solver in (("infmin", comp_inf_min), ("fastlexmin", comp_fast_lex_min)):
                 t0 = time.perf_counter()
-                solver(inst.graph, v0, seed=seed + rep)
+                try:
+                    solver(inst.graph, v0, seed=seed + rep)
+                except LexgraphError as exc:
+                    _fail(exc, 1)
                 rows.append((name, str(n), str(inst.graph.m), f"{time.perf_counter() - t0:.3f}"))
     fh = sys.stdout if out is None else _open_out(out, newline="")
     try:

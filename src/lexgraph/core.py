@@ -249,7 +249,9 @@ class PartialAssignment:
 
 @dataclass(frozen=True)
 class TerminalPath:
-    """Vertex walk between two terminals; gradient = (first - last) / length."""
+    """Vertex walk between two terminals; gradient = (first - last) / length,
+    except that a search's path carries the search's maximum, which can
+    exceed the path's own gradient by the tie-break's tolerance."""
 
     vertices: tuple[int, ...]
     length: float

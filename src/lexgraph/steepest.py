@@ -1,14 +1,16 @@
 """Deterministic search for steepest terminal paths.
 
-The star search finds the pair maximizing (v(t1) - v(t2)) / (d(t1) + d(t2))
-by Dinkelbach's parametric iteration: at gradient lambda take the best pair
-for v(t1) - lambda d(t1) - v(t2) - lambda d(t2), move lambda to its gradient,
-and stop when lambda no longer rises. A vertex-steepest path joins two
-distinct terminals through one vertex x, by a star search on the distances
-to and from it, whose rows, in both orientations on a digraph, come from
-one kernel call for the few vertices searched at once; neither search
-draws a random number. The same star search serves a terminal x, which
-sits on both of its sides at distance 0.
+Every search here finds a path of positive gradient, or none. The star
+search finds the pair maximizing (v(t1) - v(t2)) / (d(t1) + d(t2)) by
+Dinkelbach's parametric iteration from 0: at gradient lambda take the best
+pair for v(t1) - lambda d(t1) - v(t2) - lambda d(t2), move lambda to its
+gradient, and stop when lambda no longer rises or that pair is one
+terminal twice. The maximum is the gradient it returns; a tie-break at the
+tolerance only picks the path. A vertex-steepest path joins two distinct
+terminals through one vertex x, by a star search on the distances to and
+from it, whose rows, in both orientations on a digraph, come from one
+kernel call for the few vertices searched at once; neither search draws a
+random number. A terminal x sits on both of its sides at distance 0.
 
 ``_sample_split`` is the one step of the pressure descent, shared by
 ``steepest_path`` and the solvers, and its random edge and vertex are the
@@ -45,63 +47,49 @@ def _ties(x, ids, tol):
 
 
 def _best_pair(lhs, ia, rhs, ib, tol):
-    """Among the pairs (a, b) with ia[a] != ib[b] whose lhs[a] - rhs[b] is
-    within tol of the largest, the one of smallest (ia[a], ib[b]); None if
-    there is no such pair. If every near-maximum of lhs clashes with every
-    near-minimum of rhs, they are one pair (a0, b0) of one id, as ids are
-    unique within each side, and the best pair swaps a0 or b0 for a
-    runner-up."""
+    """The pair (a, b) with ia[a] != ib[b] of smallest (ia[a], ib[b]) among
+    those whose lhs[a] and rhs[b] are each within tol of their side's best;
+    None if there is no such pair."""
     a_star, b_star = _ties(lhs, ia, tol), _ties(-rhs, ib, tol)
     for a in a_star:
         for b in b_star:
             if ia[a] != ib[b]:
                 return int(a), int(b)
-    a0, b0 = int(a_star[0]), int(b_star[0])
-    rest_a, rest_b = np.flatnonzero(ia != ia[a0]), np.flatnonzero(ib != ib[b0])
-    pairs = []
-    if rest_a.size:
-        pairs.append((int(rest_a[_ties(lhs[rest_a], ia[rest_a], tol)[0]]), b0))
-    if rest_b.size:
-        pairs.append((a0, int(rest_b[_ties(-rhs[rest_b], ib[rest_b], tol)[0]])))
-    if not pairs:
-        return None
-    gains = [lhs[a] - rhs[b] for a, b in pairs]
-    tied = [p for p, gain in zip(pairs, gains) if not definitely_greater(max(gains), gain, tol)]
-    return min(tied, key=lambda p: (ia[p[0]], ib[p[1]]))
-
-
-def _dinkelbach_pair(lhs, ia, rhs, ib):
-    """One pass of the iteration: a pair (a, b) of largest lhs[a] - rhs[b]
-    with ia[a] != ib[b], or None if there is none; the argmax and the argmin
-    unless their ids clash."""
-    a, b = int(lhs.argmax()), int(rhs.argmin())
-    return (a, b) if ia[a] != ib[b] else _best_pair(lhs, ia, rhs, ib, 0.0)
+    return None
 
 
 def _two_sided_star(va, da, ia, vb, db, ib, tol):
-    """Maximize (va[a] - vb[b]) / (da[a] + db[b]) over pairs with ia[a] != ib[b].
+    """The steepest pair of positive gradient (va[a] - vb[b]) / (da[a] + db[b])
+    with ia[a] != ib[b]: (index into side A, index into side B, gradient), or
+    None if no id-distinct pair slopes down.
 
-    Returns (index into side A, index into side B, gradient) or None when no
-    id-distinct pair exists. Side ids must be unique within each side.
-    Dinkelbach's iteration from lambda 0: the best pair for (va - lambda da)
-    - (vb + lambda db) has a gradient above lambda unless lambda is the
-    maximum, so lambda rises strictly over a finite set of pairs until it
-    stops. At the final lambda, the pair of smallest (ia, ib) within tol of
-    the best wins.
+    Precondition: ids are unique within each side, and an id on both sides
+    carries one value, so a pair of one id has gradient 0. Dinkelbach's
+    iteration from lambda 0: the best pair for (va - lambda da) - (vb +
+    lambda db) is the argmax and the argmin, whose gradient lies above
+    lambda unless lambda is the maximum, so lambda rises strictly over a
+    finite set of pairs. A clash of the two ends it too, as no pair then
+    beats lambda: at 0 nothing slopes, above 0 lambda is the maximum. That
+    maximum is the gradient returned, with the pair of smallest (ia, ib)
+    within tol of it, or, should rounding leave none at a tol of 0, the
+    pair that set it.
     """
     if va.size == 0 or vb.size == 0:
         return None
-    alpha, lam = -np.inf, 0.0
+    alpha, best = 0.0, None
     while True:
-        pair = _dinkelbach_pair(va - lam * da, ia, vb + lam * db, ib)
-        if pair is None:
-            return None
-        grad = float((va[pair[0]] - vb[pair[1]]) / (da[pair[0]] + db[pair[1]]))
+        lhs, rhs = va - alpha * da, vb + alpha * db
+        a, b = int(lhs.argmax()), int(rhs.argmin())
+        if ia[a] == ib[b]:
+            break
+        grad = float((va[a] - vb[b]) / (da[a] + db[b]))
         if grad <= alpha:
             break
-        alpha = lam = grad
-    a, b = _best_pair(va - alpha * da, ia, vb + alpha * db, ib, tol)
-    return a, b, float((va[a] - vb[b]) / (da[a] + db[b]))
+        alpha, best = grad, (a, b)
+    if best is None:
+        return None
+    a, b = _best_pair(lhs, ia, rhs, ib, tol) or best
+    return a, b, alpha
 
 
 def _chain(parent: np.ndarray, v: int) -> list[int]:
@@ -113,12 +101,12 @@ def _chain(parent: np.ndarray, v: int) -> list[int]:
 
 
 def _vertex_steepest(v0: PartialAssignment, tol: float, out, into) -> Optional[TerminalPath]:
-    """The steepest terminal path through a vertex x, from the (distance,
-    parent) rows of the Dijkstras out of x and into x (the same rows on an
-    undirected graph); None if no path between two distinct terminals runs
-    through x. One star search serves every x: a terminal x sits on both
-    sides at distance 0, and a pair through x has the length-weighted mean
-    of its halves' gradients, so it never beats the better half."""
+    """The steepest terminal path through a vertex x, with the pressure of x
+    as its gradient, from the (distance, parent) rows of the Dijkstras out
+    of x and into x (the same rows on an undirected graph); None if none
+    slopes down. A terminal x sits on both sides at distance 0, and a pair
+    through it has the length-weighted mean of its halves' gradients, so it
+    never beats the better half."""
     terminals, vals = v0.terminals(), v0.values
     (dist_out, par_out), (dist_in, par_in) = out, into
     up = terminals[np.isfinite(dist_in[terminals])]
@@ -128,27 +116,27 @@ def _vertex_steepest(v0: PartialAssignment, tol: float, out, into) -> Optional[T
         return None
     t1, t2 = int(up[hit[0]]), int(down[hit[1]])
     verts = _chain(par_in, t1) + list(reversed(_chain(par_out, t2)))[1:]
-    length = float(dist_in[t1] + dist_out[t2])
-    return TerminalPath(tuple(verts), length, float((vals[t1] - vals[t2]) / length))
+    return TerminalPath(tuple(verts), float(dist_in[t1] + dist_out[t2]), hit[2])
 
 
 def vertex_steepest_path(g: Graph, v0: PartialAssignment, x: int) -> TerminalPath:
-    """Steepest terminal path through x; its gradient equals the pressure of
-    x. NoTerminalPathError if no path between two distinct terminals runs
-    through x, ValueError if x is not a vertex."""
+    """Steepest terminal path through x; its gradient is the pressure of x,
+    which can exceed the path's own by ``DEFAULT_TOL``, as a tie within it
+    goes to the smaller terminal ids. NoTerminalPathError if no path of
+    positive gradient runs through x, ValueError if x is not a vertex."""
     out = single_source_distances(g, x, with_parents=True)
     into = single_source_distances(g, x, reverse=True, with_parents=True) if g.directed else out
     path = _vertex_steepest(v0, DEFAULT_TOL, out, into)
     if path is None:
-        raise NoTerminalPathError(f"no terminal path passes through vertex {x}")
+        raise NoTerminalPathError(f"no sloped terminal path passes through vertex {x}")
     return path
 
 
 def _steepest_through(g: Graph, v0: PartialAssignment, xs, tol: float = DEFAULT_TOL) -> Optional[TerminalPath]:
     """The steepest of the vertex-steepest paths through the few vertices xs,
-    the first on ties; None if xs is empty or no terminal path passes
-    through any of them. The distance rows out of every vertex of xs, and
-    on a digraph the rows into them, come from one kernel call."""
+    the first on ties; None if none slopes down. The distance rows out of
+    every vertex of xs, and on a digraph the rows into them, come from one
+    kernel call."""
     xs = [int(x) for x in xs]
     if not xs:
         return None
@@ -185,17 +173,16 @@ def _nearly_flat_path(g: Graph, v0: PartialAssignment) -> Optional[TerminalPath]
     if g.directed:
         return None
     xs = np.flatnonzero(pressure_exceeds(g, v0, 0.0, tol=0.0) & ~v0.terminal_mask())
-    path = _steepest_through(g, v0, xs[:1], 0.0)
-    return path if _slopes(g, path) else None
+    return _steepest_through(g, v0, xs[:1], 0.0)
 
 
 def _sample_split(g: Graph, v0: PartialAssignment, rng) -> tuple[Optional[TerminalPath], PressureSubgraph]:
     """One step of the pressure descent on g: the best of the vertex-steepest
     paths through the ends of a random edge and a random vertex (None if
-    none joins two distinct terminals), and the subgraph whose pressure
-    exceeds its gradient if it slopes down, else ``_slope_tol``, so that
-    every split component holds a sloped path. NoTerminalPathError if g has
-    no edge."""
+    none has positive gradient), and the subgraph whose pressure exceeds its
+    gradient, the largest pressure of the three, if it slopes down, else
+    ``_slope_tol``, so that every split component holds a sloped path and
+    none holds a sampled vertex. NoTerminalPathError if g has no edge."""
     if g.m == 0:
         raise NoTerminalPathError("no edge left to sample a terminal path")
     eid = int(rng.integers(g.m))
@@ -210,13 +197,15 @@ def steepest_path(g: Graph, v0: PartialAssignment, seed: int = 0) -> TerminalPat
     terminal-terminal edges and at least one free vertex.
 
     Repeat ``_sample_split`` on the subgraph it leaves until that subgraph
-    has no edge, and return the last sampled path. When no path slopes down,
-    that path may not be the maximizer, but does not slope down either; if
-    the last sample found no path between two distinct terminals,
-    NoTerminalPathError is raised instead. No depth cap is needed: no
-    sampled vertex has pressure above the threshold, so every round drops
-    at least the sampled edge's ends, and the search ends, in O(log n)
-    expected rounds. A round that keeps every vertex raises LexgraphError.
+    has no edge, and return the last sampled path. Its gradient is the
+    largest pressure, which can exceed the path's own gradient by
+    ``DEFAULT_TOL``. On a digraph whose steepest gradient is within
+    ``DEFAULT_TOL`` of 0, the path may not be the maximizer. If the last
+    sample found no path of positive gradient, NoTerminalPathError is
+    raised. No depth cap is needed: no sampled vertex has pressure above
+    the threshold, so every round drops at least the sampled edge's ends,
+    and the search ends, in O(log n) expected rounds. A round that keeps
+    every vertex raises LexgraphError.
     """
     tmask = v0.terminal_mask()
     if tmask.all():
@@ -235,5 +224,5 @@ def steepest_path(g: Graph, v0: PartialAssignment, seed: int = 0) -> TerminalPat
         v0 = PartialAssignment(v0.values[hp.vertices])
         g = hp.graph
     if best is None:
-        raise NoTerminalPathError("no terminal path found")
+        raise NoTerminalPathError("no sloped terminal path found")
     return TerminalPath(tuple(int(orig[v]) for v in best.vertices), best.length, best.gradient)

@@ -71,13 +71,13 @@ def reference_edge_ids(g: Graph, u, v) -> list[int]:
 
 
 def reference_two_sided_star(va, da, ia, vb, db, ib, tol: float = DEFAULT_TOL, rows: int = 256):
-    """(a, b, gradient) of the exhaustive scan the star search ran below its
-    pivot loop: the largest (va[a] - vb[b]) / (da[a] + db[b]) over pairs with
-    ia[a] != ib[b], and among the pairs within tol of it (scaled by the
-    maximum, floored at 1) the one of smallest (ia[a], ib[b]); None if no
-    pair is id-distinct. Scans ``rows`` rows of side A at a time, so memory
-    stays bounded on large sides. A test reference only; the library never
-    calls it."""
+    """(a, b, gradient) of an exhaustive scan for the star search: the
+    largest (va[a] - vb[b]) / (da[a] + db[b]) over pairs with
+    ia[a] != ib[b] as the gradient, and among the pairs within tol of it
+    (scaled by the maximum, floored at 1) the one of smallest (ia[a], ib[b]);
+    None unless that largest gradient is positive. Scans ``rows`` rows of
+    side A at a time, so memory stays bounded on large sides. A test
+    reference only; the library never calls it."""
 
     def blocks():
         for lo in range(0, va.shape[0], rows):
@@ -86,7 +86,7 @@ def reference_two_sided_star(va, da, ia, vb, db, ib, tol: float = DEFAULT_TOL, r
             yield lo, np.where(ia[sl, None] == ib[None, :], -np.inf, grads)
 
     best = max((float(grads.max()) for _, grads in blocks()), default=-np.inf)
-    if not np.isfinite(best):
+    if not best > 0.0:
         return None
     hits = []
     for lo, grads in blocks():
@@ -97,7 +97,7 @@ def reference_two_sided_star(va, da, ia, vb, db, ib, tol: float = DEFAULT_TOL, r
             cols = np.flatnonzero(near[r])
             hits.append((lo + r, int(cols[np.argmin(ib[cols])])))
     a, b = min(hits, key=lambda p: (ia[p[0]], ib[p[1]]))
-    return a, b, float((va[a] - vb[b]) / (da[a] + db[b]))
+    return a, b, best
 
 
 def reference_repair_pairs(pairs: np.ndarray, rng) -> bool:
@@ -149,6 +149,20 @@ def random_instance(
     for t in rng.choice(n, size=nt, replace=False):
         vals[int(t)] = float(rng.uniform(*value_range))
     return g, PartialAssignment(vals)
+
+
+def short_edge_instance() -> tuple[Graph, PartialAssignment]:
+    """Seven vertices, unit-scale labels and edges down to 1e-6 long: after
+    the first fix the sloped paths left have gradients near 1.76e-6, where
+    the tie-break at DEFAULT_TOL can choose a pair 1.76e-9 below the
+    largest gradient. ``comp_lex_min`` once split at that pair's gradient,
+    below the sampled vertex's own pressure, and raised."""
+    edges = [
+        (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1e-3), (3, 4, 1.0), (4, 5, 1e-3), (5, 6, 1.0), (0, 3, 1e-6),
+        (1, 5, 1e-6), (0, 2, 1.0), (1, 6, 1e-6), (0, 6, 1e-6), (2, 6, 1.0), (4, 6, 1e-6),
+    ]
+    labels = {0: -0.7290037306652042, 3: -1.0242952528346931, 6: 0.7351721743299502}
+    return Graph(7, edges), PartialAssignment([labels.get(x) for x in range(7)])
 
 
 def random_directed_instance(

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import random_instance, short_edge_instance
 
 
 def cli_env(**overrides):
@@ -107,6 +107,35 @@ class TestSolveCommands:
         res = run_cli("dirlexmin", str(edges), str(labels), "--out", str(out))
         assert res.returncode == 0, res.stderr
         assert read_tsv(out)["x"] == 0.5
+
+    def test_lexmin_on_short_edges_exits_0(self, tmp_path):
+        """The short-edge instance, written at full precision with its
+        vertex ids in first-appearance order, solves."""
+        g, v0 = short_edge_instance()
+        edges, labels = tmp_path / "s.edges.tsv", tmp_path / "s.labels.tsv"
+        rows = sorted(zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_len.tolist()), key=lambda e: e[1])
+        edges.write_text("#undirected\n" + "".join(f"{u}\t{v}\t{w!r}\n" for u, v, w in rows))
+        labels.write_text("".join(f"{t}\t{float(v0.values[t])!r}\n" for t in v0.terminals().tolist()))
+        res = run_cli("lexmin", str(edges), str(labels))
+        assert res.returncode == 0 and "Traceback" not in res.stderr, res.stderr
+        assert len(res.stdout.splitlines()) == g.n
+
+    @pytest.mark.parametrize("args", [("lexmin", "{edges}", "{labels}"), ("bench", "--sizes", "20", "--labels", "4")])
+    def test_solver_error_is_one_line(self, args, path_fixture, monkeypatch, capsys):
+        """A solver error other than an ill-posed instance or a rejected
+        input exits 1 with one ``error:`` line, in a solve and in bench."""
+        from lexgraph import LexgraphError, cli
+
+        def gives_up(*args, **kw):
+            raise LexgraphError("the search would not end")
+
+        for name in ("comp_lex_min", "comp_inf_min"):
+            monkeypatch.setattr(cli, name, gives_up)
+        edges, labels = path_fixture
+        with pytest.raises(SystemExit) as exited:
+            cli.main([arg.format(edges=edges, labels=labels) for arg in args])
+        assert exited.value.code == 1
+        assert capsys.readouterr().err == "error: the search would not end\n"
 
     def test_lexmin_rejects_directed(self, tmp_path):
         edges = tmp_path / "d.edges.tsv"

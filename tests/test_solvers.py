@@ -32,6 +32,7 @@ from conftest import (
     random_instance,
     reference_directed_fixing,
     reference_resolve_intervals,
+    short_edge_instance,
     terminal_path,
 )
 
@@ -537,6 +538,15 @@ class TestCompLexMin:
     def test_matches_brute_meta(self, seed):
         g, v0 = random_instance(seed, n_range=(12, 12))
         assert np.abs(comp_lex_min(g, v0, seed=seed).assignment - brute_lex_min(g, v0)).max() < 1e-8
+
+    def test_short_edges_match_brute(self):
+        """Both lex solvers agree with the oracle on the short-edge instance,
+        where ``comp_lex_min`` once raised: its split sat below the sampled
+        vertex's own pressure."""
+        g, v0 = short_edge_instance()
+        ref = brute_lex_min(g, v0)
+        for solve in (comp_lex_min, comp_fast_lex_min):
+            assert np.abs(solve(g, v0, seed=0).assignment - ref).max() < 1e-9, solve.__name__
 
     def test_fixed_gradients_nonincreasing(self):
         g, v0 = random_instance(42, n_range=(25, 25))

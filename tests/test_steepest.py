@@ -42,8 +42,9 @@ class TestStar:
         assert lexgraph.steepest._two_sided_star(v, d, ids, v, d, ids, DEFAULT_TOL) == (1, 0, 0.5)
 
     def test_constant_values(self):
+        """Nothing slopes down, so there is no answer."""
         v, d, ids = np.full(5, 0.3), np.ones(5), np.arange(5)
-        assert lexgraph.steepest._two_sided_star(v, d, ids, v, d, ids, DEFAULT_TOL)[2] == 0.0
+        assert lexgraph.steepest._two_sided_star(v, d, ids, v, d, ids, DEFAULT_TOL) is None
 
     def test_needs_two_terminals(self):
         v, d, ids = np.ones(1), np.ones(1), np.arange(1)
@@ -67,11 +68,11 @@ class TestStar:
 
 def two_sided_case(seed: int):
     """A two-sided star with integer values and lengths, so that gradients
-    tie exactly, and ids overlapping across the sides. On even seeds the id
-    of side A's largest value is also the id of side B's smallest, so the
-    argmax and the argmin clash at lambda 0. On odd seeds an id on both
-    sides has one value, as in a vertex-steepest search, where a clash can
-    beat every id-distinct pair at a negative gradient."""
+    tie exactly, and ids overlapping across the sides, where an id on both
+    sides has one value, as in a vertex-steepest search. On even seeds the
+    id of side A's largest value is also the id of side B's smallest, at
+    its first entry, so the argmax and the argmin clash at lambda 0 and
+    nothing slopes down."""
     rng = np.random.default_rng(seed)
     n_a, n_b = (int(k) for k in rng.integers(1, 12, size=2))
     pool = max(n_a, n_b) + int(rng.integers(0, 4))
@@ -79,13 +80,23 @@ def two_sided_case(seed: int):
     va, vb = rng.integers(-4, 5, n_a).astype(float), rng.integers(-4, 5, n_b).astype(float)
     da, db = rng.integers(1, 4, n_a).astype(float), rng.integers(1, 4, n_b).astype(float)
     if seed % 2 == 0:
-        a, b = int(va.argmax()), int(vb.argmin())
-        ib[ib == ia[a]] = ib[b]
-        ib[b] = ia[a]
-    else:
-        value = dict(zip(ia.tolist(), va.tolist()))
-        vb = np.array([value.get(t, v) for t, v in zip(ib.tolist(), vb.tolist())])
+        a = int(va.argmax())
+        ib[ib == ia[a]] = ib[0]
+        ib[0] = ia[a]
+        vb = np.maximum(vb, va[a])
+    value = dict(zip(ia.tolist(), va.tolist()))
+    vb = np.array([value.get(t, v) for t, v in zip(ib.tolist(), vb.tolist())])
     return va, da, ia, vb, db, ib
+
+
+class _PassCounter(np.ndarray):
+    """Lengths that count the products lambda * lengths taken from them."""
+
+    passes = 0
+
+    def __rmul__(self, scalar):
+        self.passes += 1
+        return scalar * self.view(np.ndarray)
 
 
 class TestTwoSidedStar:
@@ -95,27 +106,43 @@ class TestTwoSidedStar:
             case = two_sided_case(seed)
             assert lexgraph.steepest._two_sided_star(*case, DEFAULT_TOL) == reference_two_sided_star(*case), seed
 
-    def test_iterations_bounded_when_every_pair_nearly_ties(self, monkeypatch):
+    def test_iterations_bounded_when_every_pair_nearly_ties(self):
         """Side A at 3 + g d, side B at 3 - g d, with noise of at most 1e-12
-        and the same ids on both sides: every pair's gradient is within
-        1e-12 of g."""
+        and distinct ids: every pair's gradient is within 1e-12 of g. Each
+        pass of the iteration scales side A's lengths by lambda once, which
+        ``_PassCounter`` counts."""
         n, g = 10_000, 0.7
         rng = np.random.default_rng(5)
-        ids = rng.permutation(n)
+        ia, ib = np.split(rng.permutation(2 * n), 2)
         da, db = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
         va = 3.0 + g * da + rng.uniform(-1e-12, 1e-12, n)
         vb = 3.0 - g * db + rng.uniform(-1e-12, 1e-12, n)
-        passes = []
-        one_pass = lexgraph.steepest._dinkelbach_pair
+        counted = da.view(_PassCounter)
+        got = lexgraph.steepest._two_sided_star(va, counted, ia, vb, db, ib, DEFAULT_TOL)
+        assert 2 <= counted.passes <= 8
+        assert got == reference_two_sided_star(va, da, ia, vb, db, ib)
 
-        def counted(*args):
-            passes.append(1)
-            return one_pass(*args)
+    def test_tie_break_keeps_the_maximum(self):
+        """Pair (0, 2) has the largest gradient, 1 / 2; pair (1, 2) falls
+        short of it by 2e-10, within the tolerance, and has the smaller ids,
+        so the search returns it, with the maximum as the gradient."""
+        va, da, ia = np.array([1.0, 1.0 - 4e-10]), np.ones(2), np.array([5, 1])
+        vb, db, ib = np.array([0.0]), np.ones(1), np.array([2])
+        a, b, grad = lexgraph.steepest._two_sided_star(va, da, ia, vb, db, ib, DEFAULT_TOL)
+        assert (a, b) == (1, 0) and grad == 0.5
+        assert (va[a] - vb[b]) / (da[a] + db[b]) < grad
 
-        monkeypatch.setattr(lexgraph.steepest, "_dinkelbach_pair", counted)
-        got = lexgraph.steepest._two_sided_star(va, da, ids, vb, db, ids, DEFAULT_TOL)
-        assert len(passes) <= 8
-        assert got == reference_two_sided_star(va, da, ids, vb, db, ids)
+    def test_rounding_at_tolerance_zero_keeps_the_maximizer(self):
+        """Terminal 0 sits on both sides at distance 0. At the maximum,
+        rounding leaves terminal 1 an ulp below terminal 0 on side A, so at
+        tolerance 0 the tie-break finds no id-distinct pair, and the pair
+        that set the maximum is returned."""
+        va = np.array([0.022855624854134282, 0.488732228579003])
+        da, ia = np.array([0.0, 0.0014301911266136362]), np.arange(2)
+        vb, db, ib = va[:1], np.zeros(1), ia[:1]
+        grad = float((va[1] - vb[0]) / da[1])
+        assert lexgraph.steepest._best_pair(va - grad * da, ia, vb + grad * db, ib, 0.0) is None
+        assert lexgraph.steepest._two_sided_star(va, da, ia, vb, db, ib, 0.0) == (1, 0, grad)
 
 
 def brute_pressure_at(g, v0, x):
@@ -149,23 +176,29 @@ class TestVertexSteepest:
     @pytest.mark.parametrize("seed", range(8))
     def test_gradient_equals_pressure(self, seed):
         """On every vertex, terminals included, of an undirected and a
-        directed instance, the search's gradient is the brute-force
-        pressure, and its path joins two terminals."""
+        directed instance: where the brute-force pressure is positive, the
+        search's gradient is that pressure and its path joins two terminals;
+        elsewhere it raises NoTerminalPathError."""
         for make in (random_instance, random_directed_instance):
             g, v0 = make(seed, n_range=(15, 15))
             tmask = v0.terminal_mask()
             for x in range(g.n):
+                pressure = brute_pressure_at(g, v0, x)
+                if pressure <= 0.0:
+                    with pytest.raises(NoTerminalPathError):
+                        vertex_steepest_path(g, v0, x)
+                    continue
                 p = vertex_steepest_path(g, v0, x)
-                assert p.gradient == pytest.approx(brute_pressure_at(g, v0, x), abs=1e-9)
+                assert p.gradient == pytest.approx(pressure, abs=1e-9)
                 assert tmask[p.first] and tmask[p.last]
 
     def test_negative_pressure_on_a_digraph(self):
         """Terminal 0 has arcs to and from vertex 1, terminal 2 an arc from
         1 only: the one path between distinct terminals through 1 climbs,
-        and is found although the walk 0, 1, 0 beats it at its gradient."""
+        so nothing slopes down through 1."""
         g = Graph(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)], directed=True)
-        p = vertex_steepest_path(g, PartialAssignment([0.0, None, 1.0]), 1)
-        assert p.vertices == (0, 1, 2) and p.gradient == pytest.approx(-0.5)
+        with pytest.raises(NoTerminalPathError, match="no sloped terminal path"):
+            vertex_steepest_path(g, PartialAssignment([0.0, None, 1.0]), 1)
 
     def test_no_path_raises(self):
         g = Graph(3, [(0, 1, 1.0), (2, 1, 1.0)], directed=True)
@@ -220,9 +253,10 @@ class TestSteepestPath:
         assert p.vertices == (2, 1, 0) and p.gradient == pytest.approx(0.5)
 
     def test_constant_labels_zero_gradient(self):
+        """Every terminal path is flat, so none is found."""
         g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        p = steepest_path(g, PartialAssignment([0.7, None, None, 0.7]), seed=3)
-        assert p.gradient == pytest.approx(0.0)
+        with pytest.raises(NoTerminalPathError):
+            steepest_path(g, PartialAssignment([0.7, None, None, 0.7]), seed=3)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_oracle(self, seed):
