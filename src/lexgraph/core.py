@@ -465,21 +465,28 @@ def single_source_distances(
 PAIR_DISTANCE_BYTES = 4 << 20
 
 
-def terminal_pair_distances(g: Graph, v0: PartialAssignment, limit: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+def terminal_pair_distances(
+    g: Graph, v0: PartialAssignment, limit: float | np.ndarray = np.inf
+) -> tuple[np.ndarray, np.ndarray]:
     """(terminals, dist) with dist[i, j] = shortest distance terminal i -> terminal j,
-    or inf where it exceeds ``limit``.
+    or inf where it exceeds ``limit``: one value, or one per terminal i.
 
     Paths may run through other terminals. scipy runs over chunks of
-    terminals sized to ``PAIR_DISTANCE_BYTES``, so no |T| x n matrix is kept;
-    each search stops at ``limit``, and every entry within it is bitwise the
-    unbounded one.
+    terminals sized to ``PAIR_DISTANCE_BYTES``, taken by limit, largest
+    first, so no |T| x n matrix is kept; each chunk stops at its first
+    limit. Every entry within its row's limit is bitwise the unbounded one,
+    and every farther one reads inf.
     """
     terminals = v0.terminals()
+    limits = np.broadcast_to(np.asarray(limit, dtype=np.float64), terminals.shape)
+    order = np.argsort(-limits, kind="stable")
     dist = np.empty((terminals.shape[0], terminals.shape[0]))
     rows = max(1, PAIR_DISTANCE_BYTES // (8 * max(g.n, 1)))
     csr = g._out_rows()
     for a in range(0, terminals.shape[0], rows):
-        dist[a : a + rows] = _scipy_dijkstra(*csr, terminals[a : a + rows], limit=limit)[:, terminals]
+        chunk = order[a : a + rows]
+        dist[chunk] = _scipy_dijkstra(*csr, terminals[chunk], limit=limits[chunk[0]])[:, terminals]
+    dist[dist > limits[:, None]] = np.inf
     return terminals, dist
 
 
@@ -492,13 +499,14 @@ def terminal_gradient_matrix(g: Graph, v0: PartialAssignment, above: float = 0.0
     """(terminals, grad) with grad[i, j] = (v0(t_i) - v0(t_j)) / dist(t_i -> t_j),
     and -inf on the diagonal and where that distance is infinite or zero.
 
-    With ``above`` > 0 the searches stop at the radius (max v0 - min v0) /
-    above, which every gradient of at least ``above`` lies within: those
-    entries are exact, and the others read exact or -inf."""
+    With ``above`` > 0 the search from t_i stops at the radius
+    (v0(t_i) - min v0) / above, which every gradient of at least ``above``
+    from t_i lies within: those entries are exact, and the others read exact
+    or -inf."""
     vals = v0.values[v0.terminals()]
     limit = np.inf
     if above > 0.0 and vals.size:
-        limit = (vals.max() - vals.min()) / above * (1.0 + _RADIUS_SLACK)
+        limit = (vals - vals.min()) / above * (1.0 + _RADIUS_SLACK)
     terminals, dist = terminal_pair_distances(g, v0, limit)
     usable = np.isfinite(dist) & (dist > 0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -3,10 +3,11 @@
 Both solvers choose the labels to drop on terminal-pair gradient matrices
 (a shortest path through a third terminal is a mediant of its two halves, so
 never beats them), then share one completion. The matrices come in rounds:
-the searches first stop at the radius beyond which no gradient reaches a
-threshold a little below the top gradient, so only the entries above that
-threshold are known, and each round lowers the threshold until the entries
-it knows settle the solve, or takes the unbounded matrix. Exact: a minimum
+each terminal's search first stops at the radius beyond which no gradient
+from it reaches a threshold a little below the top gradient, a radius that
+shrinks with its label, so only the entries above that threshold are
+known, and each round lowers the threshold until the entries it knows
+settle the solve, or takes the unbounded matrix. Exact: a minimum
 vertex cover of the pressure graph over terminals, always a transitively
 closed DAG, from scipy csgraph's maximum matching on its bipartite double
 graph plus König's construction; binary search over the matrix entries
@@ -39,8 +40,9 @@ from .solvers import SolverResult
 SHRINK = 0.8
 ROUNDS = 8
 #: A cut-off round that reached at least this share of the terminal pairs
-#: cost about as much as the unbounded matrix, which comes next if it did not
-#: settle the search.
+#: (finite entries) is the last; the unbounded matrix follows unless it
+#: settled the search. Its low labels' searches stop early, so it costs less
+#: than that matrix: a quarter of it at 12.7% on n = 2e4, |T| = 150.
 REACHED = 1 / 8
 
 

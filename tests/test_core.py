@@ -325,6 +325,25 @@ class TestTerminalPairDistances:
                     assert np.array_equal(cut, expected), (limit, budget)
                     assert np.array_equal(cut.view(np.int64), expected.view(np.int64))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_limits_keep_entries_within_them_bitwise(self, seed, monkeypatch):
+        """One limit per terminal, tied and untied, 0 and inf among them:
+        an entry at most its row's limit is the unbounded one bit for bit,
+        and every farther one reads inf, in one call, in two-row chunks
+        (rows of different limits share a search) and in one-row chunks."""
+        rng = np.random.default_rng(seed)
+        for g, v0 in (random_instance(seed, terminal_range=(3, 8)), random_directed_instance(seed + 700)):
+            _, whole = core.terminal_pair_distances(g, v0)
+            finite = np.unique(whole[np.isfinite(whole) & (whole > 0)])
+            choices = [0.0, *finite[[0, finite.shape[0] // 2, -1]], 0.5 * (finite[0] + finite[-1]), np.inf]
+            for _ in range(4):
+                limits = rng.choice(choices, size=whole.shape[0])
+                expected = np.where(whole <= limits[:, None], whole, np.inf)
+                for budget in (1 << 40, 16 * g.n, 1):
+                    monkeypatch.setattr(core, "PAIR_DISTANCE_BYTES", budget)
+                    _, cut = core.terminal_pair_distances(g, v0, limits)
+                    assert np.array_equal(cut.view(np.int64), expected.view(np.int64)), (limits, budget)
+
 
 class TestEnumerateTerminalGradients:
     def test_single_terminal_empty(self):

@@ -338,6 +338,21 @@ class TestCutOffRounds:
         assert settled_cut_off >= solves // (6 if reached < 1.0 else 3)
 
     @pytest.mark.parametrize("make", [random_instance, random_directed_instance])
+    def test_solvers_match_reference_in_two_row_chunks(self, make, monkeypatch):
+        """At these sizes every terminal fits one chunk; two rows per chunk
+        make the searches of one round stop at different radii, and the
+        answers must not change."""
+        for seed in range(40):
+            g, v0 = make(seed)
+            budgets = [0, 1, 2, v0.terminals().shape[0] // 2]
+            refs = [reference_outlier(g, v0, k, exact) for k in budgets for exact in (True, False)]
+            monkeypatch.setattr(core, "PAIR_DISTANCE_BYTES", 2 * 8 * g.n)
+            got = [solver(g, v0, k) for k in budgets for solver in (outlier_exact, outlier_approx)]
+            monkeypatch.undo()
+            for a, b in zip(got, refs):
+                assert _same_outcome(a, b), seed
+
+    @pytest.mark.parametrize("make", [random_instance, random_directed_instance])
     def test_pressure_graph_matches_full_matrix(self, make):
         for seed in range(60):
             g, v0 = make(seed)
@@ -429,6 +444,23 @@ def test_l0_search_calls_are_cut_off(monkeypatch):
         assert [n for n, _ in calls] == top_search + [100] * rounds
         assert calls[0][1] == np.inf
         assert all(np.isfinite(limit) for _, limit in calls[1:])
+
+    # 25 rows per chunk: each round runs 4 chunks, the first at the radius
+    # of the highest label, the next ones no farther and the last nearer
+    monkeypatch.setattr(core, "PAIR_DISTANCE_BYTES", 8 * g.n * 25)
+    vals = v0.values[v0.terminals()]
+    top = core.top_terminal_gradient(g, v0)
+    for solver, rounds in ((outlier_exact, 4), (outlier_approx, 3)):
+        calls.clear()
+        solver(g, v0, 10)
+        top_search = [1, 2, 4, 8, 16, 25, 25, 18]
+        assert [n for n, _ in calls] == top_search + [25] * (4 * rounds)
+        chunks = calls[len(top_search) :]
+        for step in range(1, rounds + 1):
+            limits = [limit for _, limit in chunks[4 * (step - 1) : 4 * step]]
+            radius = (vals.max() - vals.min()) / (top * l0reg.SHRINK**step) * (1.0 + core._RADIUS_SLACK)
+            assert limits[0] == radius
+            assert all(a >= b for a, b in zip(limits, limits[1:])) and limits[-1] < radius
 
 
 @pytest.mark.slow
